@@ -6,7 +6,7 @@
 //
 //	brserve [-addr :8377] [-workers N] [-queue N] [-budget N] [-max-budget N]
 //	        [-tenant-budgets name=N,name=N] [-timeout 2m]
-//	        [-result-cache-mb N] [-max-body-bytes N]
+//	        [-cache-mb N] [-max-body-bytes N]
 //	        [-breaker-threshold N] [-breaker-cooldown 30s] [-shadow-rate N]
 //	        [-incident-cap N] [-chaos "seed=7,target=sieve,panic-every=1,panic-max=8"]
 //	        [-flight-cap N] [-flight-slow 250ms] [-flight-sample N]
@@ -44,7 +44,7 @@ func main() {
 	maxBudget := flag.Int64("max-budget", 0, "step-budget cap for every tenant (0 = uncapped)")
 	tenants := flag.String("tenant-budgets", "", "per-tenant step-budget caps, name=N,name=N")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-job execution timeout")
-	resultCacheMB := flag.Int("result-cache-mb", 0, "deterministic result-cache budget in MiB (0 = default 64, negative = off)")
+	cacheMB := flag.Int("cache-mb", 0, "memory budget in MiB, split evenly between compiled programs and results (0 = default 64, negative = no result cache)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request-body size limit in bytes, 413 beyond it (0 = default 1 MiB, negative = unlimited)")
 	drainWait := flag.Duration("drain", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive tier failures that open a circuit breaker (0 = default 3)")
@@ -77,7 +77,7 @@ func main() {
 		MaxStepBudget:     *maxBudget,
 		TenantBudgets:     tb,
 		JobTimeout:        *timeout,
-		ResultCacheMB:     *resultCacheMB,
+		CacheMB:           *cacheMB,
 		MaxBodyBytes:      *maxBodyBytes,
 		BreakerThreshold:  *breakerThreshold,
 		BreakerCooldown:   *breakerCooldown,

@@ -3,6 +3,7 @@ package driver
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -18,29 +19,49 @@ import (
 // profile and keeps the garbage collector busy reclaiming identical
 // buffers. The pool recycles them; buffers are zeroed on release so a
 // pooled Get is indistinguishable from a fresh allocation.
-
-var memPool = sync.Pool{
-	New: func() interface{} {
-		mPoolFresh.Inc()
-		b := make([]byte, isa.MemBytes)
-		return &b
-	},
+//
+// The pool is a mutex-guarded free list, not a sync.Pool: a sync.Pool is
+// emptied by garbage collections, and a server that collects often (a
+// bounded heap under a stream of distinct programs) would then allocate
+// a whole 4 MiB image after each one. The list keeps at most
+// memPoolSlack images per GOMAXPROCS, enough for every concurrent run
+// plus the shadow verifier's; extra releases are dropped to the
+// collector.
+var memPool struct {
+	mu   sync.Mutex
+	free [][]byte
 }
 
-// borrowMem returns a zeroed isa.MemBytes buffer. The *[]byte indirection
-// keeps the slice header itself off the heap on Put.
-func borrowMem() *[]byte {
+const memPoolSlack = 2
+
+// borrowMem returns a zeroed isa.MemBytes buffer.
+func borrowMem() []byte {
 	mPoolGets.Inc()
-	return memPool.Get().(*[]byte)
+	memPool.mu.Lock()
+	if n := len(memPool.free); n > 0 {
+		b := memPool.free[n-1]
+		memPool.free[n-1] = nil
+		memPool.free = memPool.free[:n-1]
+		memPool.mu.Unlock()
+		return b
+	}
+	memPool.mu.Unlock()
+	mPoolFresh.Inc()
+	return make([]byte, isa.MemBytes)
 }
 
 // releaseMem zeroes the buffer and returns it to the pool.
-func releaseMem(b *[]byte) {
+func releaseMem(b []byte) {
 	start := time.Now()
-	clear(*b)
+	clear(b)
 	mPoolZeroNS.Observe(time.Since(start).Nanoseconds())
 	mPoolPuts.Inc()
-	memPool.Put(b)
+	limit := memPoolSlack * runtime.GOMAXPROCS(0)
+	memPool.mu.Lock()
+	if len(memPool.free) < limit {
+		memPool.free = append(memPool.free, b)
+	}
+	memPool.mu.Unlock()
 }
 
 // RunConfig carries per-run execution options.
@@ -79,7 +100,7 @@ func RunProgramWith(ctx context.Context, p *isa.Program, input string, cfg RunCo
 func execute(ctx context.Context, p *isa.Program, req *Request) (*Result, error) {
 	mem := borrowMem()
 	defer releaseMem(mem)
-	m, err := emu.NewWithMem(p, req.Input, *mem)
+	m, err := emu.NewWithMem(p, req.Input, mem)
 	if err != nil {
 		return nil, err
 	}

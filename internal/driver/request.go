@@ -92,9 +92,12 @@ func (r *Request) Validate() error {
 // coalescing contract brserve relies on: requests that differ only in
 // OutputHint (an allocation hint) share a fingerprint, while requests
 // that differ in Loop (engine metadata in the Result) or Faults (trap
-// behavior) never do. A Request carrying a Program or Profile pointer
-// fingerprints the pointer itself, so such requests only ever coalesce
-// with requests sharing the same object.
+// behavior) never do. A Request carrying a Program fingerprints the
+// program's content (isa.Program.Digest), so equal programs compiled
+// apart share a fingerprint and a freed program's recycled address can
+// never alias another's. A Request carrying a Profile fingerprints the
+// pointer itself, so such requests only ever coalesce with requests
+// sharing the same profile object.
 func (r *Request) Fingerprint() string {
 	src := sha256.Sum256([]byte(r.Source))
 	in := sha256.Sum256([]byte(r.Input))
@@ -102,7 +105,8 @@ func (r *Request) Fingerprint() string {
 		hex.EncodeToString(src[:]), r.Kind, hex.EncodeToString(in[:]),
 		r.Options.Fingerprint(), r.Loop, r.MaxInstructions)
 	if r.Program != nil {
-		fp += fmt.Sprintf("|prog=%p", r.Program)
+		d := r.Program.Digest()
+		fp += "|prog=" + hex.EncodeToString(d[:])
 	}
 	if r.Faults != nil {
 		fp += fmt.Sprintf("|faults=%+v", *r.Faults)
@@ -150,9 +154,17 @@ func (c *Cache) Exec(ctx context.Context, req Request) (*Result, error) {
 			return res, nil
 		}
 	}
+	var e *cacheEntry
 	res, err := exec(ctx, req, func(ctx context.Context) (*isa.Program, error) {
-		return c.Compile(ctx, req.Source, req.Kind, req.Options)
+		var err error
+		if e, err = c.entry(ctx, req.Source, req.Kind, req.Options); err != nil {
+			return nil, err
+		}
+		return e.p, e.err
 	})
+	if e != nil && req.Loop == emu.LoopAdaptive {
+		c.recharge(e)
+	}
 	if err == nil && cacheable {
 		rc.Put(req.Fingerprint(), resultClassFrom(ctx), res)
 	}

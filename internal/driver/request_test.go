@@ -3,6 +3,7 @@ package driver
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"branchreg/internal/emu"
@@ -102,6 +103,7 @@ func TestRequestFingerprintSeparatesResults(t *testing.T) {
 		"Faults":          func(r *Request) { r.Faults = &emu.FaultPlan{Seed: 1, Ops: []emu.FaultOp{{Kind: emu.FaultForceTrap}}} },
 		"MaxInstructions": func(r *Request) { r.MaxInstructions = 500 },
 		"Profile":         func(r *Request) { r.Profile = emu.NewBlockProfile(4) },
+		"Program":         func(r *Request) { r.Program = mustCompile(t, "int main(void) { return 1; }\n") },
 	}
 	for name, mutate := range mutations {
 		changed := base
@@ -136,6 +138,46 @@ func TestRequestFingerprintSeparatesResults(t *testing.T) {
 	nc.NoCache = true
 	if nc.Fingerprint() != base.Fingerprint() {
 		t.Error("NoCache split the fingerprint; it cannot affect the Result")
+	}
+}
+
+// mustCompile compiles src for the branch-register machine.
+func mustCompile(t *testing.T, src string) *isa.Program {
+	t.Helper()
+	p, err := Compile(context.Background(), src, isa.BranchReg, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestRequestFingerprintProgramContent pins how a pre-linked Program
+// enters the fingerprint: by content, not address. Equal programs
+// compiled apart share a fingerprint (they are interchangeable), and
+// programs that differ only in a constant, in their data image, or in
+// their machine do not — so a freed program's recycled address can
+// never make two different programs coalesce.
+func TestRequestFingerprintProgramContent(t *testing.T) {
+	const src = "int g[3] = {1, 2, 3};\nint main(void) { return g[1] + 40; }\n"
+	fp := func(p *isa.Program) string { return (&Request{Program: p}).Fingerprint() }
+	a, b := mustCompile(t, src), mustCompile(t, src)
+	if a == b || fp(a) != fp(b) {
+		t.Error("equal programs compiled apart have different fingerprints")
+	}
+	for name, other := range map[string]string{
+		"constant":   strings.Replace(src, "40", "41", 1),
+		"data image": strings.Replace(src, "{1, 2, 3}", "{1, 5, 3}", 1),
+	} {
+		if fp(mustCompile(t, other)) == fp(a) {
+			t.Errorf("programs differing in a %s share a fingerprint", name)
+		}
+	}
+	base, err := Compile(context.Background(), src, isa.Baseline, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp(base) == fp(a) {
+		t.Error("the same source compiled for both machines shares a fingerprint")
 	}
 }
 

@@ -24,11 +24,10 @@ import (
 //     a trap is cheap to reproduce (the emulator stops at the faulting
 //     instruction) and the error path carries typed values the cache
 //     would have to alias.
-//   - Requests carrying a Program or Profile pointer are excluded.
-//     Their fingerprints encode the pointer itself (%p), and a
-//     long-lived cache could alias a recycled address to a different
-//     program; a Profile is also an output parameter a cached Result
-//     could not fill.
+//   - Requests carrying a Profile are excluded: a Profile is an output
+//     parameter a cached Result could not fill. Requests carrying a
+//     Program are cacheable; their fingerprints cover the program's
+//     content (isa.Program.Digest), not its address.
 //   - Fault-plan requests ARE cacheable: the plan is part of the
 //     fingerprint and its effect is deterministic, and a plan that
 //     traps never produces a successful Result to cache anyway.
@@ -42,11 +41,11 @@ import (
 
 // Cacheable reports whether a Request's Result may be served from (and
 // stored into) a ResultCache. See the package commentary above for why
-// Program- and Profile-carrying requests are excluded. NoCache is the
-// caller's escape hatch: it suppresses the lookup, not the eligibility,
-// so it is not consulted here.
+// Profile-carrying requests are excluded. NoCache is the caller's escape
+// hatch: it suppresses the lookup, not the eligibility, so it is not
+// consulted here.
 func Cacheable(r *Request) bool {
-	return r.Program == nil && r.Profile == nil
+	return r.Profile == nil
 }
 
 // rcEntry is one cached result with its accounting: the fingerprint it

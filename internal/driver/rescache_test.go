@@ -134,8 +134,8 @@ func TestCacheableExcludesPointerRequests(t *testing.T) {
 	}
 	r.Faults = nil
 	r.Program = &isa.Program{}
-	if Cacheable(&r) {
-		t.Error("pre-linked Program request cacheable; pointer fingerprints alias across recycled addresses")
+	if !Cacheable(&r) {
+		t.Error("pre-linked Program request not cacheable; its fingerprint covers the program's content")
 	}
 	r.Program = nil
 	r.Profile = emu.NewBlockProfile(4)

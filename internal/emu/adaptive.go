@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"branchreg/internal/isa"
 )
@@ -18,8 +19,8 @@ import (
 // vocabulary mined from this program's own pair/triple adjacencies
 // (static + extended candidate tables, dynamic-programming segmentation)
 // while never-executed blocks keep their per-uop fast-tier form — and
-// the run continues in the fused engine. Promotion state is keyed by
-// program identity and shared across runs, so a long-lived cached
+// the run continues in the fused engine. Promotion state lives on the
+// program itself and is shared across runs, so a long-lived cached
 // program (the brserve regime) pays the warmup once and every later
 // request enters the promoted form directly.
 //
@@ -53,7 +54,8 @@ type RefusionStats struct {
 }
 
 // promotedForm is the immutable result of one promotion: the mixed-tier
-// fused program and the stats describing how it was built.
+// fused program, the stats describing how it was built, and the heap it
+// retains.
 type promotedForm struct {
 	fp           *fprog
 	hotBlocks    int
@@ -61,32 +63,80 @@ type promotedForm struct {
 	vocabPairs   int
 	vocabTriples int
 	warmupInsts  int64
+	bytes        int64
 }
 
 // adaptiveState is the per-program promotion state machine: an
 // accumulated warmup profile (merged from completed or suspended
 // warmup runs) and, once any block crosses the threshold, the promoted
-// form. The zero state means "cold: keep warming up".
+// form. The zero state means "cold: keep warming up". bytes tracks the
+// heap the state retains (see AdaptiveBytes).
 type adaptiveState struct {
 	mu         sync.Mutex
 	prof       *BlockProfile // accumulated warmup flow counts
 	promoted   atomic.Pointer[promotedForm]
 	promotions atomic.Int64
+	bytes      atomic.Int64
 }
 
-// adaptiveStates keys promotion state by program identity
-// (*isa.Program). Like driver.Cache it grows without bound over
-// distinct programs; the expected regime is a bounded working set of
-// long-lived cached programs (brserve), and a freshly compiled program
-// gets a fresh pointer and therefore fresh, isolated state.
-var adaptiveStates sync.Map // *isa.Program -> *adaptiveState
-
+// adaptiveStateFor returns p's promotion state, attaching a cold one on
+// first use. The state lives in the program's emulator slot
+// (isa.Program.EmuState), so it is freed with the program: a freshly
+// compiled program gets fresh, isolated state, and a program a cache
+// evicts takes its warmup profile and promoted form with it.
 func adaptiveStateFor(p *isa.Program) *adaptiveState {
-	if st, ok := adaptiveStates.Load(p); ok {
-		return st.(*adaptiveState)
+	return p.EmuState(func() any { return &adaptiveState{} }).(*adaptiveState)
+}
+
+// AdaptiveBytes reports the heap the adaptive tier retains for p: its
+// banked warmup profile and its promoted form, 0 if p never ran
+// adaptively. A cache that holds p charges this on top of
+// p.RetainedBytes().
+func AdaptiveBytes(p *isa.Program) int64 {
+	st, _ := p.EmuState(nil).(*adaptiveState)
+	if st == nil {
+		return 0
 	}
-	st, _ := adaptiveStates.LoadOrStore(p, &adaptiveState{})
-	return st.(*adaptiveState)
+	return st.bytes.Load()
+}
+
+// bank merges a finished or suspended warmup profile into the state's
+// accumulated one; st.mu must be held.
+func (st *adaptiveState) bank(prof *BlockProfile) {
+	if st.prof == nil {
+		st.prof = prof
+		st.bytes.Add(prof.bytes())
+		return
+	}
+	st.prof.Merge(prof)
+}
+
+// promoteLocked builds and publishes the promoted form unless another
+// run already did; st.mu must be held.
+func (st *adaptiveState) promoteLocked(p *isa.Program, dec []uop) *promotedForm {
+	pf := st.promoted.Load()
+	if pf == nil {
+		pf = promote(p, dec, st.prof)
+		st.promoted.Store(pf)
+		st.promotions.Add(1)
+		st.bytes.Add(pf.bytes)
+	}
+	return pf
+}
+
+// bytes is the heap the profile's five counter arrays occupy.
+func (p *BlockProfile) bytes() int64 {
+	return 8 * int64(cap(p.Arrive)+cap(p.Depart)+cap(p.Taken)+cap(p.NotTaken)+cap(p.Penalty))
+}
+
+// bytes is the heap a block-fused form occupies, its flat predecoded
+// form included.
+func (fp *fprog) bytes() int64 {
+	return int64(unsafe.Sizeof(*fp)) +
+		int64(unsafe.Sizeof(fuop{}))*int64(cap(fp.ops)) +
+		int64(unsafe.Sizeof(fblock{}))*int64(cap(fp.blocks)) +
+		4*int64(cap(fp.pc2block)) +
+		int64(unsafe.Sizeof(uop{}))*int64(cap(fp.dec))
 }
 
 // Merge adds other's counts into p. Both profiles must be sized for the
@@ -231,6 +281,7 @@ func promote(p *isa.Program, dec []uop, prof *BlockProfile) *promotedForm {
 		vocabPairs:   len(vocab.pairs),
 		vocabTriples: len(vocab.triples),
 		warmupInsts:  warm,
+		bytes:        fp.bytes(),
 	}
 	for bi := range fp.blocks {
 		if counts[fp.blocks[bi].start] > 0 {
@@ -358,17 +409,8 @@ func (m *Machine) runAdaptive(ctx context.Context) (int32, error) {
 		prof.Depart[m.pc]++
 	}
 	st.mu.Lock()
-	if st.prof == nil {
-		st.prof = prof
-	} else {
-		st.prof.Merge(prof)
-	}
-	pf := st.promoted.Load()
-	if pf == nil {
-		pf = promote(m.P, m.dec, st.prof)
-		st.promoted.Store(pf)
-		st.promotions.Add(1)
-	}
+	st.bank(prof)
+	pf := st.promoteLocked(m.P, m.dec)
 	st.mu.Unlock()
 	m.refusion(st, pf)
 
@@ -415,19 +457,13 @@ func (m *Machine) runAdaptive(ctx context.Context) (int32, error) {
 func (m *Machine) mergeWarmup(st *adaptiveState, prof *BlockProfile, threshold int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.prof == nil {
-		st.prof = prof
-	} else {
-		st.prof.Merge(prof)
-	}
+	st.bank(prof)
 	if st.promoted.Load() != nil {
 		return
 	}
 	for _, a := range st.prof.Arrive {
 		if a >= threshold {
-			pf := promote(m.P, m.dec, st.prof)
-			st.promoted.Store(pf)
-			st.promotions.Add(1)
+			st.promoteLocked(m.P, m.dec)
 			return
 		}
 	}

@@ -156,8 +156,8 @@ type Supervisor struct {
 	now func() time.Time
 
 	mu       sync.Mutex
-	breakers map[breakerKey]*breaker
-	shadowN  map[string]int64 // per-class sampled-execution counters
+	breakers map[breakerKey]*breaker // only pairs that failed since they last closed
+	shadowN  map[string]int64        // per-class sampled-execution counters
 
 	shadow *shadowPool
 }
@@ -317,13 +317,12 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 	for i, tier := range chain {
 		name := tierName(tier)
 		last := i == len(chain)-1
-		var br *breaker
+		key := breakerKey{class: class, tier: name}
 		probe := false
 		if !last {
 			// The last tier is the safety net: it executes regardless of
 			// breaker state, because skipping it would leave nowhere to go.
-			br = s.breakerFor(class, name)
-			switch br.admit(s.now()) {
+			switch s.admit(key, s.now()) {
 			case admitSkip:
 				s.m.breakerReroute.Inc()
 				rerouted = true
@@ -351,13 +350,11 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 		}
 		if err == nil {
 			sp.SetArg("outcome", "ok")
-			if br != nil {
-				if br.success(probe) {
-					s.m.breakerClose.Inc()
-					s.m.breakerOpenNow.Set(s.openBreakers())
-					s.record(IncidentBreakerClose, class, name,
-						"half-open probe succeeded; breaker closed")
-				}
+			if !last && s.succeed(key, probe) {
+				s.m.breakerClose.Inc()
+				s.m.breakerOpenNow.Set(s.openBreakers())
+				s.record(IncidentBreakerClose, class, name,
+					"half-open probe succeeded; breaker closed")
 			}
 			if len(fellFrom) > 0 {
 				s.m.fallbackSuccess.Inc()
@@ -375,7 +372,7 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 			// A deterministic outcome (trap, compile error, caller's
 			// deadline): the tier functioned, so a probe may close the
 			// breaker, and the error goes straight back to the caller.
-			if br != nil && br.success(probe) {
+			if !last && s.succeed(key, probe) {
 				s.m.breakerClose.Inc()
 				s.m.breakerOpenNow.Set(s.openBreakers())
 				s.record(IncidentBreakerClose, class, name,
@@ -383,7 +380,7 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 			}
 			return nil, err
 		}
-		if br != nil && br.failure(s.now(), probe, s.cfg.Threshold, s.cfg.Cooldown) {
+		if !last && s.fail(key, s.now(), probe) {
 			s.m.breakerOpen.Inc()
 			s.m.breakerOpenNow.Set(s.openBreakers())
 			s.record(IncidentBreakerOpen, class, name,
@@ -405,38 +402,11 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 	return nil, fmt.Errorf("guard: tier chain exhausted without a terminal attempt")
 }
 
-// breakerFor returns the (class, tier) breaker, creating it on first use.
-func (s *Supervisor) breakerFor(class, tier string) *breaker {
-	key := breakerKey{class: class, tier: tier}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.breakers[key]
-	if !ok {
-		b = &breaker{}
-		s.breakers[key] = b
-	}
-	return b
-}
-
-// openBreakers counts breakers not currently closed (the open_now gauge).
-func (s *Supervisor) openBreakers() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, b := range s.breakers {
-		if !b.isClosed() {
-			n++
-		}
-	}
-	return n
-}
-
 // Quarantine force-opens the (class, tier) breaker — the shadow
 // verifier's response to a differential mismatch, exported so tests and
 // operators can quarantine a suspect pair directly.
 func (s *Supervisor) Quarantine(class, tier, reason string) {
-	b := s.breakerFor(class, tier)
-	if b.trip(s.now(), s.cfg.Cooldown) {
+	if s.trip(breakerKey{class: class, tier: tier}, s.now()) {
 		s.m.breakerOpen.Inc()
 	}
 	s.m.breakerOpenNow.Set(s.openBreakers())

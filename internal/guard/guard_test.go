@@ -198,6 +198,70 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakersOnlyForFailingPairs: healthy classes leave no breaker
+// behind — a raw-source class is one program, so a breaker per class
+// would grow with every distinct program served. A failure creates the
+// pair's breaker, and the success that closes it again deletes it.
+func TestBreakersOnlyForFailingPairs(t *testing.T) {
+	var failing atomic.Bool
+	exec := tierExec(map[emu.LoopMode]func() (*driver.Result, error){
+		emu.LoopAdaptive: func() (*driver.Result, error) {
+			if failing.Load() {
+				panic("injected engine bug")
+			}
+			return &driver.Result{Output: "ok", Engine: emu.EngineAdaptive}, nil
+		},
+	})
+	s := New(Config{Exec: exec, Threshold: 3, Metrics: obs.NewRegistry()})
+	defer s.Close()
+	ctx := context.Background()
+	breakers := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.breakers)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := s.Exec(ctx, fmt.Sprintf("src:%08x/branchreg", i), driver.Request{Loop: emu.LoopAuto}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := breakers(); n != 0 {
+		t.Fatalf("%d breakers after 100 healthy classes, want 0", n)
+	}
+	failing.Store(true)
+	if out, err := s.Exec(ctx, "src:flaky/branchreg", driver.Request{Loop: emu.LoopAuto}); err != nil || out.Tier != emu.EngineFused {
+		t.Fatalf("failing request: out=%+v err=%v, want fused-tier rescue", out, err)
+	}
+	if n := breakers(); n != 1 {
+		t.Fatalf("%d breakers after one failing pair, want 1", n)
+	}
+	failing.Store(false)
+	if _, err := s.Exec(ctx, "src:flaky/branchreg", driver.Request{Loop: emu.LoopAuto}); err != nil {
+		t.Fatal(err)
+	}
+	if n := breakers(); n != 0 {
+		t.Fatalf("%d breakers after the failing pair recovered, want 0", n)
+	}
+}
+
+// TestShadowCountersBounded: the per-class sample counters stay under
+// their cap however many distinct classes execute.
+func TestShadowCountersBounded(t *testing.T) {
+	s := New(Config{Exec: tierExec(nil), ShadowRate: 4, Metrics: obs.NewRegistry()})
+	defer s.Close()
+	for i := 0; i < shadowClassCap+100; i++ {
+		if _, err := s.Exec(context.Background(), fmt.Sprintf("src:%08x/baseline", i), driver.Request{Loop: emu.LoopAuto}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	n := len(s.shadowN)
+	s.mu.Unlock()
+	if n > shadowClassCap {
+		t.Fatalf("%d per-class shadow counters, cap %d", n, shadowClassCap)
+	}
+}
+
 // TestBreakerProbeFailureReopens: a failed half-open probe restarts the
 // cooldown instead of closing.
 func TestBreakerProbeFailureReopens(t *testing.T) {

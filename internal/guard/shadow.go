@@ -103,6 +103,12 @@ func altTier(mode emu.LoopMode) (emu.LoopMode, bool) {
 	}
 }
 
+// shadowClassCap bounds the per-class sample counters. A raw-source
+// class is one program, so under a stream of distinct programs one
+// counter per class would grow without end; a new class arriving at the
+// cap restarts every class's count instead.
+const shadowClassCap = 4096
+
 // maybeShadow samples a successful execution for shadow verification.
 // Sampling is a deterministic per-class counter — every ShadowRate'th
 // executed (not merely received: coalesced followers share one
@@ -124,6 +130,9 @@ func (s *Supervisor) maybeShadow(class string, req driver.Request, tier emu.Loop
 		return false
 	}
 	s.mu.Lock()
+	if _, ok := s.shadowN[class]; !ok && len(s.shadowN) >= shadowClassCap {
+		clear(s.shadowN)
+	}
 	s.shadowN[class]++
 	due := s.shadowN[class]%int64(s.cfg.ShadowRate) == 0
 	s.mu.Unlock()

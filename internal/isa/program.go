@@ -1,9 +1,12 @@
 package isa
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Function is an assembled-but-unlinked unit of code for one machine: a
@@ -115,6 +118,12 @@ type Program struct {
 	DataLimit  int32            // first free byte address after static data
 	FuncStarts map[string]int   // function name -> Text index
 	FuncOfPC   []string         // Text index -> enclosing function name
+
+	// Set at most once after Link (see identity.go): the emulator's
+	// per-program state and the lazily computed content digest.
+	emuState   atomic.Pointer[any]
+	digestOnce sync.Once
+	digest     [sha256.Size]byte
 }
 
 // InstrMeta carries per-instruction linkage facts used by the emulator and

@@ -174,6 +174,8 @@ func TestMetricsPromExposition(t *testing.T) {
 	for _, want := range []string{
 		"serve_requests", "serve_queue_depth_total", "serve_uptime_ms",
 		"serve_cache_hits", "serve_latency_total_2xx_",
+		"driver_compile_cache_bytes", "driver_compile_cache_entries", "driver_compile_cache_evictions",
+		"runtime_heap_live_bytes", "runtime_goroutines", "runtime_gc_cycles", "runtime_gc_pause_ns",
 	} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("exposition lacks %q", want)

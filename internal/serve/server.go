@@ -60,13 +60,17 @@ type Config struct {
 	JobTimeout time.Duration
 	// Cache supplies the compile cache (default: a fresh private cache).
 	Cache *driver.Cache
-	// ResultCacheMB budgets the deterministic result cache in MiB
-	// (default 64; negative disables result caching). Admission checks
-	// the cache before queueing, so repeat requests are answered without
-	// touching a worker shard; see driver.ResultCache for what is
-	// cacheable. If the supplied Cache already carries a ResultCache,
-	// that one is used and the budget here is ignored.
-	ResultCacheMB int
+	// CacheMB is the memory budget in MiB of the server's two caches
+	// (default 64), split evenly: half bounds the compiled programs the
+	// compile cache keeps (with their adaptive-tier state), half the
+	// deterministic result cache. A negative value disables result
+	// caching; the compile cache then keeps its default half. Admission
+	// checks the result cache before queueing, so repeat requests are
+	// answered without touching a worker shard; see driver.ResultCache
+	// for what is cacheable. A supplied Cache that already has a byte
+	// budget or a ResultCache keeps them, and the matching half here is
+	// ignored.
+	CacheMB int
 	// Metrics supplies the registry serve records into (default:
 	// obs.Default).
 	Metrics *obs.Registry
@@ -107,6 +111,20 @@ type Config struct {
 	// profiling for a live server, gated because the endpoints expose
 	// process internals.
 	EnablePprof bool
+}
+
+// defaultCacheMB is Config.CacheMB's default: 32 MiB of compiled
+// programs plus 32 MiB of results.
+const defaultCacheMB = 64
+
+// cacheHalf is the byte budget of each of the two caches under a CacheMB
+// setting; a negative setting (result caching off) leaves the compile
+// cache its default half.
+func cacheHalf(mb int) int64 {
+	if mb <= 0 {
+		mb = defaultCacheMB
+	}
+	return (int64(mb) << 20) / 2
 }
 
 // serveMetrics holds the resolved metric handles so the request path
@@ -253,8 +271,8 @@ func New(cfg Config) *Server {
 	if cfg.Cache == nil {
 		cfg.Cache = driver.NewCache()
 	}
-	if cfg.ResultCacheMB == 0 {
-		cfg.ResultCacheMB = 64
+	if cfg.CacheMB == 0 {
+		cfg.CacheMB = defaultCacheMB
 	}
 	if cfg.MaxBodyBytes == 0 {
 		cfg.MaxBodyBytes = 1 << 20
@@ -295,9 +313,13 @@ func New(cfg Config) *Server {
 		idPrefix:  hex.EncodeToString(seed[:]),
 		latSets:   map[latKey]*latencySet{},
 	}
-	if cfg.ResultCacheMB > 0 {
+	half := cacheHalf(cfg.CacheMB)
+	if s.cache.MemStats().MaxBytes == 0 {
+		s.cache.SetMaxBytes(half)
+	}
+	if cfg.CacheMB > 0 {
 		if s.cache.ResultCache() == nil {
-			s.cache.SetResultCache(driver.NewResultCache(int64(cfg.ResultCacheMB) << 20))
+			s.cache.SetResultCache(driver.NewResultCache(half))
 		}
 		s.results = s.cache.ResultCache()
 	}
@@ -1044,10 +1066,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// MetricsReply is the GET /metrics body: the obs registry snapshot plus
-// the compile cache's counters, the server's start time and uptime, and
-// the build version. UptimeSeconds predates UptimeMS and stays for
-// existing consumers (chaoscheck, benchrecord).
+// MetricsReply is the GET /metrics body: the obs registry snapshot
+// (with metricsSnapshot's synthetics: compile-cache memory and Go
+// runtime state) plus the compile cache's counters, the server's start
+// time and uptime, and the build version. UptimeSeconds predates
+// UptimeMS and stays for existing consumers (chaoscheck, benchrecord).
 type MetricsReply struct {
 	Started       string            `json:"started"`
 	UptimeSeconds float64           `json:"uptime_s"`
@@ -1061,20 +1084,13 @@ type MetricsReply struct {
 }
 
 // handleMetrics serves the registry snapshot: JSON by default, the
-// Prometheus text exposition format with ?format=prom.
+// Prometheus text exposition format with ?format=prom. Both carry the
+// scrape-time synthetics of metricsSnapshot.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	snap := s.metricsSnapshot()
 	if r.URL.Query().Get("format") == "prom" {
-		snap := s.cfg.Metrics.Snapshot()
-		// Scrape-time synthetics: values that live on the Server rather
-		// than in the registry.
-		if snap.Gauges == nil {
-			snap.Gauges = map[string]int64{}
-		}
 		snap.Gauges["serve.uptime.ms"] = time.Since(s.start).Milliseconds()
 		cs := s.cache.Stats()
-		if snap.Counters == nil {
-			snap.Counters = map[string]int64{}
-		}
 		snap.Counters["serve.cache.hits"] = cs.Hits
 		snap.Counters["serve.cache.misses"] = cs.Misses
 		if s.results != nil {
@@ -1096,13 +1112,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		UptimeMS:      time.Since(s.start).Milliseconds(),
 		Version:       serverVersion(),
 		Cache:         s.cache.Stats(),
-		Metrics:       s.cfg.Metrics.Snapshot(),
+		Metrics:       snap,
 	}
 	if s.results != nil {
 		rs := s.results.Stats()
 		reply.ResultCache = &rs
 	}
 	writeJSON(w, 200, reply)
+}
+
+// metricsSnapshot is the registry snapshot plus the values that live
+// outside the registry: the compile cache's memory accounting and the Go
+// runtime's heap, collector and goroutine state.
+func (s *Server) metricsSnapshot() obs.Snapshot {
+	snap := s.cfg.Metrics.Snapshot()
+	snap.AddRuntime()
+	cm := s.cache.MemStats()
+	snap.Gauges["driver.compile_cache.bytes"] = cm.Bytes
+	snap.Gauges["driver.compile_cache.entries"] = cm.Entries
+	snap.Counters["driver.compile_cache.evictions"] = cm.Evictions
+	return snap
 }
 
 // jsonEnc pairs a reusable buffer with an encoder bound to it, so a
