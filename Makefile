@@ -47,13 +47,14 @@ fuzz-smoke:
 	$(GO) test ./internal/driver -run='^$$' -fuzz=FuzzAdaptiveDifferential -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/driver -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=$(FUZZTIME)
 
-# The emulator's three specialized loops (fast+profiled, fused, fused+
-# profiled) are generated from one template; regenerate after editing
+# The emulator's two specialized loops (fast+profiled, fused) are
+# generated from one template; regenerate after editing
 # internal/emu/gen/main.go.
 generate:
 	$(GO) generate ./internal/emu
 
-# Fail if any generated file drifted from its template (the CI rule).
+# Fail if any generated file drifted from its template, or if a file
+# carrying the generated-code mark is no longer generated (the CI rule).
 generate-check:
 	$(GO) run ./internal/emu/gen -dir internal/emu -check
 

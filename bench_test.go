@@ -151,8 +151,9 @@ func BenchmarkCacheStudy(b *testing.B) {
 	cfgs := []cache.Config{{LineWords: 8, Sets: 16, Assoc: 2, MissPenalty: 8}}
 	var res []exp.CacheResult
 	for i := 0; i < b.N; i++ {
+		r := exp.Runner{Parallelism: 1}
 		var err error
-		res, err = exp.RunCacheStudy(driver.DefaultOptions(), cfgs, nil)
+		res, err = r.CacheStudy(context.Background(), driver.DefaultOptions(), cfgs, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,8 +172,9 @@ func BenchmarkAblations(b *testing.B) {
 	names := []string{"matmult", "dhrystone", "grep", "wc", "tinycc", "sieve"}
 	var res []exp.AblationResult
 	for i := 0; i < b.N; i++ {
+		r := exp.Runner{Parallelism: 1}
 		var err error
-		res, err = exp.RunAblations(names)
+		res, err = r.Ablations(context.Background(), names)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,8 +303,9 @@ func BenchmarkEmulatorInstrumented(b *testing.B) {
 func BenchmarkModelValidation(b *testing.B) {
 	var rows []exp.SimRow
 	for i := 0; i < b.N; i++ {
+		r := exp.Runner{Parallelism: 1}
 		var err error
-		rows, err = exp.RunModelValidation(driver.DefaultOptions(), 3,
+		rows, err = r.ModelValidation(context.Background(), driver.DefaultOptions(), 3,
 			[]string{"sieve", "dhrystone"})
 		if err != nil {
 			b.Fatal(err)
@@ -357,8 +360,9 @@ func BenchmarkAlignment(b *testing.B) {
 	cfg := cache.Config{LineWords: 8, Sets: 16, Assoc: 2, MissPenalty: 8}
 	var rows []exp.AlignRow
 	for i := 0; i < b.N; i++ {
+		r := exp.Runner{Parallelism: 1}
 		var err error
-		rows, err = exp.RunAlignmentStudy(cfg, nil)
+		rows, err = r.AlignmentStudy(context.Background(), cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,7 +72,8 @@ func main() {
 			"(open in chrome://tracing or https://ui.perfetto.dev)")
 	profile := flag.Bool("profile", false,
 		"profile suite runs: print per-program hot-block tables and add\n"+
-			"hot_blocks to the JSON report")
+			"hot_blocks to the JSON report (profiled runs execute on the\n"+
+			"profiled fast loop whatever -engine asks, except instrumented)")
 	metrics := flag.Bool("metrics", false, "print the process metrics registry after the run")
 	engine := flag.String("engine", "auto",
 		"emulator engine for suite runs: auto|adaptive|fused|fast|instrumented\n"+

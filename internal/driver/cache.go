@@ -260,20 +260,6 @@ var ErrCompilePanic = errors.New("driver: compiler panicked")
 // path is testable with a deliberately panicking compiler.
 var compileFn = Compile
 
-// Run compiles src through the cache and executes it with the given stdin.
-//
-// Deprecated: use Cache.Exec with a Request.
-func (c *Cache) Run(ctx context.Context, src string, kind isa.Kind, input string, o Options) (*Result, error) {
-	return c.Exec(ctx, Request{Source: src, Kind: kind, Input: input, Options: o})
-}
-
-// RunFaults is Run with a deterministic fault plan armed on the emulator.
-//
-// Deprecated: use Cache.Exec with a Request carrying Faults.
-func (c *Cache) RunFaults(ctx context.Context, src string, kind isa.Kind, input string, o Options, plan *emu.FaultPlan) (*Result, error) {
-	return c.Exec(ctx, Request{Source: src, Kind: kind, Input: input, Options: o, Faults: plan})
-}
-
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()

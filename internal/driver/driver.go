@@ -153,25 +153,3 @@ type Result struct {
 	// key off this.
 	Cached bool
 }
-
-// Run compiles and executes src on the given machine with the given stdin.
-//
-// Deprecated: use Exec with a Request.
-func Run(ctx context.Context, src string, kind isa.Kind, input string, o Options) (*Result, error) {
-	return Exec(ctx, Request{Source: src, Kind: kind, Input: input, Options: o})
-}
-
-// RunProgram executes a linked program with the given stdin.
-//
-// Deprecated: use Exec with a Request carrying the Program.
-func RunProgram(p *isa.Program, input string) (*Result, error) {
-	return Exec(context.Background(), Request{Program: p, Input: input})
-}
-
-// RunProgramContext executes a linked program with the given stdin and an
-// optional deterministic fault plan.
-//
-// Deprecated: use Exec with a Request carrying the Program and Faults.
-func RunProgramContext(ctx context.Context, p *isa.Program, input string, plan *emu.FaultPlan) (*Result, error) {
-	return Exec(ctx, Request{Program: p, Input: input, Faults: plan})
-}

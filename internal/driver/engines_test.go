@@ -16,8 +16,9 @@ import (
 
 // Driver-level golden differential: the full workload suite and a sweep of
 // generated programs must produce identical Results from every engine tier
-// — the instrumented Step loop, the predecoded fast loop, and the
-// block-fused loop with and without a profile attached — and the
+// — the instrumented Step loop, the predecoded fast loop with and without
+// a profile attached (the profiled one serves every profiled run and
+// every adaptive warm-up), and the block-fused loop — and the
 // pooled-memory runner must stay correct under concurrency (run with
 // -race via `make check`).
 
@@ -31,8 +32,8 @@ var engineTiers = []struct {
 }{
 	{"step", emu.LoopInstrumented, false, emu.EngineInstrumented},
 	{"fast", emu.LoopFast, false, emu.EngineFast},
+	{"fast-prof", emu.LoopFast, true, emu.EngineFast},
 	{"fused", emu.LoopFused, false, emu.EngineFused},
-	{"fused-prof", emu.LoopFused, true, emu.EngineFused},
 }
 
 // eqResult compares two Results ignoring Timing, which records wall

@@ -64,39 +64,11 @@ func releaseMem(b []byte) {
 	memPool.mu.Unlock()
 }
 
-// RunConfig carries per-run execution options.
-//
-// Deprecated: build a Request instead; RunConfig survives only as the
-// parameter type of the deprecated RunProgramWith wrapper.
-type RunConfig struct {
-	// Faults is an optional deterministic fault-injection plan.
-	Faults *emu.FaultPlan
-	// OutputHint pre-sizes the emulator's output buffer to the number of
-	// bytes the workload is expected to write (0 = no hint).
-	OutputHint int
-	// Loop selects the emulator engine; the zero value (emu.LoopAuto)
-	// picks the fast loop whenever hooks and faults permit.
-	Loop emu.LoopMode
-	// Profile, when set, receives the run's flow counts (see
-	// emu.BlockProfile). Must be sized for p.Text; profiling does not
-	// force the instrumented engine.
-	Profile *emu.BlockProfile
-}
-
-// RunProgramWith executes a linked program with pooled emulator memory
-// and the given run configuration.
-//
-// Deprecated: use Exec with a Request carrying the Program.
-func RunProgramWith(ctx context.Context, p *isa.Program, input string, cfg RunConfig) (*Result, error) {
-	return Exec(ctx, Request{Program: p, Input: input, Faults: cfg.Faults,
-		OutputHint: cfg.OutputHint, Loop: cfg.Loop, Profile: cfg.Profile})
-}
-
 // execute runs a linked program with pooled emulator memory under the
 // Request's execution fields (Input, Faults, Loop, OutputHint,
 // MaxInstructions, Profile). Every execution path funnels through here,
 // so the pool, the metrics, and the trap accounting behave identically
-// for Exec, Cache.Exec, and the deprecated wrappers.
+// for Exec and Cache.Exec.
 func execute(ctx context.Context, p *isa.Program, req *Request) (*Result, error) {
 	mem := borrowMem()
 	defer releaseMem(mem)

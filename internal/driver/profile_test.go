@@ -13,9 +13,10 @@ import (
 
 // Profiling differential: attaching a BlockProfile must be invisible to
 // the program — byte-identical output and identical Stats across the full
-// workload suite on both machines — must not knock a run off the fast
-// path, and must produce flow counts that conserve (per-instruction
-// counts sum to Stats.Instructions) and agree across engines.
+// workload suite on both machines — must keep the run on the fast path
+// (the profiled fast loop, whatever the LoopMode), and must produce flow
+// counts that conserve (per-instruction counts sum to Stats.Instructions)
+// and agree across engines.
 
 func TestProfiledRunsMatchUnprofiled(t *testing.T) {
 	if testing.Short() {
@@ -40,11 +41,11 @@ func TestProfiledRunsMatchUnprofiled(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !eqResult(*plain, *profiled) {
+				if profiled.Output != plain.Output || profiled.Status != plain.Status || profiled.Stats != plain.Stats {
 					t.Fatalf("profiling changed the run:\n plain:    %+v\n profiled: %+v", plain, profiled)
 				}
-				if profiled.Engine != emu.EngineFused {
-					t.Fatalf("profiled run left the fused fast path: engine %q", profiled.Engine)
+				if profiled.Engine != emu.EngineFast {
+					t.Fatalf("profiled run did not take the profiled fast loop: engine %q", profiled.Engine)
 				}
 				var sum, taken, notTaken, penalty int64
 				for _, c := range prof.Counts() {
@@ -91,8 +92,12 @@ func TestProfiledRunsMatchUnprofiled(t *testing.T) {
 
 func TestProfileEnginesAgree(t *testing.T) {
 	// The fast loop's inlined profile updates and the instrumented loop's
-	// profBranch/jumpTo updates must fill identical arrays.
+	// profBranch/jumpTo updates must fill identical arrays. Every
+	// fast-path LoopMode runs a profiled request on the profiled fast
+	// loop — the adaptive one even for a program that has promoted — so
+	// each must report EngineFast and fill the same profile.
 	o := DefaultOptions()
+	ctx := context.Background()
 	names := []string{"sieve", "puzzle", "sort"}
 	for _, name := range names {
 		w, ok := workloads.ByName(name)
@@ -100,22 +105,37 @@ func TestProfileEnginesAgree(t *testing.T) {
 			t.Fatalf("no workload %s", name)
 		}
 		for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
-			p, err := Compile(context.Background(), w.FullSource(), kind, o)
+			p, err := Compile(ctx, w.FullSource(), kind, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fastProf := emu.NewBlockProfile(len(p.Text))
-			instProf := emu.NewBlockProfile(len(p.Text))
-			if _, err := Exec(context.Background(), Request{Program: p, Input: w.Input,
-				Loop: emu.LoopFast, Profile: fastProf}); err != nil {
-				t.Fatal(err)
+			for i := 0; i < 2; i++ {
+				res, err := Exec(ctx, Request{Program: p, Input: w.Input, Loop: emu.LoopAdaptive})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 1 && !res.Refusion.Promoted {
+					t.Fatalf("%s/%v: program did not promote", name, kind)
+				}
 			}
-			if _, err := Exec(context.Background(), Request{Program: p, Input: w.Input,
+			instProf := emu.NewBlockProfile(len(p.Text))
+			if _, err := Exec(ctx, Request{Program: p, Input: w.Input,
 				Loop: emu.LoopInstrumented, Profile: instProf}); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(fastProf, instProf) {
-				t.Fatalf("%s/%v: engines disagree on the profile", name, kind)
+			for _, loop := range []emu.LoopMode{emu.LoopAuto, emu.LoopFast, emu.LoopFused, emu.LoopAdaptive} {
+				prof := emu.NewBlockProfile(len(p.Text))
+				res, err := Exec(ctx, Request{Program: p, Input: w.Input, Loop: loop, Profile: prof})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Engine != emu.EngineFast || res.Refusion != (emu.RefusionStats{}) {
+					t.Fatalf("%s/%v loop %d: profiled run took engine %q (refusion %+v), want the profiled fast loop",
+						name, kind, loop, res.Engine, res.Refusion)
+				}
+				if !reflect.DeepEqual(prof, instProf) {
+					t.Fatalf("%s/%v loop %d: engines disagree on the profile", name, kind, loop)
+				}
 			}
 		}
 	}

@@ -16,9 +16,8 @@ import (
 // Request is the one description of a compile-and-run job that every
 // consumer of the driver — the experiment runner, the command-line
 // tools, and the brserve service — speaks. Exec and Cache.Exec take a
-// Request and return a Result; the older entry points (Run, RunProgram,
-// RunProgramContext, RunProgramWith, Cache.Run, Cache.RunFaults) are
-// deprecated one-line wrappers over it.
+// Request and return a Result; they are the driver's only run entry
+// points.
 type Request struct {
 	// Source is the MC program to compile for Kind. Ignored when Program
 	// is set.
@@ -54,7 +53,8 @@ type Request struct {
 	MaxInstructions int64
 	// Profile, when set, receives the run's flow counts (see
 	// emu.BlockProfile). Must be sized for the program's Text; profiling
-	// does not force the instrumented engine.
+	// does not force the instrumented engine: under any fast-path Loop
+	// the run executes on the profiled fast loop (Result.Engine "fast").
 	Profile *emu.BlockProfile
 	// PromoteThreshold tunes the adaptive tier's promotion trigger
 	// (emu.Machine.PromoteThreshold): 0 means the emulator default,

@@ -11,12 +11,13 @@ import (
 	"branchreg/internal/workloads"
 )
 
-// The Request API contract: Exec reproduces the old entry points
-// exactly, the fingerprint separates every request that could produce a
-// different Result (the brserve coalescing key), and the per-request
-// step budget surfaces as the typed step-budget trap.
+// The Request API contract: every way of submitting the same job — a
+// source or a pre-linked Program, through Exec or a Cache — produces the
+// same Result, the fingerprint separates every request that could
+// produce a different Result (the brserve coalescing key), and the
+// per-request step budget surfaces as the typed step-budget trap.
 
-func TestExecMatchesDeprecatedWrappers(t *testing.T) {
+func TestExecEntryPointsAgree(t *testing.T) {
 	w, _ := workloads.ByName("wc")
 	o := DefaultOptions()
 	ctx := context.Background()
@@ -34,22 +35,21 @@ func TestExecMatchesDeprecatedWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCache()
-	for name, run := range map[string]func() (*Result, error){
-		"Run":               func() (*Result, error) { return Run(ctx, w.FullSource(), isa.BranchReg, w.Input, o) },
-		"RunProgram":        func() (*Result, error) { return RunProgram(p, w.Input) },
-		"RunProgramContext": func() (*Result, error) { return RunProgramContext(ctx, p, w.Input, nil) },
-		"RunProgramWith":    func() (*Result, error) { return RunProgramWith(ctx, p, w.Input, RunConfig{}) },
-		"Cache.Run":         func() (*Result, error) { return c.Run(ctx, w.FullSource(), isa.BranchReg, w.Input, o) },
-		"Cache.Exec": func() (*Result, error) {
-			return c.Exec(ctx, Request{Source: w.FullSource(), Kind: isa.BranchReg, Input: w.Input, Options: o})
-		},
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context, Request) (*Result, error)
+		req  Request
+	}{
+		{"Exec(Program)", Exec, Request{Program: p, Input: w.Input}},
+		{"Cache.Exec(Source)", c.Exec, Request{Source: w.FullSource(), Kind: isa.BranchReg, Input: w.Input, Options: o}},
+		{"Cache.Exec(Program)", c.Exec, Request{Program: p, Input: w.Input}},
 	} {
-		res, err := run()
+		res, err := tc.run(ctx, tc.req)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !eqResult(*res, *want) {
-			t.Errorf("%s diverged from Exec:\n got: %+v\nwant: %+v", name, res, want)
+			t.Errorf("%s diverged from Exec:\n got: %+v\nwant: %+v", tc.name, res, want)
 		}
 	}
 }

@@ -262,7 +262,7 @@ func mineVocab(fp *fprog, counts []int64) *dynVocab {
 // and both chain through the same pre-linked successor graph
 // (mixed-tier chaining inside one fprog).
 func promote(p *isa.Program, dec []uop, prof *BlockProfile) *promotedForm {
-	unfused := buildFprog(p, dec, false)
+	unfused := buildFprog(p, dec, nil)
 	counts := prof.Counts()
 	vocab := mineVocab(unfused, counts)
 	var warm int64
@@ -275,7 +275,7 @@ func promote(p *isa.Program, dec []uop, prof *BlockProfile) *promotedForm {
 		hot:    func(start int) bool { return counts[start] > 0 },
 		dp:     true,
 	}
-	fp := buildFprogPolicy(p, dec, true, pol)
+	fp := buildFprog(p, dec, pol)
 	pf := &promotedForm{
 		fp:           fp,
 		vocabPairs:   len(vocab.pairs),
@@ -308,7 +308,10 @@ func (m *Machine) refusion(st *adaptiveState, pf *promotedForm) {
 
 // runAdaptive is the LoopAdaptive engine: promoted programs enter the
 // fused form directly; cold programs warm up in the profiled fast loop
-// until the threshold promotes them (mid-run if crossed mid-run).
+// until the threshold promotes them (mid-run if crossed mid-run). m.Prof
+// is always nil here: RunContext sends caller-profiled runs to the
+// profiled fast loop, so a caller's profile never splits across
+// promotion.
 func (m *Machine) runAdaptive(ctx context.Context) (int32, error) {
 	baseline := m.P.Kind == isa.Baseline
 	threshold := m.PromoteThreshold
@@ -317,42 +320,20 @@ func (m *Machine) runAdaptive(ctx context.Context) (int32, error) {
 	}
 	if threshold < 0 {
 		// Promotion disabled: the adaptive tier degenerates to the plain
-		// fast loop (or its profiled twin), touching no shared state.
-		switch {
-		case m.Prof != nil && baseline:
-			return runFastBaselineProf(m, ctx, m.Prof)
-		case m.Prof != nil:
-			return runFastBRMProf(m, ctx, m.Prof)
-		case baseline:
+		// fast loop, touching no shared state.
+		if baseline {
 			return m.runFastBaseline(ctx)
-		default:
-			return m.runFastBRM(ctx)
 		}
+		return m.runFastBRM(ctx)
 	}
 	st := adaptiveStateFor(m.P)
 	if pf := st.promoted.Load(); pf != nil {
 		m.refusion(st, pf)
 		m.fp = pf.fp
-		switch {
-		case m.Prof != nil && baseline:
-			return runFusedBaselineProf(m, ctx, m.Prof)
-		case m.Prof != nil:
-			return runFusedBRMProf(m, ctx, m.Prof)
-		case baseline:
-			return runFusedBaseline(m, ctx)
-		default:
-			return runFusedBRM(m, ctx)
-		}
-	}
-	if m.Prof != nil {
-		// A caller-attached profile must cover the whole run with exact
-		// flow conservation; promotion bookkeeping would split it. Run
-		// the profiled fast loop for the caller and leave the promotion
-		// state to unprofiled runs.
 		if baseline {
-			return runFastBaselineProf(m, ctx, m.Prof)
+			return runFusedBaseline(m, ctx)
 		}
-		return runFastBRMProf(m, ctx, m.Prof)
+		return runFusedBRM(m, ctx)
 	}
 
 	// Warmup: profiled fast loop over a private per-run profile, with

@@ -211,7 +211,8 @@ type symBreg struct {
 // pair/triple tables, greedy left-to-right rewriting, every block
 // eligible. The adaptive tier (adaptive.go) substitutes a per-program
 // vocabulary mined from the promotion profile, restricts fusion to
-// blocks the profile proved hot, and uses DP-optimal segmentation.
+// blocks the profile proved hot, and uses DP-optimal segmentation. A nil
+// policy fuses nothing.
 type fusePolicy struct {
 	// pair and triple report the fused kind for an adjacent body pair or
 	// triple admitted by this policy.
@@ -226,13 +227,6 @@ type fusePolicy struct {
 }
 
 var staticPolicy = fusePolicy{pair: fusePair, triple: fuseTriple}
-
-// buildFprog lowers a predecoded program into block-fused form with the
-// static policy. fuse selects superinstruction rewriting; PairStats
-// builds with fuse=false to measure raw adjacencies.
-func buildFprog(p *isa.Program, dec []uop, fuse bool) *fprog {
-	return buildFprogPolicy(p, dec, fuse, &staticPolicy)
-}
 
 // dpSegment computes, for one block body, the per-index step choices
 // (1 = single, 2 = pair, 3 = triple) that maximize the number of
@@ -259,8 +253,11 @@ func dpSegment(src []fuop, pol *fusePolicy) []int8 {
 	return ch
 }
 
-// buildFprogPolicy is buildFprog under an explicit fusion policy.
-func buildFprogPolicy(p *isa.Program, dec []uop, fuse bool, pol *fusePolicy) *fprog {
+// buildFprog lowers a predecoded program into block-fused form under the
+// fusion policy pol: &staticPolicy for the static fused tier, a mined
+// policy for the adaptive tier, or nil for the unfused block form that
+// PairStats and vocabulary mining measure raw adjacencies on.
+func buildFprog(p *isa.Program, dec []uop, pol *fusePolicy) *fprog {
 	n := len(dec)
 	fp := &fprog{dec: dec, pc2block: make([]int32, n)}
 	for i := range fp.pc2block {
@@ -281,7 +278,7 @@ func buildFprogPolicy(p *isa.Program, dec []uop, fuse bool, pol *fusePolicy) *fp
 	// adaptive policy keep the fast tier's per-uop form, so one fprog
 	// mixes promoted superblocks and unfused regions chained together.
 	scan := func(start int) (fblock, int) {
-		fuseBlk := fuse && (pol.hot == nil || pol.hot(start))
+		fuseBlk := pol != nil && (pol.hot == nil || pol.hot(start))
 		b := fblock{
 			start: int32(start),
 			off:   int32(len(fp.ops)),

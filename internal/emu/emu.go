@@ -154,8 +154,9 @@ type Machine struct {
 	Fusion FusionStats
 
 	// Prof, when set, accumulates flow counts at transfers of control
-	// (see BlockProfile). Profiling is fast-path compatible: it never
-	// forces the instrumented loop.
+	// (see BlockProfile). Profiling is fast-path compatible: under any
+	// fast-path LoopMode a profiled run executes on the profiled fast
+	// loop; it never forces the instrumented loop.
 	Prof        *BlockProfile
 	profEntered bool   // Arrive[entry] already charged for this machine
 	engine      string // engine used by the last RunContext (see Engine)
@@ -262,9 +263,12 @@ const ctxCheckStride = 1 << 16
 // interrupts even a diverging program.
 //
 // The engine is chosen by m.Loop: under LoopAuto (the default) the
-// predecoded fast loop runs whenever it can reproduce the instrumented
-// loop exactly — no hooks installed and no fault plan armed — and the
-// instruction-at-a-time Step loop runs otherwise.
+// block-fused loop runs whenever it can reproduce the instrumented loop
+// exactly — no hooks installed and no fault plan armed — and the
+// instruction-at-a-time Step loop runs otherwise. A profiled run (m.Prof
+// set) under any fast-path mode executes on the profiled fast loop and
+// records EngineFast: profiles are diagnostic, and flow conservation makes
+// them identical on every engine.
 func (m *Machine) RunContext(ctx context.Context) (int32, error) {
 	fast := false
 	fused := false
@@ -287,6 +291,9 @@ func (m *Machine) RunContext(ctx context.Context) (int32, error) {
 		adaptive = true
 	case LoopAuto:
 		fused = !m.hooksInstalled() && m.faults == nil
+	}
+	if m.Prof != nil && (fused || adaptive) {
+		fast, fused, adaptive = true, false, false
 	}
 	switch {
 	case adaptive:
@@ -311,21 +318,17 @@ func (m *Machine) RunContext(ctx context.Context) (int32, error) {
 			m.dec = predecode(m.P)
 		}
 		if fused && m.fp == nil {
-			m.fp = buildFprog(m.P, m.dec, true)
+			m.fp = buildFprog(m.P, m.dec, &staticPolicy)
 		}
-		// A profiled run dispatches to the profiled twin loop; the
-		// unprofiled loops carry no profiling code at all (see
+		// A profiled run dispatches to the profiled twin of the fast
+		// loop; the unprofiled loops carry no profiling code at all (see
 		// fastloop_prof.go for why the twins are separate functions).
 		baseline := m.P.Kind == isa.Baseline
 		switch {
 		case adaptive:
 			status, err = m.runAdaptive(ctx)
-		case fused && baseline && m.Prof != nil:
-			status, err = runFusedBaselineProf(m, ctx, m.Prof)
 		case fused && baseline:
 			status, err = runFusedBaseline(m, ctx)
-		case fused && m.Prof != nil:
-			status, err = runFusedBRMProf(m, ctx, m.Prof)
 		case fused:
 			status, err = runFusedBRM(m, ctx)
 		case baseline && m.Prof != nil:

@@ -12,10 +12,11 @@ import (
 )
 
 // The golden differential contract of the predecoded engines: for every
-// program, input, and instruction budget, the fast loop, the block-fused
-// loop (profiled or not) and the instrumented loop must agree on all
+// program, input, and instruction budget, the fast loop (profiled or
+// not), the block-fused loop and the instrumented loop must agree on all
 // observable machine state — Stats, output bytes, exit status, trap
-// values, registers, memory, and the final pc/pending.
+// values, registers, memory, and the final pc/pending. The profiled fast
+// loop is the one every profiled run and every adaptive warm-up executes.
 
 // engineTiers is the table every differential test sweeps: the
 // instrumented Step loop is the reference; each other tier must reproduce
@@ -27,8 +28,8 @@ var engineTiers = []struct {
 }{
 	{"step", LoopInstrumented, false},
 	{"fast", LoopFast, false},
+	{"fast-prof", LoopFast, true},
 	{"fused", LoopFused, false},
-	{"fused-prof", LoopFused, true},
 }
 
 // runEngine executes p under the given loop mode and returns the machine

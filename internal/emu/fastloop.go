@@ -20,16 +20,20 @@ import (
 // engines to byte-identical results.
 //
 // These loops carry no profiling code; a run with a BlockProfile attached
-// dispatches to the profiled twins in fastloop_prof.go instead, keeping
-// this file's loops — the ones `make bench-gate` holds to the committed
-// throughput trajectory — free of even a per-transfer branch.
+// dispatches to the profiled twins in fastloop_prof.go instead — under
+// every fast-path LoopMode, the fused and adaptive ones included —
+// keeping this file's loops, the ones `make bench-gate` holds to the
+// committed throughput trajectory, free of even a per-transfer branch.
 
 // LoopMode selects which execution engine RunContext uses.
 type LoopMode int
 
 const (
 	// LoopAuto picks the block-fused engine when no hooks are installed
-	// and no fault plan is armed, and the instrumented loop otherwise.
+	// and no fault plan is armed, and the instrumented loop otherwise. A
+	// profiled run (Machine.Prof set) takes the profiled fast loop
+	// instead of the fused engine, here and under LoopFused and
+	// LoopAdaptive.
 	LoopAuto LoopMode = iota
 	// LoopFast forces the predecoded fast loop. RunContext fails if hooks
 	// or a fault plan are present, since the fast loop cannot honor them.

@@ -44,7 +44,7 @@ type FuseReport struct {
 // completed profiled run.
 func PairStats(p *isa.Program, prof *BlockProfile) *FuseReport {
 	dec := predecode(p)
-	fp := buildFprog(p, dec, false)
+	fp := buildFprog(p, dec, nil)
 	counts := prof.Counts()
 	r := &FuseReport{
 		Pairs:     map[[2]string]int64{},

@@ -7,14 +7,12 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 
 	"branchreg/internal/cache"
-	"branchreg/internal/driver"
 	"branchreg/internal/emu"
 	"branchreg/internal/isa"
 	"branchreg/internal/obs"
@@ -97,24 +95,6 @@ func (r *SuiteResult) HotBlockTables() string {
 		}
 	}
 	return b.String()
-}
-
-// RunSuite compiles and executes every workload on both machines,
-// verifying that outputs agree.
-//
-// Deprecated: use Runner.Run, which parallelizes and caches compilations.
-// RunSuite is the serial reference path (one worker).
-func RunSuite(o driver.Options) (*SuiteResult, error) {
-	return RunSuiteSubset(o, nil)
-}
-
-// RunSuiteSubset runs only the named workloads (nil = all).
-//
-// Deprecated: use Runner.Run with Spec.Workloads. RunSuiteSubset is the
-// serial reference path (one worker).
-func RunSuiteSubset(o driver.Options, names []string) (*SuiteResult, error) {
-	r := Runner{Parallelism: 1}
-	return r.Run(context.Background(), Spec{Workloads: names, Options: o})
 }
 
 // pct returns the percentage change from old to new. A degenerate cell
@@ -323,18 +303,6 @@ type CacheResult struct {
 	Stats    cache.Stats
 }
 
-// RunCacheStudy executes the named workloads (nil = a representative
-// subset) on the BRM against each cache configuration, with and without
-// prefetch-on-assignment, returning delay cycles and pollution per
-// configuration.
-//
-// Deprecated: use Runner.CacheStudy, which parallelizes and caches
-// compilations. RunCacheStudy is the serial reference path (one worker).
-func RunCacheStudy(o driver.Options, cfgs []cache.Config, names []string) ([]CacheResult, error) {
-	r := Runner{Parallelism: 1}
-	return r.CacheStudy(context.Background(), o, cfgs, names)
-}
-
 func addCache(dst, src *cache.Stats) {
 	dst.Fetches += src.Fetches
 	dst.Hits += src.Hits
@@ -376,16 +344,6 @@ type AblationResult struct {
 	Cycles3      int64
 	BrCalcs      int64
 	Noops        int64
-}
-
-// RunAblations measures the paper's §9 design alternatives: each
-// optimization disabled, and fewer branch registers.
-//
-// Deprecated: use Runner.Ablations, which parallelizes and caches
-// compilations. RunAblations is the serial reference path (one worker).
-func RunAblations(names []string) ([]AblationResult, error) {
-	r := Runner{Parallelism: 1}
-	return r.Ablations(context.Background(), names)
 }
 
 // AblationTable renders ablation results.

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,11 +13,23 @@ import (
 // harness and cmd/brbench.
 var fastSubset = []string{"wc", "grep", "matmult", "dhrystone", "tinycc"}
 
-func TestRunSuiteSubset(t *testing.T) {
-	r, err := RunSuiteSubset(driver.DefaultOptions(), fastSubset)
+// serial is the one-worker reference Runner: the path every parallel
+// result must reproduce byte for byte.
+func serial() *Runner { return &Runner{Parallelism: 1} }
+
+// runSubset runs the named workloads on both machines with the serial
+// Runner and default options.
+func runSubset(t *testing.T, names []string) *SuiteResult {
+	t.Helper()
+	r, err := serial().Run(context.Background(), Spec{Workloads: names, Options: driver.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func TestRunSuiteSubset(t *testing.T) {
+	r := runSubset(t, fastSubset)
 	if len(r.Programs) != len(fastSubset) {
 		t.Fatalf("got %d programs", len(r.Programs))
 	}
@@ -34,10 +47,7 @@ func TestRunSuiteSubset(t *testing.T) {
 }
 
 func TestTable1Rendering(t *testing.T) {
-	r, err := RunSuiteSubset(driver.DefaultOptions(), []string{"wc", "sieve"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runSubset(t, []string{"wc", "sieve"})
 	tbl := r.Table1()
 	for _, want := range []string{"Table I", "wc", "sieve", "TOTAL", "diff%"} {
 		if !strings.Contains(tbl, want) {
@@ -47,10 +57,7 @@ func TestTable1Rendering(t *testing.T) {
 }
 
 func TestCycleEstimates(t *testing.T) {
-	r, err := RunSuiteSubset(driver.DefaultOptions(), fastSubset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runSubset(t, fastSubset)
 	rows := r.Cycles([]int{3, 4})
 	if len(rows) != 2 {
 		t.Fatal("rows")
@@ -70,10 +77,7 @@ func TestCycleEstimates(t *testing.T) {
 }
 
 func TestRatios(t *testing.T) {
-	r, err := RunSuiteSubset(driver.DefaultOptions(), fastSubset)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runSubset(t, fastSubset)
 	rt := r.ComputeRatios()
 	if rt.TransferPercent < 5 || rt.TransferPercent > 30 {
 		t.Errorf("transfer%% = %.2f, expected near the paper's ~14%%", rt.TransferPercent)
@@ -98,7 +102,7 @@ func TestCacheStudy(t *testing.T) {
 		{LineWords: 4, Sets: 16, Assoc: 1, MissPenalty: 8},
 		{LineWords: 4, Sets: 8, Assoc: 2, MissPenalty: 8},
 	}
-	res, err := RunCacheStudy(driver.DefaultOptions(), cfgs, []string{"wc", "grep"})
+	res, err := serial().CacheStudy(context.Background(), driver.DefaultOptions(), cfgs, []string{"wc", "grep"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +130,7 @@ func TestCacheStudy(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	res, err := RunAblations([]string{"matmult", "wc"})
+	res, err := serial().Ablations(context.Background(), []string{"matmult", "wc"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -409,9 +409,11 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*SuiteResult, error) {
 // readable (sieve has under ten live blocks; tinycc has hundreds).
 const hotBlockTop = 10
 
-// CacheStudy is the parallel form of RunCacheStudy: every
-// (configuration, prefetch, workload) triple is one pool job, merged per
-// configuration in workload order.
+// CacheStudy executes the named workloads (nil = a representative
+// subset) on the BRM against each cache configuration, with and without
+// prefetch-on-assignment, returning delay cycles and pollution per
+// configuration. Every (configuration, prefetch, workload) triple is one
+// pool job, merged per configuration in workload order.
 func (r *Runner) CacheStudy(ctx context.Context, o driver.Options, cfgs []cache.Config, names []string) ([]CacheResult, error) {
 	if names == nil {
 		names = []string{"dhrystone", "matmult", "grep", "sort", "tinycc"}
@@ -474,7 +476,8 @@ func (r *Runner) cachedRunWithICache(ctx context.Context, w workloads.Workload, 
 	return ic.Stats, nil
 }
 
-// Ablations is the parallel form of RunAblations: every (variant,
+// Ablations measures the paper's §9 design alternatives: each
+// optimization disabled, and fewer branch registers. Every (variant,
 // workload) pair is one pool job, merged per variant in workload order.
 func (r *Runner) Ablations(ctx context.Context, names []string) ([]AblationResult, error) {
 	sel, err := selectWorkloads(nil, names)
@@ -517,9 +520,11 @@ func (r *Runner) Ablations(ctx context.Context, names []string) ([]AblationResul
 	return out, nil
 }
 
-// ModelValidation is the parallel form of RunModelValidation: every
-// (workload, machine) pair runs the analytic model and the dynamic
-// pipeline simulation side by side on one pool job.
+// ModelValidation runs the analytic cycle model and the dynamic pipeline
+// simulation side by side. The paper's model charges every executed
+// transfer on the baseline machine (taken or not); the simulation charges
+// only taken ones, quantifying the model's overstatement. Every
+// (workload, machine) pair is one pool job.
 func (r *Runner) ModelValidation(ctx context.Context, o driver.Options, stages int, names []string) ([]SimRow, error) {
 	if names == nil {
 		names = []string{"wc", "grep", "matmult", "dhrystone", "sieve"}
@@ -553,8 +558,10 @@ func (r *Runner) ModelValidation(ctx context.Context, o driver.Options, stages i
 	return rows, nil
 }
 
-// AlignmentStudy is the parallel form of RunAlignmentStudy: every
-// (alignment, workload) pair is one pool job.
+// AlignmentStudy measures instruction-fetch delays on a small cache with
+// function entries unaligned versus aligned to cache lines (§9: "the
+// beginning of the function could be aligned on a cache line boundary").
+// Every (alignment, workload) pair is one pool job.
 func (r *Runner) AlignmentStudy(ctx context.Context, cfg cache.Config, names []string) ([]AlignRow, error) {
 	if names == nil {
 		names = []string{"dhrystone", "grep", "tinycc"}

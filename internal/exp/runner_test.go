@@ -25,20 +25,17 @@ func renderAll(r *SuiteResult) string {
 // table — is byte-identical to the serial path at any parallelism.
 func TestParallelMatchesSerial(t *testing.T) {
 	o := driver.DefaultOptions()
-	serial, err := RunSuiteSubset(o, fastSubset) // deprecated wrapper = 1 worker
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := runSubset(t, fastSubset)
 	for _, par := range []int{2, 4, 8} {
 		r := Runner{Parallelism: par}
 		got, err := r.Run(context.Background(), Spec{Workloads: fastSubset, Options: o})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
-		if !reflect.DeepEqual(serial, got) {
+		if !reflect.DeepEqual(ref, got) {
 			t.Errorf("parallelism %d: SuiteResult differs from serial", par)
 		}
-		if a, b := renderAll(serial), renderAll(got); a != b {
+		if a, b := renderAll(ref), renderAll(got); a != b {
 			t.Errorf("parallelism %d: rendered tables differ from serial:\n%s\n-- vs --\n%s", par, a, b)
 		}
 	}
@@ -58,17 +55,18 @@ func TestProfiledSuiteDeterministic(t *testing.T) {
 		}
 		return got
 	}
-	serial := run(1)
-	for _, p := range serial.Programs {
-		if p.BaselineEngine != "fused" || p.BRMEngine != "fused" {
-			t.Errorf("%s: engines %q/%q, want fused/fused", p.Name, p.BaselineEngine, p.BRMEngine)
+	ref := run(1)
+	for _, p := range ref.Programs {
+		if p.BaselineEngine != "fast" || p.BRMEngine != "fast" {
+			t.Errorf("%s: engines %q/%q, want fast/fast (profiled runs take the profiled fast loop)",
+				p.Name, p.BaselineEngine, p.BRMEngine)
 		}
 		if len(p.BaselineBlocks) == 0 || len(p.BRMBlocks) == 0 {
 			t.Errorf("%s: missing hot blocks (%d baseline, %d BRM)",
 				p.Name, len(p.BaselineBlocks), len(p.BRMBlocks))
 		}
 	}
-	if got := run(4); !reflect.DeepEqual(serial, got) {
+	if got := run(4); !reflect.DeepEqual(ref, got) {
 		t.Error("profiled SuiteResult differs between 1 and 4 workers")
 	}
 }

@@ -1,12 +1,10 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"branchreg/internal/cache"
-	"branchreg/internal/driver"
 	"branchreg/internal/isa"
 )
 
@@ -18,18 +16,6 @@ type SimRow struct {
 	ModelCycles   int64
 	SimCycles     int64
 	OverchargePct float64
-}
-
-// RunModelValidation runs the analytic model and the dynamic simulation
-// side by side. The paper's model charges every executed transfer on the
-// baseline machine (taken or not); the simulation charges only taken ones,
-// quantifying the model's overstatement.
-//
-// Deprecated: use Runner.ModelValidation, which parallelizes and caches
-// compilations. RunModelValidation is the serial reference path.
-func RunModelValidation(o driver.Options, stages int, names []string) ([]SimRow, error) {
-	r := Runner{Parallelism: 1}
-	return r.ModelValidation(context.Background(), o, stages, names)
 }
 
 // SimTable renders the model-vs-simulation comparison.
@@ -50,17 +36,6 @@ type AlignRow struct {
 	AlignWords  int
 	DelayCycles int64
 	Misses      int64
-}
-
-// RunAlignmentStudy measures instruction-fetch delays on a small cache
-// with function entries unaligned versus aligned to cache lines (§9: "the
-// beginning of the function could be aligned on a cache line boundary").
-//
-// Deprecated: use Runner.AlignmentStudy, which parallelizes and caches
-// compilations. RunAlignmentStudy is the serial reference path.
-func RunAlignmentStudy(cfg cache.Config, names []string) ([]AlignRow, error) {
-	r := Runner{Parallelism: 1}
-	return r.AlignmentStudy(context.Background(), cfg, names)
 }
 
 // AlignTable renders the alignment study.

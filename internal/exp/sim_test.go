@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestModelValidation(t *testing.T) {
-	rows, err := RunModelValidation(driver.DefaultOptions(), 3, []string{"wc", "matmult"})
+	rows, err := serial().ModelValidation(context.Background(), driver.DefaultOptions(), 3, []string{"wc", "matmult"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestModelValidation(t *testing.T) {
 func TestBRMWinsUnderSimulationToo(t *testing.T) {
 	// The BRM advantage must not be an artifact of the model's
 	// every-transfer charge: compare simulated cycles directly.
-	rows, err := RunModelValidation(driver.DefaultOptions(), 4, []string{"sieve"})
+	rows, err := serial().ModelValidation(context.Background(), driver.DefaultOptions(), 4, []string{"sieve"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestBRMWinsUnderSimulationToo(t *testing.T) {
 
 func TestAlignmentStudy(t *testing.T) {
 	cfg := cache.Config{LineWords: 8, Sets: 8, Assoc: 2, MissPenalty: 8}
-	rows, err := RunAlignmentStudy(cfg, []string{"wc", "tinycc"})
+	rows, err := serial().AlignmentStudy(context.Background(), cfg, []string{"wc", "tinycc"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,12 +93,6 @@ func CalleeSavedFloatBase(f int) bool { return f >= 16 && f <= 31 }
 // calls (f8..f15).
 func CalleeSavedFloatBRM(f int) bool { return f >= 8 && f <= 15 }
 
-// CalleeSavedBr reports whether branch register b is preserved across calls
-// on the BRM. The paper distinguishes "scratch" branch registers from
-// non-scratch ones usable for target calcs hoisted over calls; we make
-// b[4..6] callee-saved.
-func CalleeSavedBr(b int) bool { return b >= 4 && b <= 6 }
-
 // Word and layout constants.
 const (
 	WordSize = 4           // bytes per word / per instruction

@@ -164,15 +164,6 @@ func (op Op) IsBaselineBranch() bool {
 // IsBRMOnly reports whether op exists only on the branch-register machine.
 func (op Op) IsBRMOnly() bool { return op >= OpBrCalc && op <= OpMovBR }
 
-// WritesBranchReg reports whether op's destination is a branch register.
-func (op Op) WritesBranchReg() bool {
-	switch op {
-	case OpBrCalc, OpBrLd, OpCmpBr, OpFCmpBr, OpMovBr, OpMovBR:
-		return true
-	}
-	return false
-}
-
 // Instr is one machine instruction for either target. Which fields are
 // meaningful depends on Op; the zero value is a nop.
 //
