@@ -124,10 +124,9 @@ func main() {
 }
 
 // printCacheLine reports the result-cache view of the run: how many of
-// this client's responses were served from the server's deterministic
-// result cache, and the server's own hit ratio from GET /metrics. A
-// server running without a result cache (or an unreachable /metrics)
-// just prints the client-side count.
+// this client's responses were served from the server's kept results,
+// and the server's own hit ratio from GET /metrics. An unreachable
+// /metrics just prints the client-side count.
 func printCacheLine(ctx context.Context, base string, cached int) {
 	line := fmt.Sprintf("rescache   %d responses served from cache", cached)
 	if rs := fetchResultCacheStats(ctx, base); rs != nil {
@@ -143,8 +142,7 @@ func printCacheLine(ctx context.Context, base string, cached int) {
 }
 
 // fetchResultCacheStats decodes the result_cache section of the
-// server's /metrics JSON, nil on any failure or when the server runs
-// with the cache disabled.
+// server's /metrics JSON, nil on any failure.
 func fetchResultCacheStats(ctx context.Context, base string) *driver.ResultCacheStats {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {

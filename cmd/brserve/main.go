@@ -44,7 +44,7 @@ func main() {
 	maxBudget := flag.Int64("max-budget", 0, "step-budget cap for every tenant (0 = uncapped)")
 	tenants := flag.String("tenant-budgets", "", "per-tenant step-budget caps, name=N,name=N")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-job execution timeout")
-	cacheMB := flag.Int("cache-mb", 0, "memory budget in MiB, split evenly between compiled programs and results (0 = default 64, negative = no result cache)")
+	cacheMB := flag.Int("cache-mb", 0, "memory budget in MiB, split evenly between compiled programs and results (0 = default 64, negative = keep no results)")
 	maxBodyBytes := flag.Int64("max-body-bytes", 0, "request-body size limit in bytes, 413 beyond it (0 = default 1 MiB, negative = unlimited)")
 	drainWait := flag.Duration("drain", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive tier failures that open a circuit breaker (0 = default 3)")

@@ -98,11 +98,9 @@ type Cache struct {
 	maxBytes  int64 // 0: unbounded
 	bytes     int64
 	evictions int64
-	// results, when attached with SetResultCache, memoizes whole
-	// execution Results on top of the compile memoization — see
-	// rescache.go for the determinism argument and the eligibility
-	// rules. nil (the default) preserves the historical contract:
-	// compilation is cached, execution never is.
+	// results is the result memo a server attached with SetResultCache
+	// (rescache.go). The Cache only carries it, so that whoever holds
+	// the Cache can read its Stats; Exec never consults it.
 	results *ResultCache
 }
 
@@ -120,12 +118,12 @@ func (c *Cache) SetMaxBytes(n int64) {
 	c.evictLocked()
 }
 
-// SetResultCache attaches (or, with nil, detaches) a deterministic
-// result cache consulted by Exec. Attach before the cache is shared
-// across goroutines; the field is not synchronized.
+// SetResultCache attaches (or, with nil, detaches) a result memo that
+// travels with the cache; Exec does not consult it. Attach before the
+// cache is shared across goroutines; the field is not synchronized.
 func (c *Cache) SetResultCache(rc *ResultCache) { c.results = rc }
 
-// ResultCache returns the attached result cache, or nil.
+// ResultCache returns the attached result memo, or nil.
 func (c *Cache) ResultCache() *ResultCache { return c.results }
 
 // Compile returns the cached program for (src, kind, o), compiling it on

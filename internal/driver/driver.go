@@ -142,14 +142,12 @@ type Result struct {
 	Refusion emu.RefusionStats
 	// Timing is where the request's wall clock went: compile (zero for
 	// pre-linked programs and compile-cache hits served without waiting)
-	// and emulation, plus queue wait when the request passed through
-	// brserve's admission queue.
+	// and emulation.
 	Timing Timing
-	// Cached marks a Result served from a ResultCache instead of a fresh
-	// execution. A cached Result is byte-identical to the execution that
-	// produced it (the cache is keyed on Request.Fingerprint, which
-	// covers every result-affecting field); consumers that must observe
-	// real executions only — shadow verification, benchmark harnesses —
-	// key off this.
-	Cached bool
+	// FallbackFrom lists the engine tiers that faulted before Engine
+	// served the request, in the order they were tried, and Rerouted
+	// marks a request whose preferred tier was skipped because its
+	// circuit breaker was open. Only the guard supervisor sets them.
+	FallbackFrom []string
+	Rerouted     bool
 }

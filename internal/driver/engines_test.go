@@ -40,7 +40,7 @@ var engineTiers = []struct {
 // clock and is never deterministic.
 func eqResult(a, b Result) bool {
 	a.Timing, b.Timing = Timing{}, Timing{}
-	return a == b
+	return reflect.DeepEqual(a, b)
 }
 
 // runAllEngines executes p under every engine tier and fails on any

@@ -61,12 +61,6 @@ type Request struct {
 	// negative disables promotion. Ignored unless Loop is
 	// emu.LoopAdaptive.
 	PromoteThreshold int64
-	// NoCache suppresses the deterministic result cache for this request
-	// (see ResultCache): the lookup is skipped and the Result is executed
-	// fresh. It cannot affect the Result of a cacheable request — the
-	// cache only ever returns what execution would have produced — so
-	// Fingerprint deliberately excludes it, exactly like OutputHint.
-	NoCache bool
 }
 
 // Validate rejects requests the driver cannot honor.
@@ -120,13 +114,10 @@ func (r *Request) Fingerprint() string {
 	return fp
 }
 
-// Timing is where a Result's wall clock went, in nanoseconds. QueueNS
-// is zero unless the request passed through an admission queue (brserve
-// fills it).
+// Timing is where a Result's wall clock went, in nanoseconds.
 type Timing struct {
 	CompileNS int64 `json:"compile_ns"`
 	RunNS     int64 `json:"run_ns"`
-	QueueNS   int64 `json:"queue_ns,omitempty"`
 }
 
 // Exec compiles (unless the Request carries a pre-linked Program) and
@@ -141,19 +132,10 @@ func Exec(ctx context.Context, req Request) (*Result, error) {
 
 // Exec is driver.Exec with compilation memoized through the cache:
 // concurrent Requests for the same (source, machine, options) block on a
-// single compilation. With a ResultCache attached (SetResultCache),
-// whole Results of cacheable requests are memoized too: a repeat of an
-// already-executed fingerprint returns the stored Result (marked
-// Cached) without compiling or running anything. Without one — the
-// default — execution is never cached; every Request runs.
+// single compilation. Execution itself is never memoized here; every
+// Request runs (brserve's admission memo is the attached ResultCache,
+// which Exec does not consult).
 func (c *Cache) Exec(ctx context.Context, req Request) (*Result, error) {
-	rc := c.results
-	cacheable := rc != nil && Cacheable(&req)
-	if cacheable && !req.NoCache {
-		if res, ok := rc.Get(req.Fingerprint()); ok {
-			return res, nil
-		}
-	}
 	var e *cacheEntry
 	res, err := exec(ctx, req, func(ctx context.Context) (*isa.Program, error) {
 		var err error
@@ -164,9 +146,6 @@ func (c *Cache) Exec(ctx context.Context, req Request) (*Result, error) {
 	})
 	if e != nil && req.Loop == emu.LoopAdaptive {
 		c.recharge(e)
-	}
-	if err == nil && cacheable {
-		rc.Put(req.Fingerprint(), resultClassFrom(ctx), res)
 	}
 	return res, err
 }

@@ -131,14 +131,6 @@ func TestRequestFingerprintSeparatesResults(t *testing.T) {
 	if dup.Fingerprint() != base.Fingerprint() {
 		t.Error("identical Requests have different fingerprints")
 	}
-	// NoCache controls whether the result cache is consulted, not what
-	// the execution produces: it must NOT split the fingerprint, or a
-	// no_cache request would stop coalescing with its cached twins.
-	nc := base
-	nc.NoCache = true
-	if nc.Fingerprint() != base.Fingerprint() {
-		t.Error("NoCache split the fingerprint; it cannot affect the Result")
-	}
 }
 
 // mustCompile compiles src for the branch-register machine.

@@ -1,50 +1,75 @@
 package driver
 
 import (
-	"context"
+	"errors"
+	"sync"
 	"testing"
 
 	"branchreg/internal/emu"
-	"branchreg/internal/isa"
-	"branchreg/internal/workloads"
 )
 
-// The result-cache contract: a size-aware LRU whose Get/Put pair is
-// byte-budgeted and whose entries can be invalidated by the guard's
-// (class, tier) quarantine coordinates. Eviction order, replacement,
-// oversized-entry refusal, and sanitization (Timing zeroed, Cached set)
-// are all load-bearing for the serve admission path.
+// The result-memo contract: one singleflight slot per fingerprint,
+// shared by every request that arrives while it is in flight; only a
+// clean success is kept, as its fingerprint-determined fields; kept
+// slots live in a byte-budgeted LRU that the guard's (class, tier)
+// quarantine coordinates can invalidate. Eviction order, oversized
+// refusal and the publish rules are all load-bearing for brserve's
+// admission path.
 
-// rcSize mirrors Put's accounting for a test entry.
+// rcSize mirrors keepLocked's accounting for a test entry.
 func rcSize(fp, class, output string) int64 {
 	return int64(len(fp)) + int64(len(class)) + int64(len(output)) + rcEntryOverhead
+}
+
+var errProbe = errors.New("probe")
+
+// publish leads fp and publishes res/err.
+func publish(t *testing.T, rc *ResultCache, fp, class string, res *Result, err error) {
+	t.Helper()
+	s, lead := rc.Acquire(fp, class)
+	if !lead {
+		t.Fatalf("Acquire(%q) did not lead", fp)
+	}
+	rc.Publish(s, res, err)
+}
+
+// probe looks fp up, returning the kept Result on a hit. A miss leads a
+// slot, which it finishes with an error so nothing is kept.
+func probe(rc *ResultCache, fp string) (*Result, bool) {
+	s, lead := rc.Acquire(fp, "c")
+	if lead {
+		rc.Publish(s, nil, errProbe)
+		return nil, false
+	}
+	res, _ := s.Outcome()
+	return res, s.Kept()
 }
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	// Budget for exactly two single-letter-keyed, empty-output entries.
 	rc := NewResultCache(2 * rcSize("a", "c", ""))
-	put := func(fp string) { rc.Put(fp, "c", &Result{Engine: emu.EngineFast}) }
+	put := func(fp string) { publish(t, rc, fp, "c", &Result{Engine: emu.EngineFast}, nil) }
 
 	put("a")
 	put("b")
 	put("x") // evicts "a", the least recently used
-	if _, ok := rc.Get("a"); ok {
-		t.Error("oldest entry survived an over-budget Put")
+	if _, ok := probe(rc, "a"); ok {
+		t.Error("oldest entry survived an over-budget keep")
 	}
-	if _, ok := rc.Get("b"); !ok {
+	if _, ok := probe(rc, "b"); !ok {
 		t.Fatal("entry b evicted early")
 	}
 	// b was just touched, so the next eviction takes x.
 	put("y")
-	if _, ok := rc.Get("x"); ok {
+	if _, ok := probe(rc, "x"); ok {
 		t.Error("recently-used order ignored: x should have been evicted, not b")
 	}
-	if _, ok := rc.Get("b"); !ok {
+	if _, ok := probe(rc, "b"); !ok {
 		t.Error("touched entry b evicted despite being most recently used")
 	}
 	st := rc.Stats()
-	if st.Evictions != 2 || st.Entries != 2 {
-		t.Errorf("stats = %+v, want 2 evictions and 2 entries", st)
+	if st.Evictions != 2 || st.Entries != 2 || st.InFlight != 0 {
+		t.Errorf("stats = %+v, want 2 evictions, 2 entries, none in flight", st)
 	}
 	if st.Bytes != 2*rcSize("a", "c", "") {
 		t.Errorf("accounted bytes = %d, want %d", st.Bytes, 2*rcSize("a", "c", ""))
@@ -54,14 +79,16 @@ func TestResultCacheLRUEviction(t *testing.T) {
 func TestResultCacheOversizedAndReplace(t *testing.T) {
 	rc := NewResultCache(rcSize("k", "c", "") + 8)
 	// An entry larger than the whole budget is refused, not stored.
-	rc.Put("k", "c", &Result{Output: string(make([]byte, 512))})
+	publish(t, rc, "k", "c", &Result{Output: string(make([]byte, 512))}, nil)
 	if st := rc.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Errorf("oversized entry was stored: %+v", st)
 	}
-	// Replacement swaps the entry in place without leaking bytes.
-	rc.Put("k", "c", &Result{Output: "old", Status: 1})
-	rc.Put("k", "c", &Result{Output: "new", Status: 2})
-	res, ok := rc.Get("k")
+	// So the next request leads again, and a fresh execution replaces an
+	// invalidated entry without leaking bytes.
+	publish(t, rc, "k", "c", &Result{Output: "old", Status: 1}, nil)
+	rc.Invalidate("c", "")
+	publish(t, rc, "k", "c", &Result{Output: "new", Status: 2}, nil)
+	res, ok := probe(rc, "k")
 	if !ok || res.Output != "new" || res.Status != 2 {
 		t.Fatalf("replacement not visible: ok=%v res=%+v", ok, res)
 	}
@@ -70,124 +97,150 @@ func TestResultCacheOversizedAndReplace(t *testing.T) {
 	}
 }
 
+// TestResultCacheSanitizes: waiters of the live execution see its whole
+// Result; the kept copy holds only the fingerprint-determined fields.
 func TestResultCacheSanitizes(t *testing.T) {
 	rc := NewResultCache(1 << 20)
 	orig := &Result{
-		Output: "out", Engine: emu.EngineFused,
-		Timing: Timing{CompileNS: 7, RunNS: 9, QueueNS: 16},
+		Output: "out", Status: 3, Engine: emu.EngineAdaptive,
+		Stats:    emu.Stats{Instructions: 42},
+		Fusion:   emu.FusionStats{Blocks: 5},
+		Refusion: emu.RefusionStats{Promoted: true, WarmupInsts: 9},
+		Timing:   Timing{CompileNS: 7, RunNS: 9},
 	}
-	rc.Put("k", "c", orig)
-	if orig.Cached || orig.Timing.RunNS != 9 {
-		t.Errorf("Put mutated the caller's Result: %+v", orig)
+	s, _ := rc.Acquire("k", "c")
+	joined, lead := rc.Acquire("k", "c")
+	if lead || joined != s || joined.Kept() {
+		t.Fatal("second Acquire did not join the in-flight slot")
 	}
-	res, ok := rc.Get("k")
+	rc.Publish(s, orig, nil)
+	if live, _ := joined.Outcome(); live != orig {
+		t.Errorf("waiter got %+v, want the leader's Result", live)
+	}
+	res, ok := probe(rc, "k")
 	if !ok {
-		t.Fatal("miss after Put")
+		t.Fatal("miss after a clean Publish")
 	}
-	if !res.Cached {
-		t.Error("cached Result not marked Cached")
+	want := Result{Output: "out", Status: 3, Engine: emu.EngineAdaptive, Stats: emu.Stats{Instructions: 42}}
+	if !eqResult(*res, want) || res.Timing != (Timing{}) {
+		t.Errorf("kept Result = %+v, want only %+v", res, want)
 	}
-	if res.Timing != (Timing{}) {
-		t.Errorf("cached Result kept per-run timing: %+v", res.Timing)
+	if orig.Timing.RunNS != 9 || !orig.Refusion.Promoted {
+		t.Errorf("Publish mutated the leader's Result: %+v", orig)
 	}
-	if res.Output != "out" || res.Engine != emu.EngineFused {
-		t.Errorf("cached Result lost payload: %+v", res)
+}
+
+// TestResultCachePublishRules: every outcome reaches the waiters, but
+// errors, supervision artifacts and private slots are never kept, and a
+// zero budget keeps nothing while still sharing one execution.
+func TestResultCachePublishRules(t *testing.T) {
+	rc := NewResultCache(1 << 20)
+	for fp, out := range map[string]struct {
+		res *Result
+		err error
+	}{
+		"error":    {nil, errProbe},
+		"fallback": {&Result{Engine: emu.EngineFused, FallbackFrom: []string{emu.EngineAdaptive}}, nil},
+		"rerouted": {&Result{Engine: emu.EngineFused, Rerouted: true}, nil},
+	} {
+		s, _ := rc.Acquire(fp, "c")
+		w, _ := rc.Acquire(fp, "c")
+		rc.Publish(s, out.res, out.err)
+		if res, err := w.Outcome(); res != out.res || err != out.err {
+			t.Errorf("%s: waiter got (%v, %v), want the leader's outcome", fp, res, err)
+		}
+		if _, ok := probe(rc, fp); ok {
+			t.Errorf("%s outcome was kept", fp)
+		}
+	}
+	p := rc.Private()
+	if st := rc.Stats(); st.InFlight != 1 {
+		t.Errorf("in flight with one private slot = %d, want 1", st.InFlight)
+	}
+	rc.Publish(p, &Result{Output: "private"}, nil)
+	if st := rc.Stats(); st.Entries != 0 || st.InFlight != 0 {
+		t.Errorf("private slot published into the memo: %+v", st)
+	}
+
+	zero := NewResultCache(0)
+	s, _ := zero.Acquire("k", "c")
+	if w, lead := zero.Acquire("k", "c"); lead || w != s {
+		t.Error("zero-budget memo did not coalesce an in-flight twin")
+	}
+	zero.Publish(s, &Result{Output: "ok"}, nil)
+	if _, ok := probe(zero, "k"); ok {
+		t.Error("zero-budget memo kept a result")
+	}
+}
+
+// TestResultCacheSingleflight: concurrent lookups of one fingerprint
+// elect one leader; every other caller joins or hits and reads the same
+// outcome. Run under -race.
+func TestResultCacheSingleflight(t *testing.T) {
+	rc := NewResultCache(1 << 20)
+	const callers = 16
+	var wg sync.WaitGroup
+	var leads sync.Map
+	outs := make([]*Result, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s, lead := rc.Acquire("k", "c")
+			if lead {
+				leads.Store(i, true)
+				rc.Publish(s, &Result{Output: "once"}, nil)
+			}
+			<-s.Done()
+			outs[i], _ = s.Outcome()
+		}()
+	}
+	wg.Wait()
+	n := 0
+	leads.Range(func(any, any) bool { n++; return true })
+	if n != 1 {
+		t.Errorf("%d leaders for one fingerprint, want 1", n)
+	}
+	for i, res := range outs {
+		if res == nil || res.Output != "once" {
+			t.Errorf("caller %d got %+v", i, res)
+		}
+	}
+	if st := rc.Stats(); st.Misses != 1 || st.Hits != callers-1 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 miss, %d hits, 1 entry", st, callers-1)
 	}
 }
 
 func TestResultCacheInvalidate(t *testing.T) {
 	rc := NewResultCache(1 << 20)
-	rc.Put("a", "sieve/branchreg", &Result{Engine: emu.EngineAdaptive})
-	rc.Put("b", "sieve/branchreg", &Result{Engine: emu.EngineFast})
-	rc.Put("c", "wc/branchreg", &Result{Engine: emu.EngineAdaptive})
+	publish(t, rc, "a", "sieve/branchreg", &Result{Engine: emu.EngineAdaptive}, nil)
+	publish(t, rc, "b", "sieve/branchreg", &Result{Engine: emu.EngineFast}, nil)
+	publish(t, rc, "c", "wc/branchreg", &Result{Engine: emu.EngineAdaptive}, nil)
+	// An in-flight slot of the quarantined pair is not a kept result.
+	inflight, _ := rc.Acquire("d", "sieve/branchreg")
 
 	// Tier-scoped: only the (class, engine) pair goes.
 	if n := rc.Invalidate("sieve/branchreg", emu.EngineAdaptive); n != 1 {
 		t.Errorf("tier-scoped Invalidate dropped %d entries, want 1", n)
 	}
-	if _, ok := rc.Get("a"); ok {
+	if _, ok := probe(rc, "a"); ok {
 		t.Error("quarantined (class, tier) entry survived")
 	}
-	if _, ok := rc.Get("b"); !ok {
+	if _, ok := probe(rc, "b"); !ok {
 		t.Error("same class, different tier was invalidated")
 	}
-	if _, ok := rc.Get("c"); !ok {
+	if _, ok := probe(rc, "c"); !ok {
 		t.Error("different class was invalidated")
 	}
 	// Class-wide: empty tier matches every engine.
 	if n := rc.Invalidate("sieve/branchreg", ""); n != 1 {
 		t.Errorf("class-wide Invalidate dropped %d entries, want 1", n)
 	}
-	if st := rc.Stats(); st.Invalidated != 2 || st.Entries != 1 {
-		t.Errorf("stats after invalidation = %+v, want 2 invalidated, 1 entry", st)
+	if s, lead := rc.Acquire("d", "sieve/branchreg"); lead || s != inflight {
+		t.Error("Invalidate dropped an in-flight slot")
 	}
-}
-
-func TestCacheableExcludesPointerRequests(t *testing.T) {
-	r := Request{Source: "func main() int { return 0; }"}
-	if !Cacheable(&r) {
-		t.Error("plain source request not cacheable")
-	}
-	r.Faults = &emu.FaultPlan{Seed: 1}
-	if !Cacheable(&r) {
-		t.Error("fault-plan request not cacheable; the plan is in the fingerprint")
-	}
-	r.Faults = nil
-	r.Program = &isa.Program{}
-	if !Cacheable(&r) {
-		t.Error("pre-linked Program request not cacheable; its fingerprint covers the program's content")
-	}
-	r.Program = nil
-	r.Profile = emu.NewBlockProfile(4)
-	if Cacheable(&r) {
-		t.Error("Profile-carrying request cacheable; the profile is an output a hit cannot fill")
-	}
-}
-
-// TestCacheExecMemoizes is the driver-level round trip: with a
-// ResultCache attached, the second identical Exec is served from
-// memory (Cached set, no timing) and NoCache forces a fresh run.
-func TestCacheExecMemoizes(t *testing.T) {
-	w, _ := workloads.ByName("wc")
-	c := NewCache()
-	c.SetResultCache(NewResultCache(1 << 20))
-	ctx := ContextWithResultClass(context.Background(), "wc/branchreg")
-	req := Request{Source: w.FullSource(), Kind: isa.BranchReg, Input: w.Input, Options: DefaultOptions()}
-
-	first, err := c.Exec(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached {
-		t.Error("first execution claims to be cached")
-	}
-	second, err := c.Exec(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Cached {
-		t.Fatal("second identical Exec was not served from the result cache")
-	}
-	if second.Output != first.Output || second.Status != first.Status ||
-		second.Stats.Instructions != first.Stats.Instructions {
-		t.Errorf("cached Result diverges:\n got: %+v\nwant: %+v", second, first)
-	}
-	if second.Timing != (Timing{}) {
-		t.Errorf("cached Result carries per-run timing: %+v", second.Timing)
-	}
-
-	// NoCache bypasses the lookup: a fresh execution, not a hit.
-	req.NoCache = true
-	fresh, err := c.Exec(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Cached {
-		t.Error("NoCache request was served from the result cache")
-	}
-
-	// Entries carry the context's class for quarantine invalidation.
-	if n := c.ResultCache().Invalidate("wc/branchreg", ""); n != 1 {
-		t.Errorf("Invalidate dropped %d entries, want the 1 cached under the context class", n)
+	rc.Publish(inflight, &Result{Engine: emu.EngineAdaptive}, nil)
+	if st := rc.Stats(); st.Invalidated != 2 || st.Entries != 2 {
+		t.Errorf("stats after invalidation = %+v, want 2 invalidated, 2 entries", st)
 	}
 }

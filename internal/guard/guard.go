@@ -34,7 +34,8 @@ import (
 // ExecFunc executes one request. class is the caller's workload-class
 // label (brserve passes "workload/machine" or "src:<hash>/machine");
 // the underlying driver ignores it, but wrappers — the chaos injector —
-// use it for targeting.
+// use it for targeting. Each call returns a Result of its own: the
+// supervisor writes its fallback annotation into it.
 type ExecFunc func(ctx context.Context, class string, req driver.Request) (*driver.Result, error)
 
 // Config sizes a Supervisor. The zero value of every field but Exec is
@@ -113,24 +114,6 @@ func newGuardMetrics(r *obs.Registry) guardMetrics {
 		shadowDropped:     r.Counter("guard.shadow.dropped"),
 		incidents:         r.Counter("guard.incidents"),
 	}
-}
-
-// Result is a driver.Result annotated with how the supervisor obtained
-// it: the tier that actually served the request, the tiers that faulted
-// before it, and whether an open breaker rerouted the request before
-// its preferred tier was even tried.
-type Result struct {
-	*driver.Result
-	// Tier is the engine that produced the result (mirrors Result.Engine
-	// for engine-tier requests; for passthrough requests it is whatever
-	// engine the emulator chose).
-	Tier string
-	// FallbackFrom lists the tiers that faulted before the serving tier,
-	// in the order they were tried. Empty for a first-try success.
-	FallbackFrom []string
-	// Rerouted marks a request whose preferred tier was skipped because
-	// its breaker was open.
-	Rerouted bool
 }
 
 // PanicError is a recovered engine panic carried as an error: the
@@ -293,10 +276,10 @@ func (s *Supervisor) attempt(ctx context.Context, class string, req driver.Reque
 // Exec supervises one request: it walks the engine-tier chain, skipping
 // quarantined tiers, recovering panics, and feeding the breakers; on
 // success it may enqueue a shadow re-execution. The returned Result
-// carries the fallback annotation. Errors pass through untouched (a
-// trap is still a trap, reachable with errors.As), except that a panic
-// on the last tier surfaces as a *PanicError.
-func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request) (*Result, error) {
+// carries the fallback annotation (FallbackFrom, Rerouted). Errors pass
+// through untouched (a trap is still a trap, reachable with errors.As),
+// except that a panic on the last tier surfaces as a *PanicError.
+func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request) (*driver.Result, error) {
 	chain := chainFor(&req)
 	if chain == nil {
 		sp, actx := obs.StartSpan(ctx, "tier:"+tierName(req.Loop), "guard")
@@ -309,7 +292,7 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 		}
 		sp.SetArg("outcome", "ok")
 		sp.End()
-		return &Result{Result: res, Tier: res.Engine}, nil
+		return res, nil
 	}
 
 	var fellFrom []string
@@ -361,11 +344,12 @@ func (s *Supervisor) Exec(ctx context.Context, class string, req driver.Request)
 				s.record(IncidentPanicFallback, class, name,
 					fmt.Sprintf("tier %s rescued the request after %v faulted", name, fellFrom))
 			}
+			res.FallbackFrom, res.Rerouted = fellFrom, rerouted
 			if s.maybeShadow(class, req, tier, res) {
 				sp.SetArg("shadow", "sampled")
 			}
 			sp.End()
-			return &Result{Result: res, Tier: res.Engine, FallbackFrom: fellFrom, Rerouted: rerouted}, nil
+			return res, nil
 		}
 		sp.End()
 		if !retryable(err) {

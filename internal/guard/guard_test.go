@@ -76,8 +76,8 @@ func TestFallbackRescuesAdaptivePanic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
-	if out.Tier != emu.EngineFused {
-		t.Errorf("Tier = %q, want %q", out.Tier, emu.EngineFused)
+	if out.Engine != emu.EngineFused {
+		t.Errorf("Engine = %q, want %q", out.Engine, emu.EngineFused)
 	}
 	if len(out.FallbackFrom) != 1 || out.FallbackFrom[0] != emu.EngineAdaptive {
 		t.Errorf("FallbackFrom = %v, want [adaptive]", out.FallbackFrom)
@@ -146,7 +146,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	// fused tier, and the third opens the breaker.
 	for i := 0; i < 3; i++ {
 		out, err := s.Exec(ctx, class, driver.Request{Loop: emu.LoopAuto})
-		if err != nil || out.Tier != emu.EngineFused {
+		if err != nil || out.Engine != emu.EngineFused {
 			t.Fatalf("request %d: out=%+v err=%v, want fused-tier rescue", i, out, err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Rerouted || out.Tier != emu.EngineFused || len(out.FallbackFrom) != 0 {
+	if !out.Rerouted || out.Engine != emu.EngineFused || len(out.FallbackFrom) != 0 {
 		t.Fatalf("open breaker: got %+v, want rerouted fused-tier result with no fallback", out)
 	}
 	if n := counter(reg, "guard.breaker.reroute"); n != 1 {
@@ -180,7 +180,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	adaptiveHealthy.Store(true)
 	clock.advance(cooldown + time.Second)
 	out, err = s.Exec(ctx, class, driver.Request{Loop: emu.LoopAuto})
-	if err != nil || out.Tier != emu.EngineAdaptive {
+	if err != nil || out.Engine != emu.EngineAdaptive {
 		t.Fatalf("probe: out=%+v err=%v, want adaptive-tier success", out, err)
 	}
 	if n := counter(reg, "guard.breaker.half_open"); n != 1 {
@@ -229,7 +229,7 @@ func TestBreakersOnlyForFailingPairs(t *testing.T) {
 		t.Fatalf("%d breakers after 100 healthy classes, want 0", n)
 	}
 	failing.Store(true)
-	if out, err := s.Exec(ctx, "src:flaky/branchreg", driver.Request{Loop: emu.LoopAuto}); err != nil || out.Tier != emu.EngineFused {
+	if out, err := s.Exec(ctx, "src:flaky/branchreg", driver.Request{Loop: emu.LoopAuto}); err != nil || out.Engine != emu.EngineFused {
 		t.Fatalf("failing request: out=%+v err=%v, want fused-tier rescue", out, err)
 	}
 	if n := breakers(); n != 1 {
@@ -374,7 +374,7 @@ func TestShadowMismatchQuarantines(t *testing.T) {
 	class := "wordcount/branchreg"
 
 	out, err := s.Exec(ctx, class, driver.Request{Loop: emu.LoopAuto})
-	if err != nil || out.Tier != emu.EngineAdaptive {
+	if err != nil || out.Engine != emu.EngineAdaptive {
 		t.Fatalf("primary: out=%+v err=%v, want adaptive success", out, err)
 	}
 	waitFor(t, "shadow mismatch", func() bool { return counter(reg, "guard.shadow.mismatch") >= 1 })
@@ -388,7 +388,7 @@ func TestShadowMismatchQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Rerouted || out.Tier != emu.EngineFused {
+	if !out.Rerouted || out.Engine != emu.EngineFused {
 		t.Fatalf("post-quarantine: got %+v, want rerouted fused-tier result", out)
 	}
 }
@@ -488,42 +488,6 @@ func TestSupervisorConcurrentChaos(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestShadowSkipsCachedResults: a memoized Result is not an execution,
-// so it must neither be sampled nor advance the per-class shadow
-// counter — cached traffic cannot dilute shadow coverage of the
-// engines that are actually running.
-func TestShadowSkipsCachedResults(t *testing.T) {
-	reg := obs.NewRegistry()
-	var calls atomic.Int64
-	exec := ExecFunc(func(ctx context.Context, class string, req driver.Request) (*driver.Result, error) {
-		// The first primary execution (and its shadow re-execution) are
-		// real; everything after answers as a cache hit would.
-		cached := calls.Add(1) > 2
-		return &driver.Result{Output: "same", Engine: tierName(req.Loop), Cached: cached}, nil
-	})
-	s := New(Config{Exec: exec, ShadowRate: 1, Metrics: reg})
-	defer s.Close()
-	ctx := context.Background()
-
-	if _, err := s.Exec(ctx, "sieve/branchreg", driver.Request{Loop: emu.LoopAuto}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "shadow of the real execution", func() bool { return counter(reg, "guard.shadow.ok") >= 1 })
-
-	for i := 0; i < 3; i++ {
-		out, err := s.Exec(ctx, "sieve/branchreg", driver.Request{Loop: emu.LoopAuto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.Cached {
-			t.Fatalf("request %d: exec stub did not report a cached result: %+v", i, out)
-		}
-	}
-	if n := counter(reg, "guard.shadow.sampled"); n != 1 {
-		t.Errorf("guard.shadow.sampled = %d at rate 1 after 1 real + 3 cached executions, want 1", n)
 	}
 }
 

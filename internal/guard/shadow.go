@@ -111,18 +111,12 @@ const shadowClassCap = 4096
 
 // maybeShadow samples a successful execution for shadow verification.
 // Sampling is a deterministic per-class counter — every ShadowRate'th
-// executed (not merely received: coalesced followers share one
-// execution) request of a class is sampled — so chaos smoke runs and
-// tests can predict exactly which executions are shadowed.
+// execution of a class is sampled — so chaos smoke runs and tests can
+// predict exactly which executions are shadowed. Every Result the
+// supervisor sees is a real execution: brserve answers memo hits and
+// coalesced followers at admission, without calling Exec.
 func (s *Supervisor) maybeShadow(class string, req driver.Request, tier emu.LoopMode, res *driver.Result) bool {
 	if s.shadow == nil {
-		return false
-	}
-	// A memoized Result is not an execution: the engine named in it did
-	// not just run, so re-executing the alternate tier would "verify"
-	// the cache against the emulator, not engine against engine. Only
-	// real executions advance the per-class sample counter.
-	if res.Cached {
 		return false
 	}
 	alt, ok := altTier(tier)

@@ -6,9 +6,10 @@
 // trap, and where the request's wall clock went (queue, compile, run).
 //
 // The server adds what a long-running service needs on top of driver.Exec:
-// worker-sharded admission with bounded queues and 429 backpressure,
-// coalescing of identical in-flight requests (keyed on
-// driver.Request.Fingerprint), per-tenant step budgets enforced through
+// worker-sharded admission with bounded queues and 429 backpressure, one
+// memo keyed on driver.Request.Fingerprint (driver.ResultCache) that
+// answers repeats from kept results and lets identical in-flight
+// requests share one execution, per-tenant step budgets enforced through
 // the emulator's TrapStepBudget machinery, /metrics and /healthz backed by
 // internal/obs, and graceful drain for SIGTERM handling. loadgen.go holds
 // the load-generator core shared by cmd/brload and benchrecord -serve.
@@ -48,10 +49,11 @@ type RunRequest struct {
 	// StepBudget bounds the run's instruction count. Zero asks for the
 	// server default; the effective budget is clamped to the tenant's cap.
 	StepBudget int64 `json:"step_budget,omitempty"`
-	// NoCache bypasses the deterministic result cache for this request:
-	// the response comes from a fresh execution even when an identical
-	// request's result is memoized. Escape hatch for benchmarking and
-	// debugging — it cannot change the bytes of a correct response.
+	// NoCache bypasses the memo for this request: it neither reads a
+	// kept result, joins an identical request in flight, nor publishes
+	// its own, so the response always comes from an execution of its
+	// own. Escape hatch for benchmarking and debugging — it cannot
+	// change the bytes of a correct response.
 	NoCache bool `json:"no_cache,omitempty"`
 	// Options overrides individual compile options over the defaults.
 	Options *OptionsSpec `json:"options,omitempty"`
@@ -110,7 +112,10 @@ type Timing struct {
 // (with Status), Trap, or Error carries the outcome: a clean run returns
 // 200 with Output; a runtime trap returns 200 (or 422 for a step-budget
 // trap) with Trap set; a compile or validation failure returns 4xx with
-// Error set.
+// Error set. Output, Status, Engine and the instruction counts are a
+// function of the request; Fusion, Refusion and Timing describe one
+// execution, so a Cached response carries no Fusion or Refusion and
+// zero compile and run times.
 type RunResponse struct {
 	// RequestID is the request's X-Request-Id (generated at admission or
 	// echoed from the caller) — the key into GET /v1/debug/requests/{id}.
@@ -120,9 +125,11 @@ type RunResponse struct {
 	Machine   string           `json:"machine,omitempty"`
 	Engine    string           `json:"engine,omitempty"`
 	Fusion    *emu.FusionStats `json:"fusion,omitempty"`
-	// Refusion reports the adaptive tier's promotion state for this
-	// program: whether its hot region has been re-fused with a mined
-	// per-workload vocabulary, and the resulting block/vocabulary mix.
+	// Refusion reports the adaptive tier's promotion state in the
+	// execution that produced this response: whether the program's hot
+	// region had been re-fused with a mined per-workload vocabulary, and
+	// the resulting block/vocabulary mix. It depends on the program's
+	// earlier runs.
 	Refusion     *emu.RefusionStats `json:"refusion,omitempty"`
 	Instructions int64              `json:"instructions,omitempty"`
 	Transfers    int64              `json:"transfers,omitempty"`
@@ -130,11 +137,11 @@ type RunResponse struct {
 	Trap         *emu.Trap          `json:"trap,omitempty"`
 	Error        string             `json:"error,omitempty"`
 	// Coalesced marks a response served from another identical in-flight
-	// request's execution.
+	// request's execution; it did not queue, so its queue_ns is 0.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// Cached marks a response served from the deterministic result
-	// cache: byte-identical to the execution that populated it, but no
-	// emulation ran for this request.
+	// Cached marks a response served from a result the memo kept:
+	// identical in its request-determined fields to the execution that
+	// produced it, but no emulation ran for this request.
 	Cached bool    `json:"cached,omitempty"`
 	Timing *Timing `json:"timing,omitempty"`
 	// FallbackFrom lists engine tiers that faulted before the tier in
@@ -154,10 +161,13 @@ type WorkloadInfo struct {
 	Description string `json:"description"`
 }
 
-// httpError carries a status code out of request building.
+// httpError carries a status code out of request building, and a
+// leader's admission refusal (429 with its Retry-After, or 503) to the
+// requests that joined its slot.
 type httpError struct {
-	code int
-	msg  string
+	code       int
+	msg        string
+	retryAfter string
 }
 
 func (e *httpError) Error() string { return e.msg }
@@ -246,7 +256,6 @@ func (s *Server) buildRequest(rr *RunRequest) (driver.Request, string, error) {
 		budget = cap
 	}
 	req.MaxInstructions = budget
-	req.NoCache = rr.NoCache
 	return req, classProg + "/" + req.Kind.String(), nil
 }
 

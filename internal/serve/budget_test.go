@@ -95,7 +95,7 @@ func TestServeCacheBudget(t *testing.T) {
 }
 
 // TestServeCacheBudgetDefaults: the default budget halves 64 MiB, a
-// negative CacheMB turns only result caching off, and a supplied cache
+// negative CacheMB turns only result keeping off, and a supplied cache
 // that already has a budget keeps it.
 func TestServeCacheBudgetDefaults(t *testing.T) {
 	for _, tc := range []struct {
@@ -107,12 +107,13 @@ func TestServeCacheBudgetDefaults(t *testing.T) {
 		{Config{CacheMB: -1}, 32 << 20, false},
 		{Config{CacheMB: 8}, 4 << 20, true},
 	} {
-		s, _ := newTestServer(t, tc.cfg)
+		s, ts := newTestServer(t, tc.cfg)
 		if got := s.cache.MemStats().MaxBytes; got != tc.budget {
 			t.Errorf("CacheMB %d: compile budget %d, want %d", tc.cfg.CacheMB, got, tc.budget)
 		}
-		if (s.results != nil) != tc.wantRslt {
-			t.Errorf("CacheMB %d: result cache present = %v, want %v", tc.cfg.CacheMB, s.results != nil, tc.wantRslt)
+		post(t, ts.URL, &RunRequest{Workload: "wc"})
+		if code, resp := post(t, ts.URL, &RunRequest{Workload: "wc"}); code != 200 || resp.Cached != tc.wantRslt {
+			t.Errorf("CacheMB %d: repeat request HTTP %d cached=%v, want cached=%v", tc.cfg.CacheMB, code, resp.Cached, tc.wantRslt)
 		}
 	}
 	own := driver.NewCache()

@@ -49,8 +49,10 @@ func TestParseChaosPlan(t *testing.T) {
 func TestServeChaosSupervision(t *testing.T) {
 	reg := obs.NewRegistry()
 	// Generous relative to per-request latency under -race: the
-	// open-breaker request below must land before the cooldown expires.
-	const cooldown = 2 * time.Second
+	// open-breaker request below must land before the cooldown expires,
+	// and the rescue before it executes sieve on the fused tier (about
+	// 1.5s under -race on a 2-CPU host).
+	const cooldown = 5 * time.Second
 	_, ts := newTestServer(t, Config{
 		Workers:          2,
 		Metrics:          reg,

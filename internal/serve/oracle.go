@@ -28,15 +28,12 @@ type oracleCell struct {
 }
 
 // NewDifferentialOracle returns an oracle with an empty expectation set.
-// Its local driver.Cache has brserve's default compile budget and its
-// own bounded result cache: the per-cell sync.Once already deduplicates
-// within one oracle, but the result cache survives cell-map churn and
-// lets an oracle reused across load samples (benchrecord's best-of-N)
-// answer reference runs from memory instead of re-emulating.
+// Its local driver.Cache has brserve's default compile budget; each
+// (workload, machine) cell runs once under its sync.Once, so the oracle
+// needs no result memo.
 func NewDifferentialOracle() *DifferentialOracle {
 	c := driver.NewCache()
 	c.SetMaxBytes(cacheHalf(defaultCacheMB))
-	c.SetResultCache(driver.NewResultCache(16 << 20))
 	return &DifferentialOracle{cache: c, cells: map[string]*oracleCell{}}
 }
 

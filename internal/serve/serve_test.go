@@ -267,12 +267,15 @@ func TestServeQueueFull(t *testing.T) {
 	}
 
 	// First request: dequeued by the worker, which then blocks on the
-	// gate; the queue is empty again but the worker is busy.
+	// gate; the queue is empty again but the worker is busy. The leader
+	// holds its memo slot before it enqueues, so the depth gauge starts
+	// at -1 to tell "not yet enqueued" from "already dequeued".
+	sh.depth.Set(-1)
 	fire("sieve")
 	waitFor("worker to pick up the first job", func() bool {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return len(sh.inflight) == 1 && len(sh.queue) == 0
+		return s.results.Stats().InFlight == 1 && sh.depth.Value() == 0 && len(sh.queue) == 0
 	})
 	// Second request fills the one-slot queue.
 	fire("wc")
@@ -349,7 +352,6 @@ func TestServeCoalescing(t *testing.T) {
 	cache := driver.NewCache()
 	s, ts := newTestServer(t, Config{Workers: 2, Shards: 1, QueueDepth: 8, Cache: cache, Metrics: reg})
 	s.gate = make(chan struct{})
-	sh := s.shards[0]
 
 	var wg sync.WaitGroup
 	codes := make([]int, 2)
@@ -382,10 +384,8 @@ func TestServeCoalescing(t *testing.T) {
 	}
 
 	fire(0)
-	waitFor("first request to be admitted", func() bool {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return len(sh.inflight) == 1
+	waitFor("first request to lead its memo slot", func() bool {
+		return s.results.Stats().InFlight == 1
 	})
 	fire(1)
 	waitFor("second request to coalesce", func() bool {
@@ -457,13 +457,10 @@ func TestServeFingerprintSeparation(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	// All three must be admitted as distinct jobs (queued or running),
-	// with zero coalescing.
-	waitFor("three distinct jobs in flight", func() bool {
-		sh := s.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return len(sh.inflight) == 3
+	// All three must lead memo slots of their own, with zero
+	// coalescing.
+	waitFor("three distinct slots in flight", func() bool {
+		return s.results.Stats().InFlight == 3
 	})
 	if n := reg.Counter("serve.coalesced").Value(); n != 0 {
 		t.Errorf("coalesced counter = %d, want 0", n)

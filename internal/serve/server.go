@@ -63,13 +63,13 @@ type Config struct {
 	// CacheMB is the memory budget in MiB of the server's two caches
 	// (default 64), split evenly: half bounds the compiled programs the
 	// compile cache keeps (with their adaptive-tier state), half the
-	// deterministic result cache. A negative value disables result
-	// caching; the compile cache then keeps its default half. Admission
-	// checks the result cache before queueing, so repeat requests are
+	// results the memo keeps. A negative value keeps no results (the
+	// memo still shares one execution among identical requests in
+	// flight); the compile cache then keeps its default half. Admission
+	// looks every request up in the memo once, so repeat requests are
 	// answered without touching a worker shard; see driver.ResultCache
-	// for what is cacheable. A supplied Cache that already has a byte
-	// budget or a ResultCache keeps them, and the matching half here is
-	// ignored.
+	// for what is kept. A supplied Cache that already has a byte budget
+	// or a ResultCache keeps them, and the matching half here is ignored.
 	CacheMB int
 	// Metrics supplies the registry serve records into (default:
 	// obs.Default).
@@ -118,8 +118,8 @@ type Config struct {
 const defaultCacheMB = 64
 
 // cacheHalf is the byte budget of each of the two caches under a CacheMB
-// setting; a negative setting (result caching off) leaves the compile
-// cache its default half.
+// setting; a negative setting (keep no results) leaves the compile cache
+// its default half.
 func cacheHalf(mb int) int64 {
 	if mb <= 0 {
 		mb = defaultCacheMB
@@ -168,38 +168,32 @@ func newServeMetrics(r *obs.Registry) serveMetrics {
 	}
 }
 
-// job is one admitted execution. The admitting handler creates it, the
-// shard worker fills res/err and closes done, and every handler waiting
-// on the same fingerprint (the coalesced followers) reads the shared
-// result.
+// job is one admitted execution: a leader's memo slot on its way to a
+// worker, which executes the request and publishes the outcome to the
+// slot for the leader and every request that joined it.
 type job struct {
 	req     driver.Request
-	fp      string
 	class   string
+	slot    *driver.ResultSlot
 	enq     time.Time
-	queueNS int64
-	out     *guard.Result
-	err     error
-	done    chan struct{}
+	queueNS int64 // written by the worker before it publishes
 
 	// The admitting request's trace rides with the job: the worker
 	// attaches it to the execution context so driver/guard spans land in
 	// it. Coalesced followers keep their own traces; only the leader's
 	// trace sees the execution.
-	reqID     string
 	trace     *obs.ReqTrace
 	rootID    obs.SpanID
 	queueSpan *obs.Span
 }
 
-// shard is one admission lane: a bounded queue plus the in-flight table
-// used for coalescing. Hashing fingerprints across shards keeps the
-// inflight maps' lock contention bounded as workers scale.
+// shard is one admission lane: a bounded queue of jobs. Hashing
+// fingerprints across shards keeps queue-lock contention bounded as
+// workers scale.
 type shard struct {
-	mu       sync.Mutex
-	closed   bool
-	queue    chan *job
-	inflight map[string]*job
+	mu     sync.Mutex
+	closed bool
+	queue  chan *job
 	// depth exports the queue's occupancy as serve.queue.depth.<i>, so
 	// /metrics shows where admission pressure concentrates.
 	depth *obs.Gauge
@@ -210,7 +204,7 @@ type shard struct {
 type Server struct {
 	cfg      Config
 	cache    *driver.Cache
-	results  *driver.ResultCache // nil when result caching is disabled
+	results  *driver.ResultCache // the admission memo, attached to cache
 	sup      *guard.Supervisor
 	chaos    *chaos
 	m        serveMetrics
@@ -317,19 +311,19 @@ func New(cfg Config) *Server {
 	if s.cache.MemStats().MaxBytes == 0 {
 		s.cache.SetMaxBytes(half)
 	}
-	if cfg.CacheMB > 0 {
-		if s.cache.ResultCache() == nil {
-			s.cache.SetResultCache(driver.NewResultCache(half))
+	if s.cache.ResultCache() == nil {
+		keep := half
+		if cfg.CacheMB < 0 {
+			keep = 0
 		}
-		s.results = s.cache.ResultCache()
+		s.cache.SetResultCache(driver.NewResultCache(keep))
 	}
-	// The execution stack, bottom-up: the compile cache's Exec (result
-	// cache included — the class annotation gives driver-level entries
-	// their invalidation coordinates), the chaos injector (tests and
-	// smoke runs only), and the guard supervisor the workers actually
-	// call.
+	s.results = s.cache.ResultCache()
+	// The execution stack, bottom-up: the compile cache's Exec, the chaos
+	// injector (tests and smoke runs only), and the guard supervisor the
+	// workers actually call.
 	exec := guard.ExecFunc(func(ctx context.Context, class string, req driver.Request) (*driver.Result, error) {
-		return s.cache.Exec(driver.ContextWithResultClass(ctx, class), req)
+		return s.cache.Exec(ctx, req)
 	})
 	if cfg.Chaos != nil {
 		s.chaos = newChaos(*cfg.Chaos, cfg.Metrics)
@@ -348,18 +342,15 @@ func New(cfg Config) *Server {
 		IncidentCap:   cfg.IncidentCap,
 		Metrics:       cfg.Metrics,
 		OnQuarantine: func(class, tier string) {
-			if s.results != nil {
-				s.results.Invalidate(class, tier)
-			}
+			s.results.Invalidate(class, tier)
 		},
 	})
 	s.workersPerShard = max(1, cfg.Workers/cfg.Shards)
 	perShard := max(1, cfg.QueueDepth/cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, &shard{
-			queue:    make(chan *job, perShard),
-			inflight: map[string]*job{},
-			depth:    cfg.Metrics.Gauge(fmt.Sprintf("serve.queue.depth.%d", i)),
+			queue: make(chan *job, perShard),
+			depth: cfg.Metrics.Gauge(fmt.Sprintf("serve.queue.depth.%d", i)),
 		})
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -477,28 +468,10 @@ func (s *Server) worker(sh *shard) {
 		s.m.queueWait.Observe(j.queueNS)
 		s.m.inflight.Set(s.running.Add(1))
 		runStart := time.Now()
-		j.out, j.err = s.execJob(j)
+		res, err := s.execJob(j)
 		s.observeJobDuration(time.Since(runStart).Nanoseconds())
 		s.m.inflight.Set(s.running.Add(-1))
-		// Publish the result under the ADMISSION fingerprint. The guard
-		// rewrites req.Loop per tier attempt, so the driver-level cache
-		// keys tier fingerprints; only here does the admission key (the
-		// one repeat requests are looked up by) learn the result. Never
-		// cache supervision artifacts: a fallback or reroute is the
-		// survivable shape of a failing tier, and memoizing it would let
-		// hits mask an open breaker — the breaker must keep seeing real
-		// attempts until its class executes cleanly again.
-		if j.err == nil && s.results != nil && !j.req.NoCache &&
-			len(j.out.FallbackFrom) == 0 && !j.out.Rerouted && driver.Cacheable(&j.req) {
-			s.results.Put(j.fp, j.class, j.out.Result)
-		}
-		// Remove from the coalescing table before publishing: an
-		// identical request arriving after done closes must start a
-		// fresh execution, never read a completed slot.
-		sh.mu.Lock()
-		delete(sh.inflight, j.fp)
-		sh.mu.Unlock()
-		close(j.done)
+		s.results.Publish(j.slot, res, err)
 	}
 }
 
@@ -508,7 +481,7 @@ func (s *Server) worker(sh *shard) {
 // any tier attempt (or one that exhausted every tier and re-escaped),
 // converting it into errInternal so a bug costs one 500, not the
 // process.
-func (s *Server) execJob(j *job) (out *guard.Result, err error) {
+func (s *Server) execJob(j *job) (out *driver.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			out, err = nil, fmt.Errorf("%w: panic: %v", errInternal, p)
@@ -539,6 +512,7 @@ type reqCtx struct {
 	start     time.Time
 	class     string
 	tenant    string
+	cached    bool
 	coalesced bool
 }
 
@@ -586,10 +560,12 @@ func statusClass(code int) string {
 	}
 }
 
-// handleRun is POST /v1/run: decode, admit (coalesce / enqueue / 429),
-// wait, respond. Every response path runs through emit, so every
-// request — including rejections — carries X-Request-Id, lands in the
-// latency histograms, and is offered to the flight recorder.
+// handleRun is POST /v1/run: decode, look up the memo once (hit / join /
+// lead), wait for the slot, respond. A leader enqueues its job, or
+// publishes its 429/503 to the slot when it cannot. Every response path
+// runs through emit, so every request — including rejections — carries
+// X-Request-Id, lands in the latency histograms, and is offered to the
+// flight recorder.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.m.requests.Inc()
 	rc := &reqCtx{id: s.requestID(r), start: time.Now()}
@@ -626,72 +602,82 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	fp := req.Fingerprint()
 
-	// Admission-time result-cache check: a hit is answered here, before
-	// the request ever touches a shard queue — no queueing, no worker,
-	// no 429 pressure. The span makes the shortcut visible in the
-	// flight recorder.
-	if s.results != nil && !req.NoCache && driver.Cacheable(&req) {
-		if res, ok := s.results.Get(fp); ok {
-			rc.rt.Begin("cache-hit", "serve", rc.root.ID()).End()
-			s.m.ok.Inc()
-			s.respondCached(w, &req, res, rc)
-			return
-		}
+	// The one memo lookup. A no_cache request takes a private slot: it
+	// neither reads, joins nor publishes, so it always executes afresh.
+	var slot *driver.ResultSlot
+	lead := true
+	if rr.NoCache {
+		slot = s.results.Private()
+	} else {
+		slot, lead = s.results.Acquire(fp, class)
 	}
-	sh := s.shardFor(fp)
-
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		s.m.draining.Inc()
-		s.emit(w, rc, 503, &RunResponse{Error: "server is draining"})
-		return
-	}
-	j, coalesced := sh.inflight[fp]
-	if coalesced {
+	var j *job
+	var waitSpan *obs.Span
+	switch {
+	case lead:
+		j = s.enqueue(s.shardFor(fp), slot, req, class, rc)
+	case slot.Kept():
+		// A hit never touches a shard queue — no queueing, no worker, no
+		// 429 pressure; the span makes the shortcut visible in the flight
+		// recorder.
+		rc.cached = true
+		rc.rt.Begin("cache-hit", "serve", rc.root.ID()).End()
+	default:
+		// A coalesced follower never executes: its trace records only the
+		// wait for the leader's execution to publish.
 		s.m.coalesced.Inc()
 		rc.coalesced = true
-	} else {
-		j = &job{req: req, fp: fp, class: class, enq: time.Now(), done: make(chan struct{}),
-			reqID: rc.id, trace: rc.rt, rootID: rc.root.ID()}
-		// The queue span must be attached before the channel send
-		// publishes the job to a worker (which ends it at dequeue).
-		j.queueSpan = rc.rt.Begin("queue", "serve", rc.root.ID())
-		select {
-		case sh.queue <- j:
-			sh.inflight[fp] = j
-			sh.depth.Set(int64(len(sh.queue)))
-			s.m.queueTotal.Set(s.queueLen.Add(1))
-		default:
-			sh.mu.Unlock()
-			j.queueSpan.End()
-			s.m.queueFull.Inc()
-			w.Header().Set("Retry-After", s.retryAfterHint(len(sh.queue)))
-			s.emit(w, rc, 429, &RunResponse{Error: "queue full, retry later"})
-			return
-		}
-	}
-	sh.mu.Unlock()
-
-	// A coalesced follower never executes: its trace records only the
-	// wait for the leader's execution to publish.
-	var waitSpan *obs.Span
-	if coalesced {
 		waitSpan = rc.rt.Begin("coalesced-wait", "serve", rc.root.ID())
 	}
 	select {
-	case <-j.done:
+	case <-slot.Done():
 		waitSpan.End()
 	case <-r.Context().Done():
 		// The client went away; the job keeps running for any coalesced
-		// followers and for the cache's benefit. Nothing to emit — there
+		// followers and for the memo's benefit. Nothing to emit — there
 		// is no one left to respond to.
 		waitSpan.End()
 		rc.root.SetArg("status", "client-disconnected")
 		rc.root.End()
 		return
 	}
-	s.respond(w, &req, j, rc)
+	var queueNS int64
+	if j != nil {
+		queueNS = j.queueNS
+	}
+	res, err := slot.Outcome()
+	s.respond(w, &req, res, err, queueNS, rc)
+}
+
+// enqueue hands a leader's slot to its shard as a job. When the shard
+// refuses it — queue full (429) or draining (503) — the refusal is
+// published to the slot instead, so requests that joined it in the
+// meantime get the same answer, Retry-After included.
+func (s *Server) enqueue(sh *shard, slot *driver.ResultSlot, req driver.Request, class string, rc *reqCtx) *job {
+	j := &job{req: req, class: class, slot: slot, enq: time.Now(), trace: rc.rt, rootID: rc.root.ID()}
+	var refusal *httpError
+	sh.mu.Lock()
+	if sh.closed {
+		refusal = &httpError{code: 503, msg: "server is draining"}
+	} else {
+		// The queue span must be attached before the channel send
+		// publishes the job to a worker (which ends it at dequeue).
+		j.queueSpan = rc.rt.Begin("queue", "serve", rc.root.ID())
+		select {
+		case sh.queue <- j:
+			sh.depth.Set(int64(len(sh.queue)))
+			s.m.queueTotal.Set(s.queueLen.Add(1))
+		default:
+			j.queueSpan.End()
+			refusal = &httpError{code: 429, msg: "queue full, retry later",
+				retryAfter: s.retryAfterHint(len(sh.queue))}
+		}
+	}
+	sh.mu.Unlock()
+	if refusal != nil {
+		s.results.Publish(slot, nil, refusal)
+	}
+	return j
 }
 
 // bodyBufPool recycles request-body read buffers across requests: the
@@ -726,61 +712,33 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, rr *RunReque
 	return json.Unmarshal(buf.Bytes(), rr)
 }
 
-// respondCached writes an admission-time result-cache hit. The Result
-// aliases the cache's entry (read-only); there is no job, so the only
-// timing is the total and the only annotation beyond a normal success
-// is Cached.
-func (s *Server) respondCached(w http.ResponseWriter, req *driver.Request, res *driver.Result, rc *reqCtx) {
-	resp := &RunResponse{
-		Machine: req.Kind.String(),
-		Cached:  true,
-		Output:  res.Output,
-		Status:  res.Status,
-		Engine:  res.Engine,
-		Timing:  &Timing{TotalNS: time.Since(rc.start).Nanoseconds()},
-	}
-	if res.Engine == emu.EngineFused || res.Engine == emu.EngineAdaptive {
-		f := res.Fusion
-		resp.Fusion = &f
-	}
-	if res.Engine == emu.EngineAdaptive {
-		rf := res.Refusion
-		resp.Refusion = &rf
-	}
-	resp.Instructions = res.Stats.Instructions
-	resp.Transfers = res.Stats.Transfers()
-	resp.DataRefs = res.Stats.DataRefs()
-	s.emit(w, rc, 200, resp)
-}
-
-// respond classifies one finished job onto the wire. Status mapping:
+// respond classifies one slot outcome onto the wire. Status mapping:
 // clean run and non-budget runtime traps are 200 (the service worked;
 // the trap is the program's outcome, reported as data), a step-budget
 // trap is 422 (the tenant exceeded its allowance), compile and
-// validation failures are 400, a timed-out job is 408, and a worker
-// panic is the only 500.
-func (s *Server) respond(w http.ResponseWriter, req *driver.Request, j *job, rc *reqCtx) {
+// validation failures are 400, a timed-out job is 408, a worker panic is
+// the only 500, and a leader's refusal is its 429 or 503. queueNS is the
+// leader's queue wait; hits and followers did not queue.
+func (s *Server) respond(w http.ResponseWriter, req *driver.Request, res *driver.Result, err error, queueNS int64, rc *reqCtx) {
 	resp := &RunResponse{
 		Machine:   req.Kind.String(),
+		Cached:    rc.cached,
 		Coalesced: rc.coalesced,
-		Timing:    &Timing{QueueNS: j.queueNS, TotalNS: time.Since(rc.start).Nanoseconds()},
+		Timing:    &Timing{QueueNS: queueNS, TotalNS: time.Since(rc.start).Nanoseconds()},
 	}
-	if j.err == nil {
-		res := j.out.Result
+	if err == nil {
 		resp.Output = res.Output
 		resp.Status = res.Status
 		resp.Engine = res.Engine
-		// A tier-level result-cache hit inside the executed job (the
-		// guard's per-tier fingerprint matched an earlier execution) is
-		// still a cached answer; say so.
-		resp.Cached = res.Cached
-		resp.FallbackFrom = j.out.FallbackFrom
-		resp.Rerouted = j.out.Rerouted
-		if res.Engine == emu.EngineFused || res.Engine == emu.EngineAdaptive {
+		resp.FallbackFrom = res.FallbackFrom
+		resp.Rerouted = res.Rerouted
+		// A kept result holds no fusion or refusion (they describe one
+		// execution); a live one reports them.
+		if !rc.cached && (res.Engine == emu.EngineFused || res.Engine == emu.EngineAdaptive) {
 			f := res.Fusion
 			resp.Fusion = &f
 		}
-		if res.Engine == emu.EngineAdaptive {
+		if !rc.cached && res.Engine == emu.EngineAdaptive {
 			rf := res.Refusion
 			resp.Refusion = &rf
 		}
@@ -795,8 +753,17 @@ func (s *Server) respond(w http.ResponseWriter, req *driver.Request, j *job, rc 
 	}
 	var trap *emu.Trap
 	var pe *guard.PanicError
+	var refusal *httpError
 	switch {
-	case errors.As(j.err, &trap):
+	case errors.As(err, &refusal):
+		if refusal.code == 429 {
+			s.m.queueFull.Inc()
+			w.Header().Set("Retry-After", refusal.retryAfter)
+		} else {
+			s.m.draining.Inc()
+		}
+		s.emit(w, rc, refusal.code, &RunResponse{Error: refusal.msg})
+	case errors.As(err, &trap):
 		resp.Trap = trap
 		if trap.Kind == emu.TrapStepBudget {
 			s.m.budget.Inc()
@@ -805,14 +772,14 @@ func (s *Server) respond(w http.ResponseWriter, req *driver.Request, j *job, rc 
 		}
 		s.m.traps.Inc()
 		s.emit(w, rc, 200, resp)
-	case errors.Is(j.err, errInternal), errors.As(j.err, &pe), errors.Is(j.err, driver.ErrCompilePanic):
+	case errors.Is(err, errInternal), errors.As(err, &pe), errors.Is(err, driver.ErrCompilePanic):
 		// A worker panic, an engine panic that exhausted every fallback
 		// tier, or a compiler panic cached as an error: the service's
 		// bug, never the client's — the only 500s.
 		s.m.internal.Inc()
-		resp.Error = j.err.Error()
+		resp.Error = err.Error()
 		s.emit(w, rc, 500, resp)
-	case errors.Is(j.err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
 		s.m.timeouts.Inc()
 		resp.Error = fmt.Sprintf("job exceeded the %s execution timeout", s.cfg.JobTimeout)
 		s.emit(w, rc, 408, resp)
@@ -820,7 +787,7 @@ func (s *Server) respond(w http.ResponseWriter, req *driver.Request, j *job, rc 
 		// Everything else the driver can return is a compile or
 		// validation failure — the client's program, not the service.
 		s.m.badReq.Inc()
-		resp.Error = j.err.Error()
+		resp.Error = err.Error()
 		s.emit(w, rc, 400, resp)
 	}
 }
@@ -1077,8 +1044,8 @@ type MetricsReply struct {
 	UptimeMS      int64             `json:"uptime_ms"`
 	Version       string            `json:"version"`
 	Cache         driver.CacheStats `json:"cache"`
-	// ResultCache reports the deterministic result cache (nil when
-	// disabled): hit/miss/eviction traffic and byte occupancy.
+	// ResultCache reports the admission memo: hit/miss/eviction traffic,
+	// byte occupancy and in-flight slots.
 	ResultCache *driver.ResultCacheStats `json:"result_cache,omitempty"`
 	Metrics     obs.Snapshot             `json:"metrics"`
 }
@@ -1093,32 +1060,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		cs := s.cache.Stats()
 		snap.Counters["serve.cache.hits"] = cs.Hits
 		snap.Counters["serve.cache.misses"] = cs.Misses
-		if s.results != nil {
-			rs := s.results.Stats()
-			snap.Counters["driver.rescache.hits"] = rs.Hits
-			snap.Counters["driver.rescache.misses"] = rs.Misses
-			snap.Counters["driver.rescache.evictions"] = rs.Evictions
-			snap.Counters["driver.rescache.invalidated"] = rs.Invalidated
-			snap.Gauges["driver.rescache.bytes"] = rs.Bytes
-			snap.Gauges["driver.rescache.entries"] = rs.Entries
-		}
+		rs := s.results.Stats()
+		snap.Counters["driver.rescache.hits"] = rs.Hits
+		snap.Counters["driver.rescache.misses"] = rs.Misses
+		snap.Counters["driver.rescache.evictions"] = rs.Evictions
+		snap.Counters["driver.rescache.invalidated"] = rs.Invalidated
+		snap.Gauges["driver.rescache.bytes"] = rs.Bytes
+		snap.Gauges["driver.rescache.entries"] = rs.Entries
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		snap.WriteProm(w)
 		return
 	}
-	reply := &MetricsReply{
+	rs := s.results.Stats()
+	writeJSON(w, 200, &MetricsReply{
 		Started:       s.start.UTC().Format(time.RFC3339),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		UptimeMS:      time.Since(s.start).Milliseconds(),
 		Version:       serverVersion(),
 		Cache:         s.cache.Stats(),
+		ResultCache:   &rs,
 		Metrics:       snap,
-	}
-	if s.results != nil {
-		rs := s.results.Stats()
-		reply.ResultCache = &rs
-	}
-	writeJSON(w, 200, reply)
+	})
 }
 
 // metricsSnapshot is the registry snapshot plus the values that live
