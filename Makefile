@@ -60,12 +60,14 @@ generate-check:
 
 check: vet generate-check race alloc-gate fuzz-smoke serve-smoke chaos-smoke bench-gate
 
-# Allocation budgets for the serve hot path (testing.AllocsPerRun).
+# Allocation budgets for the serve hot path and for compiling the suite
+# (testing.AllocsPerRun).
 # These run WITHOUT the race detector: -race instruments allocations and
 # would fail honest budgets, so the alloc tests skip themselves under
 # race and get this dedicated non-race invocation in the PR gate.
 alloc-gate:
 	$(GO) test ./internal/serve -run='TestServe.*Allocs'
+	$(GO) test ./internal/driver -run='TestCompileAllocs'
 
 # Boot brserve on a loopback port, drive a brief differential-verified
 # load with brload, and fail on any error, 5xx, or output divergence.

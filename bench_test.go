@@ -199,6 +199,7 @@ func BenchmarkCompile(b *testing.B) {
 	for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, w := range workloads.All() {
 					if _, err := driver.Compile(context.Background(), w.FullSource(), kind, o); err != nil {

@@ -74,7 +74,6 @@ func GenBaselineFunc(f *ir.Func) (*isa.Function, []*isa.DataItem, error) {
 		if bi+1 < len(f.Blocks) {
 			next = f.Blocks[bi+1].Label
 		}
-		g.Buf = nil
 		if bi == 0 {
 			g.EmitPrologue()
 			if g.HasCalls {

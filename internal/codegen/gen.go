@@ -178,10 +178,12 @@ func (g *Gen) Emit(in isa.Instr) {
 	g.Buf = append(g.Buf, in)
 }
 
-// TakeBuf returns and resets the emission buffer.
+// TakeBuf returns the emission buffer's contents and empties it. The
+// buffer keeps its capacity for the next block, so the caller must copy
+// the instructions out before it emits again.
 func (g *Gen) TakeBuf() []isa.Instr {
 	b := g.Buf
-	g.Buf = nil
+	g.Buf = g.Buf[:0]
 	return b
 }
 

@@ -106,7 +106,7 @@ func BRMMachine() Machine {
 }
 
 func rangeInts(lo, hi int) []int {
-	var out []int
+	out := make([]int, 0, hi-lo+1)
 	for i := lo; i <= hi; i++ {
 		out = append(out, i)
 	}

@@ -1,7 +1,9 @@
 package codegen
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"branchreg/internal/ir"
 )
@@ -26,7 +28,7 @@ type Allocation struct {
 type interval struct {
 	vreg       ir.Reg
 	float      bool
-	start, end int
+	start, end int // start -1: the vreg never appears
 	crossCall  bool
 }
 
@@ -56,16 +58,22 @@ func Allocate(m *Machine, f *ir.Func) *Allocation {
 
 	intLive, fltLive := f.ComputeLiveness()
 
-	intIv := make([]*interval, f.NumInt)
-	fltIv := make([]*interval, f.NumFloat)
-	touchInt := func(v ir.Reg, p int) {
+	// One interval per vreg, integer then float, in one slice.
+	ivs := make([]interval, f.NumInt+f.NumFloat)
+	intIv, fltIv := ivs[:f.NumInt:f.NumInt], ivs[f.NumInt:]
+	for i := range intIv {
+		intIv[i] = interval{vreg: ir.Reg(i), start: -1}
+	}
+	for i := range fltIv {
+		fltIv[i] = interval{vreg: ir.Reg(i), float: true, start: -1}
+	}
+	touch := func(ivs []interval, v ir.Reg, p int) {
 		if v == ir.None {
 			return
 		}
-		iv := intIv[v]
-		if iv == nil {
-			iv = &interval{vreg: v, start: p, end: p}
-			intIv[v] = iv
+		iv := &ivs[v]
+		if iv.start < 0 {
+			iv.start, iv.end = p, p
 			return
 		}
 		if p < iv.start {
@@ -75,30 +83,20 @@ func Allocate(m *Machine, f *ir.Func) *Allocation {
 			iv.end = p
 		}
 	}
-	touchFlt := func(v ir.Reg, p int) {
-		if v == ir.None {
-			return
-		}
-		iv := fltIv[v]
-		if iv == nil {
-			iv = &interval{vreg: v, float: true, start: p, end: p}
-			fltIv[v] = iv
-			return
-		}
-		if p < iv.start {
-			iv.start = p
-		}
-		if p > iv.end {
-			iv.end = p
+	touchSet := func(ivs []interval, s ir.RegSet, p int) {
+		for w, word := range s {
+			for ; word != 0; word &= word - 1 {
+				touch(ivs, ir.Reg(64*w+bits.TrailingZeros64(word)), p)
+			}
 		}
 	}
 
 	// Parameters are defined at position -1 (function entry).
 	for _, p := range f.Params {
 		if p.Float {
-			touchFlt(p.R, 0)
+			touch(fltIv, p.R, 0)
 		} else {
-			touchInt(p.R, 0)
+			touch(intIv, p.R, 0)
 		}
 	}
 
@@ -106,55 +104,38 @@ func Allocate(m *Machine, f *ir.Func) *Allocation {
 	var ibuf, fbuf []ir.Reg
 	for bi, b := range f.Blocks {
 		// Extend intervals of live-in/live-out vregs over the whole block.
-		for v := 0; v < f.NumInt; v++ {
-			if intLive.In[bi].Has(ir.Reg(v)) {
-				touchInt(ir.Reg(v), blockStart[bi])
-			}
-			if intLive.Out[bi].Has(ir.Reg(v)) {
-				touchInt(ir.Reg(v), blockEnd[bi])
-			}
-		}
-		for v := 0; v < f.NumFloat; v++ {
-			if fltLive.In[bi].Has(ir.Reg(v)) {
-				touchFlt(ir.Reg(v), blockStart[bi])
-			}
-			if fltLive.Out[bi].Has(ir.Reg(v)) {
-				touchFlt(ir.Reg(v), blockEnd[bi])
-			}
-		}
+		touchSet(intIv, intLive.In[bi], blockStart[bi])
+		touchSet(intIv, intLive.Out[bi], blockEnd[bi])
+		touchSet(fltIv, fltLive.In[bi], blockStart[bi])
+		touchSet(fltIv, fltLive.Out[bi], blockEnd[bi])
 		for j := range b.Ins {
 			in := &b.Ins[j]
 			ibuf, fbuf = in.Uses(ibuf[:0], fbuf[:0])
 			for _, r := range ibuf {
-				touchInt(r, pos)
+				touch(intIv, r, pos)
 			}
 			for _, r := range fbuf {
-				touchFlt(r, pos)
+				touch(fltIv, r, pos)
 			}
 			di, df := in.Defs()
-			touchInt(di, pos)
-			touchFlt(df, pos)
+			touch(intIv, di, pos)
+			touch(fltIv, df, pos)
 			pos++
 		}
 	}
 
 	// Mark call-crossing intervals.
-	mark := func(iv *interval) {
-		if iv == nil {
-			return
+	for i := range ivs {
+		iv := &ivs[i]
+		if iv.start < 0 {
+			continue
 		}
 		for _, cp := range callPos {
 			if iv.start < cp && cp < iv.end {
 				iv.crossCall = true
-				return
+				break
 			}
 		}
-	}
-	for _, iv := range intIv {
-		mark(iv)
-	}
-	for _, iv := range fltIv {
-		mark(iv)
 	}
 
 	a := &Allocation{
@@ -168,32 +149,33 @@ func Allocate(m *Machine, f *ir.Func) *Allocation {
 	return a
 }
 
-func collect(ivs []*interval) []*interval {
-	var out []*interval
+// collect packs the intervals of vregs that appear to the front of ivs,
+// in place, and sorts them by start (then vreg, so the order is total).
+func collect(ivs []interval) []interval {
+	out := ivs[:0]
 	for _, iv := range ivs {
-		if iv != nil {
+		if iv.start >= 0 {
 			out = append(out, iv)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].start != out[j].start {
-			return out[i].start < out[j].start
+	slices.SortFunc(out, func(a, b interval) int {
+		if a.start != b.start {
+			return cmp.Compare(a.start, b.start)
 		}
-		return out[i].vreg < out[j].vreg
+		return cmp.Compare(a.vreg, b.vreg)
 	})
 	return out
 }
 
 // scan performs the linear scan over one register class, writing results
 // into locs and returning the number of spill slots used.
-func scan(ivs []*interval, caller, callee []int, locs []Loc, used map[int]bool) int {
+func scan(ivs []interval, caller, callee []int, locs []Loc, used map[int]bool) int {
 	type active struct {
 		iv  *interval
 		reg int
 	}
 	var act []active
-	free := map[int]bool{}
-	isCallee := map[int]bool{}
+	var free, isCallee regFlags
 	for _, r := range caller {
 		free[r] = true
 	}
@@ -202,7 +184,8 @@ func scan(ivs []*interval, caller, callee []int, locs []Loc, used map[int]bool) 
 		isCallee[r] = true
 	}
 	spills := 0
-	for _, iv := range ivs {
+	for i := range ivs {
+		iv := &ivs[i]
 		// Expire finished intervals.
 		kept := act[:0]
 		for _, a := range act {
@@ -216,11 +199,11 @@ func scan(ivs []*interval, caller, callee []int, locs []Loc, used map[int]bool) 
 		// Pick a register.
 		reg := -1
 		if iv.crossCall {
-			reg = pick(free, callee)
+			reg = pick(&free, callee)
 		} else {
-			reg = pick(free, caller)
+			reg = pick(&free, caller)
 			if reg < 0 {
-				reg = pick(free, callee)
+				reg = pick(&free, callee)
 			}
 		}
 		if reg < 0 {
@@ -254,7 +237,11 @@ func scan(ivs []*interval, caller, callee []int, locs []Loc, used map[int]bool) 
 	return spills
 }
 
-func pick(free map[int]bool, order []int) int {
+// regFlags marks machine registers of one class; neither machine has more
+// than 32 registers per class.
+type regFlags [32]bool
+
+func pick(free *regFlags, order []int) int {
 	for _, r := range order {
 		if free[r] {
 			return r

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"branchreg/internal/codegen"
 	"branchreg/internal/ir"
@@ -84,13 +86,16 @@ func GenBRMFunc(f *ir.Func, cfg Config) (*isa.Function, []*isa.DataItem, error) 
 	}
 	g.Layout()
 
+	mblocks := make([]mblock, len(f.Blocks))
+	bg.blocks = make([]*mblock, len(f.Blocks))
 	for bi, b := range f.Blocks {
 		next := ""
 		if bi+1 < len(f.Blocks) {
 			next = f.Blocks[bi+1].Label
 		}
-		bg.cur = &mblock{irb: b}
-		bg.blocks = append(bg.blocks, bg.cur)
+		bg.cur = &mblocks[bi]
+		bg.cur.irb = b
+		bg.blocks[bi] = bg.cur
 		if bi == 0 {
 			bg.prologue(calleeBrs)
 		}
@@ -183,9 +188,7 @@ func (bg *brmGen) insertEarly(ms ...mins) {
 		bg.cur.ins = append(bg.cur.ins, ms...)
 		return
 	}
-	pos := bg.early
-	tail := append([]mins{}, bg.cur.ins[pos:]...)
-	bg.cur.ins = append(bg.cur.ins[:pos], append(ms, tail...)...)
+	bg.cur.ins = slices.Insert(bg.cur.ins, bg.early, ms...)
 	bg.early += len(ms)
 }
 
@@ -218,7 +221,7 @@ func (bg *brmGen) calcEarly(breg int, target string, isCall bool) {
 		Comment: "b[" + itoa(breg) + "]=&" + target}})
 }
 
-func itoa(v int) string { return fmt.Sprintf("%d", v) }
+func itoa(v int) string { return strconv.Itoa(v) }
 
 // prologue emits frame setup plus the BRM-specific return-address and
 // branch-register saves.

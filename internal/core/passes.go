@@ -91,15 +91,13 @@ func (bg *brmGen) replaceNoops() {
 				// Executes on both paths: only scratch calculations (dead
 				// at every block entry) are safe. Candidates: the taken
 				// target and the fallthrough block.
-				var cands []*mblock
-				if t := byLabel[c.targetLabel]; t != nil {
-					cands = append(cands, t)
-				}
+				var cands [2]*mblock
+				cands[0] = byLabel[c.targetLabel]
 				if bi+1 < len(bg.blocks) {
-					cands = append(cands, bg.blocks[bi+1])
+					cands[1] = bg.blocks[bi+1]
 				}
 				for _, s := range cands {
-					if len(s.irb.Preds) != 1 || s.irb.Preds[0] != blk.irb {
+					if s == nil || len(s.irb.Preds) != 1 || s.irb.Preds[0] != blk.irb {
 						continue
 					}
 					if p := headCalc(s, true); p != nil {
@@ -151,6 +149,11 @@ func headCalc(blk *mblock, scratchOnly bool) *mins {
 // flatten converts the block list into a linkable function.
 func (bg *brmGen) flatten() *isa.Function {
 	out := isa.NewFunction(bg.f.Name, isa.BranchReg)
+	n := 0
+	for _, blk := range bg.blocks {
+		n += len(blk.ins)
+	}
+	out.Code = make([]isa.Instr, 0, n)
 	for _, blk := range bg.blocks {
 		out.Bind(blk.irb.Label)
 		for _, m := range blk.ins {

@@ -1,15 +1,20 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BuildCFG recomputes successor/predecessor edges from block terminators.
 // Every block must end in a terminator and every branch target must name an
 // existing block.
 func (f *Func) BuildCFG() error {
-	f.blockByLabel = map[string]*Block{}
+	if f.blockByLabel == nil {
+		f.blockByLabel = make(map[string]*Block, len(f.Blocks))
+	} else {
+		clear(f.blockByLabel)
+	}
 	for i, b := range f.Blocks {
 		b.Index = i
 		f.blockByLabel[b.Label] = b
@@ -58,41 +63,54 @@ func (f *Func) BuildCFG() error {
 	return nil
 }
 
-// numberRPO assigns reverse-postorder numbers from the entry.
+// numberRPO assigns reverse-postorder numbers from the entry; blocks the
+// entry does not reach get -1.
 func (f *Func) numberRPO() {
 	for _, b := range f.Blocks {
 		b.RPO = -1
 	}
-	var order []*Block
-	seen := map[*Block]bool{}
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		seen[b] = true
-		for _, s := range b.Succs {
-			if !seen[s] {
-				dfs(s)
-			}
+	if len(f.Blocks) == 0 {
+		return
+	}
+	// Number in postorder first, with -2 marking a block on the DFS
+	// path, then flip the postorder numbers into reverse postorder.
+	n := postorder(f.Entry(), 0)
+	for _, b := range f.Blocks {
+		if b.RPO >= 0 {
+			b.RPO = n - 1 - b.RPO
 		}
-		order = append(order, b)
 	}
-	if len(f.Blocks) > 0 {
-		dfs(f.Entry())
+}
+
+// postorder numbers the blocks reachable from b that are still unvisited
+// (RPO -1) in depth-first postorder, starting at next, and returns the
+// next unused number.
+func postorder(b *Block, next int) int {
+	b.RPO = -2
+	for _, s := range b.Succs {
+		if s.RPO == -1 {
+			next = postorder(s, next)
+		}
 	}
-	n := len(order)
-	for i, b := range order {
-		b.RPO = n - 1 - i
-	}
+	b.RPO = next
+	return next + 1
 }
 
 // RPOBlocks returns reachable blocks in reverse postorder.
 func (f *Func) RPOBlocks() []*Block {
-	var out []*Block
+	n := 0
 	for _, b := range f.Blocks {
 		if b.RPO >= 0 {
-			out = append(out, b)
+			n++
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].RPO < out[j].RPO })
+	// Reachable blocks hold exactly the numbers 0..n-1.
+	out := make([]*Block, n)
+	for _, b := range f.Blocks {
+		if b.RPO >= 0 {
+			out[b.RPO] = b
+		}
+	}
 	return out
 }
 
@@ -173,7 +191,8 @@ func (f *Func) FindLoops() {
 		b.Depth = 0
 		b.InLoop = nil
 	}
-	byHeader := map[*Block]*Loop{}
+	byHeader := make([]*Loop, len(f.Blocks)) // indexed by Block.Index
+	var stack []*Block
 	for _, b := range f.Blocks {
 		if b.RPO < 0 {
 			continue
@@ -183,14 +202,14 @@ func (f *Func) FindLoops() {
 				continue
 			}
 			// back edge b -> s
-			l := byHeader[s]
+			l := byHeader[s.Index]
 			if l == nil {
 				l = &Loop{Header: s, Blocks: map[*Block]bool{s: true}}
-				byHeader[s] = l
+				byHeader[s.Index] = l
 				f.Loops = append(f.Loops, l)
 			}
 			// Walk predecessors backward from the tail.
-			stack := []*Block{b}
+			stack = append(stack[:0], b)
 			for len(stack) > 0 {
 				x := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -205,11 +224,12 @@ func (f *Func) FindLoops() {
 		}
 	}
 	// Sort loops by size descending so parents precede children.
-	sort.Slice(f.Loops, func(i, j int) bool {
-		if len(f.Loops[i].Blocks) != len(f.Loops[j].Blocks) {
-			return len(f.Loops[i].Blocks) > len(f.Loops[j].Blocks)
+	// Headers are distinct, so the order is total.
+	slices.SortFunc(f.Loops, func(a, b *Loop) int {
+		if len(a.Blocks) != len(b.Blocks) {
+			return cmp.Compare(len(b.Blocks), len(a.Blocks))
 		}
-		return f.Loops[i].Header.Index < f.Loops[j].Header.Index
+		return cmp.Compare(a.Header.Index, b.Header.Index)
 	})
 	// Nesting: a loop's parent is the smallest strictly-containing loop.
 	// Loops are sorted by size descending, so scanning backward from i-1
@@ -269,14 +289,17 @@ func pow10(n int) int64 {
 // findPreheader returns the unique out-of-loop predecessor of the header
 // whose only successor is the header, or nil if none exists.
 func (f *Func) findPreheader(l *Loop) *Block {
-	var outside []*Block
+	var outside *Block
 	for _, p := range l.Header.Preds {
 		if !l.Blocks[p] {
-			outside = append(outside, p)
+			if outside != nil {
+				return nil
+			}
+			outside = p
 		}
 	}
-	if len(outside) == 1 && len(outside[0].Succs) == 1 {
-		return outside[0]
+	if outside != nil && len(outside.Succs) == 1 {
+		return outside
 	}
 	return nil
 }

@@ -303,7 +303,7 @@ func TestRegSetUnion(t *testing.T) {
 		for _, y := range ys {
 			b.Add(Reg(y))
 		}
-		u := a.Clone()
+		u := append(RegSet(nil), a...)
 		u.UnionWith(b)
 		for _, x := range xs {
 			if !u.Has(Reg(x)) {

@@ -140,13 +140,6 @@ func (s RegSet) UnionWith(t RegSet) bool {
 	return changed
 }
 
-// Clone copies the set.
-func (s RegSet) Clone() RegSet {
-	c := make(RegSet, len(s))
-	copy(c, s)
-	return c
-}
-
 // Count returns the number of members.
 func (s RegSet) Count() int {
 	n := 0
@@ -165,21 +158,23 @@ type Liveness struct {
 }
 
 // ComputeLiveness computes live-in/out sets for the integer and float vreg
-// classes via the standard backward dataflow iteration.
+// classes via the standard backward dataflow iteration. Every set of one
+// class is carved from a single backing array (capacity-limited, so no
+// two sets share a word), which keeps the analysis at a handful of
+// allocations however many blocks and iterations it takes.
 func (f *Func) ComputeLiveness() (intLive, floatLive *Liveness) {
 	n := len(f.Blocks)
-	intLive = &Liveness{In: make([]RegSet, n), Out: make([]RegSet, n)}
-	floatLive = &Liveness{In: make([]RegSet, n), Out: make([]RegSet, n)}
-	useI := make([]RegSet, n)
-	defI := make([]RegSet, n)
-	useF := make([]RegSet, n)
-	defF := make([]RegSet, n)
+	wi, wf := (f.NumInt+63)/64, (f.NumFloat+63)/64
+	// Per class: in, out, use and def for every block.
+	sets := make([]RegSet, 8*n)
+	carve(sets[:4*n], make(RegSet, 4*n*wi), wi)
+	carve(sets[4*n:], make(RegSet, 4*n*wf), wf)
+	intLive = &Liveness{In: sets[0:n:n], Out: sets[n : 2*n : 2*n]}
+	useI, defI := sets[2*n:3*n], sets[3*n:4*n]
+	floatLive = &Liveness{In: sets[4*n : 5*n : 5*n], Out: sets[5*n : 6*n : 6*n]}
+	useF, defF := sets[6*n:7*n], sets[7*n:]
 	var ibuf, fbuf []Reg
 	for i, b := range f.Blocks {
-		useI[i], defI[i] = NewRegSet(f.NumInt), NewRegSet(f.NumInt)
-		useF[i], defF[i] = NewRegSet(f.NumFloat), NewRegSet(f.NumFloat)
-		intLive.In[i], intLive.Out[i] = NewRegSet(f.NumInt), NewRegSet(f.NumInt)
-		floatLive.In[i], floatLive.Out[i] = NewRegSet(f.NumFloat), NewRegSet(f.NumFloat)
 		for j := range b.Ins {
 			in := &b.Ins[j]
 			ibuf, fbuf = in.Uses(ibuf[:0], fbuf[:0])
@@ -215,24 +210,34 @@ func (f *Func) ComputeLiveness() (intLive, floatLive *Liveness) {
 					changed = true
 				}
 			}
-			// in = use ∪ (out - def)
-			newInI := intLive.Out[i].Clone()
-			for w := range newInI {
-				newInI[w] &^= defI[i][w]
-				newInI[w] |= useI[i][w]
-			}
-			if intLive.In[i].UnionWith(newInI) {
+			if flowIn(intLive.In[i], intLive.Out[i], useI[i], defI[i]) {
 				changed = true
 			}
-			newInF := floatLive.Out[i].Clone()
-			for w := range newInF {
-				newInF[w] &^= defF[i][w]
-				newInF[w] |= useF[i][w]
-			}
-			if floatLive.In[i].UnionWith(newInF) {
+			if flowIn(floatLive.In[i], floatLive.Out[i], useF[i], defF[i]) {
 				changed = true
 			}
 		}
 	}
 	return intLive, floatLive
+}
+
+// carve splits words into len(dst) sets of w words each, capping every
+// set's capacity at its own words.
+func carve(dst []RegSet, words RegSet, w int) {
+	for i := range dst {
+		dst[i] = words[i*w : (i+1)*w : (i+1)*w]
+	}
+}
+
+// flowIn adds use ∪ (out − def) to in word by word, reporting whether in
+// changed.
+func flowIn(in, out, use, def RegSet) bool {
+	changed := false
+	for w := range in {
+		if v := use[w] | out[w]&^def[w]; v&^in[w] != 0 {
+			in[w] |= v
+			changed = true
+		}
+	}
+	return changed
 }

@@ -119,7 +119,8 @@ func (f *Func) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("ir: %s: no blocks", f.Name)
 	}
-	seen := map[string]bool{}
+	seen := make(map[string]bool, len(f.Blocks))
+	var ibuf, fbuf []Reg
 	for _, b := range f.Blocks {
 		if seen[b.Label] {
 			return fmt.Errorf("ir: %s: duplicate label %s", f.Name, b.Label)
@@ -134,8 +135,7 @@ func (f *Func) Verify() error {
 				return fmt.Errorf("ir: %s: block %s: terminator in middle or missing at end (ins %d: %s)",
 					f.Name, b.Label, i, in)
 			}
-			var ibuf, fbuf []Reg
-			ibuf, fbuf = in.Uses(ibuf, fbuf)
+			ibuf, fbuf = in.Uses(ibuf[:0], fbuf[:0])
 			di, df := in.Defs()
 			if di != None {
 				ibuf = append(ibuf, di)

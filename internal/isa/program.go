@@ -151,12 +151,13 @@ func IndexToAddr(i int) int32 { return TextBase + int32(i)*WordSize }
 // addresses). Function-local labels are qualified as "func.label" in the
 // global symbol table; bare function names resolve to their entry.
 func (p *Program) Link() error {
-	p.CodeSyms = map[string]int32{}
-	p.DataSyms = map[string]int32{}
-	p.FuncStarts = map[string]int{}
-	p.Text = p.Text[:0]
-	p.TextMeta = p.TextMeta[:0]
-	p.FuncOfPC = p.FuncOfPC[:0]
+	nsyms := len(p.Funcs)
+	for _, f := range p.Funcs {
+		nsyms += len(f.Labels)
+	}
+	p.CodeSyms = make(map[string]int32, nsyms)
+	p.DataSyms = make(map[string]int32, len(p.Data))
+	p.FuncStarts = make(map[string]int, len(p.Funcs))
 
 	// Pass 1: assign addresses.
 	idx := 0
@@ -258,7 +259,11 @@ func (p *Program) Link() error {
 	}
 	p.DataImage = img
 
-	// Pass 2: resolve instruction targets and flatten.
+	// Pass 2: resolve instruction targets and flatten into slices pass 1
+	// sized (idx counts every instruction and padding noop).
+	p.Text = make([]Instr, 0, idx)
+	p.TextMeta = make([]InstrMeta, 0, idx)
+	p.FuncOfPC = make([]string, 0, idx)
 	for _, f := range p.Funcs {
 		for i := 0; i < pad[f.Name]; i++ {
 			here := IndexToAddr(len(p.Text))

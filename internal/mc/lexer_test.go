@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -173,5 +175,22 @@ func TestParserRobustness(t *testing.T) {
 		"int a[99999999];", "void v; int f(void){return v;}",
 	} {
 		_, _ = Compile(src)
+	}
+}
+
+// TestTokenizeSizesForTokensNotBytes: Tokenize sizes its token slice from
+// the source length, but a large source that is nearly all comment must
+// not make it allocate tens of bytes per source byte up front.
+func TestTokenizeSizesForTokensNotBytes(t *testing.T) {
+	src := "/*" + strings.Repeat("x", 1<<20) + "*/ a"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	toks := lex(t, src)
+	runtime.ReadMemStats(&after)
+	if len(toks) != 2 {
+		t.Fatalf("got %d tokens, want 2", len(toks))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("tokenizing a 1 MiB comment allocated %d bytes", got)
 	}
 }

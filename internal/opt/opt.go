@@ -8,6 +8,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 
 	"branchreg/internal/ir"
 )
@@ -90,8 +91,9 @@ func RunUnit(u *ir.Unit, o Options) error {
 
 func foldConstants(f *ir.Func) bool {
 	changed := false
+	known := map[ir.Reg]int32{}
 	for _, b := range f.Blocks {
-		known := map[ir.Reg]int32{}
+		clear(known)
 		for i := range b.Ins {
 			in := &b.Ins[i]
 			// Propagate a known-constant B operand into the immediate field.
@@ -206,9 +208,11 @@ func holdsInt(c ir.Cond, a, b int32) bool {
 
 func copyProp(f *ir.Func) bool {
 	changed := false
+	copyOfI := map[ir.Reg]ir.Reg{}
+	copyOfF := map[ir.Reg]ir.Reg{}
 	for _, b := range f.Blocks {
-		copyOfI := map[ir.Reg]ir.Reg{}
-		copyOfF := map[ir.Reg]ir.Reg{}
+		clear(copyOfI)
+		clear(copyOfF)
 		resolveI := func(r ir.Reg) ir.Reg {
 			if s, ok := copyOfI[r]; ok {
 				return s
@@ -302,9 +306,12 @@ type cseKey struct {
 
 func localCSE(f *ir.Func) bool {
 	changed := false
+	avail := map[cseKey]*ir.Ins{}
+	var loads []cseKey // keys of loads, invalidated by stores/calls
+	var is, fs []ir.Reg
 	for _, b := range f.Blocks {
-		avail := map[cseKey]*ir.Ins{}
-		var loads []cseKey // keys of loads, invalidated by stores/calls
+		clear(avail)
+		loads = loads[:0]
 		for i := range b.Ins {
 			in := &b.Ins[i]
 			switch in.Kind {
@@ -326,8 +333,7 @@ func localCSE(f *ir.Func) bool {
 				fb: ir.None, imm: in.Imm, fimm: in.FImm, useImm: in.UseImm,
 				cond: in.Cond, sym: in.Sym, slot: in.Slot, off: in.Off,
 				size: in.Size}
-			var is, fs []ir.Reg
-			is, fs = in.Uses(is, fs)
+			is, fs = in.Uses(is[:0], fs[:0])
 			if len(is) > 0 {
 				k.a = is[0]
 			}
@@ -424,13 +430,18 @@ func deadCode(f *ir.Func) bool {
 		return false
 	}
 	intLive, fltLive := f.ComputeLiveness()
+	liveI, liveF := ir.NewRegSet(f.NumInt), ir.NewRegSet(f.NumFloat)
+	var is, fs []ir.Reg
 	changed := false
 	for bi, b := range f.Blocks {
-		liveI := intLive.Out[bi].Clone()
-		liveF := fltLive.Out[bi].Clone()
-		var keep []ir.Ins
+		copy(liveI, intLive.Out[bi])
+		copy(liveF, fltLive.Out[bi])
+		// Walk backward, packing kept instructions against the block's
+		// end (the write index never passes the read index), then slide
+		// them to the front and clear the vacated tail.
+		w := len(b.Ins)
 		for i := len(b.Ins) - 1; i >= 0; i-- {
-			in := b.Ins[i]
+			in := &b.Ins[i]
 			di, df := in.Defs()
 			dead := pure(in.Kind) &&
 				(di == ir.None || !liveI.Has(di)) &&
@@ -446,21 +457,23 @@ func deadCode(f *ir.Func) bool {
 			if df != ir.None {
 				liveF.Remove(df)
 			}
-			var is, fs []ir.Reg
-			is, fs = in.Uses(is, fs)
+			is, fs = in.Uses(is[:0], fs[:0])
 			for _, r := range is {
 				liveI.Add(r)
 			}
 			for _, r := range fs {
 				liveF.Add(r)
 			}
-			keep = append(keep, in)
+			w--
+			if w != i {
+				b.Ins[w] = *in
+			}
 		}
-		// reverse
-		for l, r := 0, len(keep)-1; l < r; l, r = l+1, r-1 {
-			keep[l], keep[r] = keep[r], keep[l]
+		if w > 0 {
+			n := copy(b.Ins, b.Ins[w:])
+			clear(b.Ins[n:])
+			b.Ins = b.Ins[:n]
 		}
-		b.Ins = keep
 	}
 	return changed
 }
@@ -507,10 +520,12 @@ func simplifyCFG(f *ir.Func) (bool, error) {
 			trampoline[b.Label] = b.Ins[0].Targets[0]
 		}
 	}
+	// Chains are short: a slice, reused across lookups, finds a cycle.
+	var seen []string
 	resolve := func(l string) string {
-		seen := map[string]bool{}
-		for trampoline[l] != "" && !seen[l] {
-			seen[l] = true
+		seen = seen[:0]
+		for trampoline[l] != "" && !slices.Contains(seen, l) {
+			seen = append(seen, l)
 			l = trampoline[l]
 		}
 		return l

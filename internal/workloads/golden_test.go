@@ -67,3 +67,57 @@ func TestGoldenOutputsPinned(t *testing.T) {
 		})
 	}
 }
+
+// goldenDigests pins the generated code itself, not only its output: the
+// first 8 bytes of each linked program's (*isa.Program).Digest() under
+// the default options, baseline then branch-register machine. A digest
+// covers every instruction's operational fields, the data image and the
+// function table, so a compiler change that alters any emitted
+// instruction fails here even when the program's output stays the same.
+// Regenerate by printing the prefixes this test computes, and only when a
+// change to the generated code is intended.
+var goldenDigests = map[string][2]string{
+	"cal":       {"891492dd6d958cb8", "9816b1599c13309d"},
+	"cb":        {"2d98ea36dbe81518", "44b19993a6d2ec2d"},
+	"compact":   {"13d6930d0ede2d5f", "9f10b0edb27b51ad"},
+	"diff":      {"66889ee8cc5ac9f1", "d59be4c3e4d7cd1f"},
+	"grep":      {"45ab99a04f842308", "50964bd603967ab6"},
+	"nroff":     {"ace447786fe29b81", "f0a45e7515e16b6e"},
+	"od":        {"4fb6d54370d47b03", "73537bf5f43c340b"},
+	"sed":       {"f9b2236495cebe45", "03b6e9739efbcae1"},
+	"sort":      {"22dbec9b69e73106", "b20594022e9522a2"},
+	"spline":    {"dbc99dc7dc12be22", "5970153bee355d01"},
+	"tr":        {"63adce704aa95a4e", "9a0b711869d428c3"},
+	"wc":        {"95af6b0a6b027c3d", "d5875d7c1df1842d"},
+	"dhrystone": {"0b0baff6e1a16042", "69d1ee5c0c1aaff9"},
+	"matmult":   {"63bb118591cf0ffb", "8f93493e7b693554"},
+	"puzzle":    {"99db94fd5e1210b0", "414723ef5d893d19"},
+	"sieve":     {"cba91316aee6c605", "ec25e0ede4529ba2"},
+	"whetstone": {"e9d3c51eef220ead", "b9af14b1d3199e13"},
+	"mincost":   {"54807b4ee47d59e2", "1c082449341a2b37"},
+	"tinycc":    {"3a3666e7c51cbd91", "25550decc882aeff"},
+}
+
+func TestProgramDigestsPinned(t *testing.T) {
+	o := driver.DefaultOptions()
+	for _, w := range All() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			g, ok := goldenDigests[w.Name]
+			if !ok {
+				t.Fatalf("no golden digest for %s", w.Name)
+			}
+			for i, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
+				p, err := driver.Compile(context.Background(), w.FullSource(), kind, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := p.Digest()
+				if got := fmt.Sprintf("%x", sum[:8]); got != g[i] {
+					t.Errorf("%v: program digest %s, golden %s", kind, got, g[i])
+				}
+			}
+		})
+	}
+}
