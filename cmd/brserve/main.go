@@ -49,7 +49,7 @@ func main() {
 	drainWait := flag.Duration("drain", 30*time.Second, "max wait for in-flight jobs on shutdown")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive tier failures that open a circuit breaker (0 = default 3)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "quarantine before a breaker half-opens (0 = default 30s)")
-	shadowRate := flag.Int("shadow-rate", 0, "shadow-verify every Nth success per class (0 = default 32, negative = off)")
+	shadowRate := flag.Int("shadow-rate", 0, "shadow-verify every Nth success per class and every Nth class's first success (0 = default 32, negative = off)")
 	incidentCap := flag.Int("incident-cap", 0, "incidents retained for /v1/incidents (0 = default 256)")
 	chaosFlag := flag.String("chaos", "", `deterministic chaos plan, e.g. "seed=7,target=sieve,panic-every=1,panic-max=8"`)
 	flightCap := flag.Int("flight-cap", 0, "requests retained for /v1/debug/requests (0 = default 256)")

@@ -17,16 +17,24 @@ import (
 // experiment suite executes hundreds of runs across exp.Runner's worker
 // pool, so allocating a fresh image each time dominates the allocation
 // profile and keeps the garbage collector busy reclaiming identical
-// buffers. The pool recycles them; buffers are zeroed on release so a
-// pooled Get is indistinguishable from a fresh allocation.
+// buffers. The pool recycles them, and a released image is reset to
+// zeros, so a pooled Get is indistinguishable from a fresh allocation.
+//
+// A run writes a few pages of the image: its data segment and the top
+// of its stack. On Linux an image is therefore a private anonymous
+// mapping outside the Go heap, and the reset is one madvise(DONTNEED)
+// over it. The kernel drops just the pages the run touched, and the
+// next read of any of them faults in a zero page, so no emulator loop
+// needs a per-store check. Elsewhere, or when madvise fails, the reset
+// clears the whole image (pool_linux.go, pool_other.go).
 //
 // The pool is a mutex-guarded free list, not a sync.Pool: a sync.Pool is
 // emptied by garbage collections, and a server that collects often (a
 // bounded heap under a stream of distinct programs) would then allocate
 // a whole 4 MiB image after each one. The list keeps at most
 // memPoolSlack images per GOMAXPROCS, enough for every concurrent run
-// plus the shadow verifier's; extra releases are dropped to the
-// collector.
+// plus the shadow verifier's; an image released while the list is full
+// is unmapped. Nothing holds an image after releaseMem.
 var memPool struct {
 	mu   sync.Mutex
 	free [][]byte
@@ -47,21 +55,26 @@ func borrowMem() []byte {
 	}
 	memPool.mu.Unlock()
 	mPoolFresh.Inc()
-	return make([]byte, isa.MemBytes)
+	return newImage()
 }
 
-// releaseMem zeroes the buffer and returns it to the pool.
+// releaseMem resets the buffer to zeros and returns it to the pool, or
+// frees it when the pool is full.
 func releaseMem(b []byte) {
 	start := time.Now()
-	clear(b)
+	resetImage(b)
 	mPoolZeroNS.Observe(time.Since(start).Nanoseconds())
 	mPoolPuts.Inc()
 	limit := memPoolSlack * runtime.GOMAXPROCS(0)
 	memPool.mu.Lock()
 	if len(memPool.free) < limit {
 		memPool.free = append(memPool.free, b)
+		b = nil
 	}
 	memPool.mu.Unlock()
+	if b != nil {
+		freeImage(b)
+	}
 }
 
 // execute runs a linked program with pooled emulator memory under the

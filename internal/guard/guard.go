@@ -52,8 +52,9 @@ type Config struct {
 	Cooldown time.Duration
 	// ShadowRate samples every Nth successful execution of a class for
 	// background re-execution on the alternate engine (0 or negative
-	// disables shadowing). Sampling is a deterministic per-class counter,
-	// not a coin flip, so tests and smoke runs can predict it.
+	// disables shadowing), and every Nth class's first execution, so
+	// classes run only once are verified too. Sampling is a deterministic
+	// counter, not a coin flip, so tests and smoke runs can predict it.
 	ShadowRate int
 	// ShadowWorkers is the number of background verification goroutines
 	// (default 1: shadow work must trickle, not compete with serving).
@@ -141,6 +142,7 @@ type Supervisor struct {
 	mu       sync.Mutex
 	breakers map[breakerKey]*breaker // only pairs that failed since they last closed
 	shadowN  map[string]int64        // per-class sampled-execution counters
+	firstN   int64                   // first executions of classes, across classes
 
 	shadow *shadowPool
 }

@@ -262,6 +262,37 @@ func TestShadowCountersBounded(t *testing.T) {
 	}
 }
 
+// TestShadowSamplesFirstExecutions: classes that run once each are
+// sampled on a supervisor-wide count of first executions, so traffic in
+// which every program is new is verified too, while a repeated class
+// keeps its own cadence.
+func TestShadowSamplesFirstExecutions(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Exec: tierExec(nil), ShadowRate: 32, Metrics: reg})
+	defer s.Close()
+	ctx := context.Background()
+	class := func(i int) string { return fmt.Sprintf("src:%08x/baseline", i) }
+	for i := 0; i < 64; i++ {
+		if _, err := s.Exec(ctx, class(i), driver.Request{Loop: emu.LoopAuto}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := counter(reg, "guard.shadow.sampled"); n != 2 {
+		t.Errorf("guard.shadow.sampled = %d after 64 classes ran once at rate 32, want 2", n)
+	}
+	// The first class's 32nd execution is due on its own counter; its
+	// repeats do not move the first-execution count.
+	for i := 1; i < 32; i++ {
+		if _, err := s.Exec(ctx, class(0), driver.Request{Loop: emu.LoopAuto}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := counter(reg, "guard.shadow.sampled"); n != 3 {
+		t.Errorf("guard.shadow.sampled = %d after one class's 32nd execution, want 3", n)
+	}
+	waitFor(t, "shadow ok", func() bool { return counter(reg, "guard.shadow.ok") == 3 })
+}
+
 // TestBreakerProbeFailureReopens: a failed half-open probe restarts the
 // cooldown instead of closing.
 func TestBreakerProbeFailureReopens(t *testing.T) {

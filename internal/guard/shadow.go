@@ -110,11 +110,15 @@ func altTier(mode emu.LoopMode) (emu.LoopMode, bool) {
 const shadowClassCap = 4096
 
 // maybeShadow samples a successful execution for shadow verification.
-// Sampling is a deterministic per-class counter — every ShadowRate'th
-// execution of a class is sampled — so chaos smoke runs and tests can
-// predict exactly which executions are shadowed. Every Result the
-// supervisor sees is a real execution: brserve answers memo hits and
-// coalesced followers at admission, without calling Exec.
+// Sampling is deterministic, so chaos smoke runs and tests can predict
+// exactly which executions are shadowed: every ShadowRate'th execution
+// of a class is sampled, and so is a class's first execution when it
+// brings a supervisor-wide count of first executions to a multiple of
+// ShadowRate. The second rule reaches traffic in which every program is
+// new (a class run fewer than ShadowRate times is otherwise never
+// sampled); a class that repeats keeps its own cadence. Every Result
+// the supervisor sees is a real execution: brserve answers memo hits
+// and coalesced followers at admission, without calling Exec.
 func (s *Supervisor) maybeShadow(class string, req driver.Request, tier emu.LoopMode, res *driver.Result) bool {
 	if s.shadow == nil {
 		return false
@@ -123,12 +127,18 @@ func (s *Supervisor) maybeShadow(class string, req driver.Request, tier emu.Loop
 	if !ok {
 		return false
 	}
+	rate := int64(s.cfg.ShadowRate)
 	s.mu.Lock()
 	if _, ok := s.shadowN[class]; !ok && len(s.shadowN) >= shadowClassCap {
 		clear(s.shadowN)
 	}
-	s.shadowN[class]++
-	due := s.shadowN[class]%int64(s.cfg.ShadowRate) == 0
+	n := s.shadowN[class] + 1
+	s.shadowN[class] = n
+	due := n%rate == 0
+	if n == 1 {
+		s.firstN++
+		due = due || s.firstN%rate == 0
+	}
 	s.mu.Unlock()
 	if !due {
 		return false

@@ -9,13 +9,13 @@ import "fmt"
 // Reg is a virtual register number; negative means "none". Integer and
 // floating virtual registers are separate namespaces distinguished by
 // context (fields named F* hold float registers).
-type Reg int
+type Reg int32
 
 // None marks an absent register operand.
 const None Reg = -1
 
 // OpKind enumerates IR operations.
-type OpKind int
+type OpKind uint8
 
 const (
 	// Data movement and constants.
@@ -101,7 +101,7 @@ func (k OpKind) IsTerm() bool {
 func (k OpKind) IsBinALU() bool { return k >= OpAdd && k <= OpSra }
 
 // Cond mirrors isa conditions at the IR level.
-type Cond int
+type Cond uint8
 
 const (
 	CondNone Cond = iota
@@ -168,26 +168,29 @@ type SwitchCase struct {
 	Target string
 }
 
-// Ins is one IR instruction.
+// Ins is one IR instruction. Every block holds its instructions by
+// value, so the record is kept small: narrow kinds, 32-bit registers
+// and sizes, and the one-byte fields packed at the front (the size is
+// pinned by TestInsSize).
 type Ins struct {
-	Kind   OpKind
-	Dst    Reg // integer destination
-	FDst   Reg // float destination
-	A, B   Reg // integer sources
-	FA, FB Reg // float sources
-	Imm    int64
-	FImm   float64
-	UseImm bool
-	Cond   Cond
-	Sym    string // OpAddr data symbol / OpCall callee
-	Slot   int    // OpSlotAddr stack slot index
-	Off    int32  // OpLoad/OpStore displacement; OpAddr offset
-	Size   int    // memory operand size
-	Args   []Arg
-	Cases  []SwitchCase
+	Kind    OpKind
+	Cond    Cond
+	UseImm  bool
+	Builtin bool  // OpCall to a runtime builtin (trap)
+	Off     int32 // OpLoad/OpStore displacement; OpAddr offset
+	Slot    int32 // OpSlotAddr stack slot index
+	Size    int32 // memory operand size
+	Dst     Reg   // integer destination
+	FDst    Reg   // float destination
+	A, B    Reg   // integer sources
+	FA, FB  Reg   // float sources
+	Imm     int64
+	FImm    float64
+	Sym     string // OpAddr data symbol / OpCall callee
+	Args    []Arg
+	Cases   []SwitchCase
 	// Targets: OpJump {next}; OpBr/OpBrF {true, false}; OpSwitch {default}.
 	Targets []string
-	Builtin bool // OpCall to a runtime builtin (trap)
 }
 
 // Block is a basic block.

@@ -153,7 +153,7 @@ func (f *Func) Verify() error {
 					return fmt.Errorf("ir: %s: block %s: fv%d out of range (%d)", f.Name, b.Label, r, f.NumFloat)
 				}
 			}
-			if in.Kind == OpSlotAddr && (in.Slot < 0 || in.Slot >= len(f.Slots)) {
+			if in.Kind == OpSlotAddr && (in.Slot < 0 || int(in.Slot) >= len(f.Slots)) {
 				return fmt.Errorf("ir: %s: block %s: slot %d out of range", f.Name, b.Label, in.Slot)
 			}
 		}

@@ -307,7 +307,7 @@ func (m *Machine) execBlock(fr *frame, b *ir.Block) (next *ir.Block, ri int32, r
 			}
 		case ir.OpLoad:
 			addr := fr.ints[in.A] + in.Off
-			if err := m.checkAddr(f, addr, in.Size); err != nil {
+			if err := m.checkAddr(f, addr, int(in.Size)); err != nil {
 				return nil, 0, 0, false, err
 			}
 			if in.Size == 1 {
@@ -323,7 +323,7 @@ func (m *Machine) execBlock(fr *frame, b *ir.Block) (next *ir.Block, ri int32, r
 			fr.floats[in.FDst] = m.loadF(addr)
 		case ir.OpStore:
 			addr := fr.ints[in.A] + in.Off
-			if err := m.checkAddr(f, addr, in.Size); err != nil {
+			if err := m.checkAddr(f, addr, int(in.Size)); err != nil {
 				return nil, 0, 0, false, err
 			}
 			if in.Size == 1 {

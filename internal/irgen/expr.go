@@ -309,16 +309,12 @@ func (g *gen) binaryExpr(x *mc.Binary) (ir.Reg, bool, error) {
 			return ir.None, false, err
 		}
 		r, _ = g.convert(r, rf, rt, mc.FloatType)
-		kind := map[string]ir.OpKind{"+": ir.OpFAdd, "-": ir.OpFSub, "*": ir.OpFMul, "/": ir.OpFDiv}[x.Op]
+		kind := floatBinOp(x.Op)
 		d := g.f.NewFloatReg()
 		g.emit(ir.Ins{Kind: kind, FDst: d, FA: l, FB: r})
 		return d, true, nil
 	}
-	kind := map[string]ir.OpKind{
-		"+": ir.OpAdd, "-": ir.OpSub, "*": ir.OpMul, "/": ir.OpDiv,
-		"%": ir.OpRem, "&": ir.OpAnd, "|": ir.OpOr, "^": ir.OpXor,
-		"<<": ir.OpSll, ">>": ir.OpSra,
-	}[x.Op]
+	kind := intBinOp(x.Op)
 	d := g.f.NewIntReg()
 	// Fold a literal right operand into the immediate field.
 	if c, ok := x.R.(*mc.IntLit); ok {
@@ -567,7 +563,7 @@ func (g *gen) assignExpr(x *mc.Assign) (ir.Reg, bool, error) {
 			return ir.None, false, err
 		}
 		rv, _ = g.convert(rv, rf, x.R.Type(), mc.FloatType)
-		kind := map[string]ir.OpKind{"+": ir.OpFAdd, "-": ir.OpFSub, "*": ir.OpFMul, "/": ir.OpFDiv}[op]
+		kind := floatBinOp(op)
 		if kind == 0 && op != "+" {
 			return ir.None, false, fmt.Errorf("irgen: %s on float", x.Op)
 		}
@@ -576,11 +572,7 @@ func (g *gen) assignExpr(x *mc.Assign) (ir.Reg, bool, error) {
 		g.store(lv, d)
 		return d, true, nil
 	}
-	kind := map[string]ir.OpKind{
-		"+": ir.OpAdd, "-": ir.OpSub, "*": ir.OpMul, "/": ir.OpDiv,
-		"%": ir.OpRem, "&": ir.OpAnd, "|": ir.OpOr, "^": ir.OpXor,
-		"<<": ir.OpSll, ">>": ir.OpSra,
-	}[op]
+	kind := intBinOp(op)
 	d := g.f.NewIntReg()
 	if c, ok := x.R.(*mc.IntLit); ok {
 		g.emit(ir.Ins{Kind: kind, Dst: d, A: old, UseImm: true, Imm: int64(int32(c.Value))})
@@ -806,4 +798,47 @@ func (g *gen) condCompare(x *mc.Binary, tl, fl string) error {
 	g.emit(ir.Ins{Kind: ir.OpBr, A: l, B: r, Cond: cond, Targets: []string{tl, fl}})
 	g.startBlock(g.label())
 	return nil
+}
+
+// intBinOp maps an integer arithmetic operator to its IR operation; any
+// other spelling maps to the zero OpKind.
+func intBinOp(op string) ir.OpKind {
+	switch op {
+	case "+":
+		return ir.OpAdd
+	case "-":
+		return ir.OpSub
+	case "*":
+		return ir.OpMul
+	case "/":
+		return ir.OpDiv
+	case "%":
+		return ir.OpRem
+	case "&":
+		return ir.OpAnd
+	case "|":
+		return ir.OpOr
+	case "^":
+		return ir.OpXor
+	case "<<":
+		return ir.OpSll
+	case ">>":
+		return ir.OpSra
+	}
+	return 0
+}
+
+// floatBinOp is intBinOp for float operands.
+func floatBinOp(op string) ir.OpKind {
+	switch op {
+	case "+":
+		return ir.OpFAdd
+	case "-":
+		return ir.OpFSub
+	case "*":
+		return ir.OpFMul
+	case "/":
+		return ir.OpFDiv
+	}
+	return 0
 }

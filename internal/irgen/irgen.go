@@ -36,7 +36,7 @@ type gen struct {
 	cur       *ir.Block
 	nlabel    int
 	vregOf    map[*mc.Symbol]ir.Reg // scalar locals/params in vregs
-	slotOf    map[*mc.Symbol]int    // slot-allocated locals/params
+	slotOf    map[*mc.Symbol]int32  // slot-allocated locals/params
 	addrTaken map[*mc.Symbol]bool
 	breakTo   []string
 	contTo    []string
@@ -311,7 +311,7 @@ func (g *gen) lowerFunc(fn *mc.FuncDecl) (*ir.Func, error) {
 	g.f = ir.NewFunc(fn.Name)
 	g.nlabel = 0
 	g.vregOf = map[*mc.Symbol]ir.Reg{}
-	g.slotOf = map[*mc.Symbol]int{}
+	g.slotOf = map[*mc.Symbol]int32{}
 	g.addrTaken = map[*mc.Symbol]bool{}
 	g.breakTo, g.contTo = nil, nil
 	g.findAddrTaken(fn.Body)
@@ -408,9 +408,9 @@ func (g *gen) label() string {
 	return fmt.Sprintf("L%d", g.nlabel)
 }
 
-func (g *gen) newSlot(name string, size, align int32) int {
+func (g *gen) newSlot(name string, size, align int32) int32 {
 	g.f.Slots = append(g.f.Slots, ir.SlotInfo{Name: name, Size: size, Align: align})
-	return len(g.f.Slots) - 1
+	return int32(len(g.f.Slots) - 1)
 }
 
 func (g *gen) emit(in ir.Ins) {
@@ -519,7 +519,7 @@ func (g *gen) findAddrTakenInit(init *mc.Initializer) {
 }
 
 // memSize maps a scalar type to its memory operand size.
-func memSize(t *mc.Type) int {
+func memSize(t *mc.Type) int32 {
 	switch t.Kind {
 	case mc.TChar:
 		return 1

@@ -105,7 +105,7 @@ func (g *gen) localDecl(d *mc.VarDecl) error {
 }
 
 // initSlot stores an initializer into a stack slot, element by element.
-func (g *gen) initSlot(slot int, t *mc.Type, init *mc.Initializer) error {
+func (g *gen) initSlot(slot int32, t *mc.Type, init *mc.Initializer) error {
 	base := g.f.NewIntReg()
 	g.emit(ir.Ins{Kind: ir.OpSlotAddr, Dst: base, Slot: slot})
 	return g.initMem(base, 0, t, init)

@@ -299,7 +299,7 @@ func encodeBRM(e *enc, in Instr) {
 // of Encode for every encodable instruction.
 func Decode(word uint32, k Kind) (Instr, error) {
 	op := Op(extract(word, 6, 26, false))
-	if op < 0 || op >= NumOps {
+	if op >= NumOps {
 		return Instr{}, fmt.Errorf("isa: bad opcode %d", op)
 	}
 	if k == Baseline {

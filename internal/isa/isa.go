@@ -103,7 +103,7 @@ const (
 )
 
 // Cond is a comparison condition used by compares and branches.
-type Cond int
+type Cond uint8
 
 const (
 	CondNone Cond = iota

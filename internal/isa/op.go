@@ -8,7 +8,7 @@ import "fmt"
 // indirect-jump instructions while the BRM has compare-with-assignment,
 // branch-target-address calculation, and branch-register moves, with the
 // transfer of control itself carried by the BR field of any instruction.
-type Op int
+type Op uint8
 
 const (
 	OpNop Op = iota
@@ -170,24 +170,28 @@ func (op Op) IsBRMOnly() bool { return op >= OpBrCalc && op <= OpMovBR }
 // On the BRM every instruction additionally carries BR, the branch-register
 // field: BR == 0 (the PC) means "next sequential instruction", while BR != 0
 // makes this instruction a transfer of control through b[BR] (paper §3).
+//
+// Functions and linked programs hold their instructions by value, so the
+// one-byte fields sit together ahead of Imm (the size is pinned by
+// TestInstrSize).
 type Instr struct {
 	Op     Op
-	Cond   Cond  // OpCmp/OpFcmp/OpB/OpCmpBr/OpFCmpBr
-	Rd     int   // destination register (data, FP or branch file by Op)
-	Rs1    int   // first source (or < 0 when unused)
-	Rs2    int   // second source register (when !UseImm)
-	Imm    int32 // immediate / displacement (when UseImm)
-	UseImm bool  // the encodings' i bit
-	BR     int   // BRM next-instruction branch register field
-	BSrc   int   // BRM source branch register (OpCmpBr taken path, moves)
+	Cond   Cond // OpCmp/OpFcmp/OpB/OpCmpBr/OpFCmpBr
+	UseImm bool // the encodings' i bit
+	// Lo marks the low-part half of a split address materialization.
+	Lo   bool
+	Imm  int32 // immediate / displacement (when UseImm)
+	Rd   int   // destination register (data, FP or branch file by Op)
+	Rs1  int   // first source (or < 0 when unused)
+	Rs2  int   // second source register (when !UseImm)
+	BR   int   // BRM next-instruction branch register field
+	BSrc int   // BRM source branch register (OpCmpBr taken path, moves)
 
 	// Target carries a symbolic code label for OpB/OpCall/OpBrCalc until
 	// the assembler resolves it into Imm. DataTarget likewise names a data
 	// symbol whose address is materialized by sethi/lo pairs.
 	Target     string
 	DataTarget string
-	// Lo marks the low-part half of a split address materialization.
-	Lo bool
 
 	Comment string
 }

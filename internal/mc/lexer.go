@@ -84,12 +84,45 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
-// multi-character punctuation, longest first.
-var puncts = []string{
-	"<<=", ">>=", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--", "->",
-	"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
-	"(", ")", "{", "}", "[", "]", ";", ",", "?", ":", ".",
+// punctLen returns the length of the punctuator that starts rest, or 0
+// if none does. It picks by the first byte and takes the longest match
+// (maximal munch: "<<=" over "<<" over "<", "->" over "-").
+func punctLen(rest string) int {
+	var c1, c2 byte
+	if len(rest) > 1 {
+		c1 = rest[1]
+	}
+	if len(rest) > 2 {
+		c2 = rest[2]
+	}
+	switch c := rest[0]; c {
+	case '<', '>':
+		switch {
+		case c1 == c && c2 == '=':
+			return 3
+		case c1 == c || c1 == '=':
+			return 2
+		}
+		return 1
+	case '=', '!', '*', '/', '%', '^':
+		if c1 == '=' {
+			return 2
+		}
+		return 1
+	case '&', '|', '+':
+		if c1 == c || c1 == '=' {
+			return 2
+		}
+		return 1
+	case '-':
+		if c1 == '-' || c1 == '=' || c1 == '>' {
+			return 2
+		}
+		return 1
+	case '~', '(', ')', '{', '}', '[', ']', ';', ',', '?', ':', '.':
+		return 1
+	}
+	return 0
 }
 
 // Next returns the next token.
@@ -99,7 +132,7 @@ func (l *Lexer) Next() (Token, error) {
 	}
 	line, col := l.line, l.col
 	if l.pos >= len(l.src) {
-		return Token{Kind: TokEOF, Line: line, Col: col}, nil
+		return Token{Kind: TokEOF, Line: int32(line), Col: int32(col)}, nil
 	}
 	c := l.peek()
 	switch {
@@ -113,7 +146,7 @@ func (l *Lexer) Next() (Token, error) {
 		if keywords[text] {
 			kind = TokKeyword
 		}
-		return Token{Kind: kind, Text: text, Line: line, Col: col}, nil
+		return Token{Kind: kind, Text: text, Line: int32(line), Col: int32(col)}, nil
 
 	case isDigit(c) || (c == '.' && isDigit(l.peek2())):
 		return l.lexNumber(line, col)
@@ -124,14 +157,12 @@ func (l *Lexer) Next() (Token, error) {
 	case c == '"':
 		return l.lexString(line, col)
 	}
-	rest := l.src[l.pos:]
-	for _, p := range puncts {
-		if strings.HasPrefix(rest, p) {
-			for range p {
-				l.advance()
-			}
-			return Token{Kind: TokPunct, Text: p, Line: line, Col: col}, nil
-		}
+	if n := punctLen(l.src[l.pos:]); n > 0 {
+		// No punctuator spans a newline.
+		start := l.pos
+		l.pos += n
+		l.col += n
+		return Token{Kind: TokPunct, Text: l.src[start:l.pos], Line: int32(line), Col: int32(col)}, nil
 	}
 	return Token{}, errAt(line, col, "unexpected character %q", c)
 }
@@ -148,7 +179,7 @@ func (l *Lexer) lexNumber(line, col int) (Token, error) {
 		if err != nil {
 			return Token{}, errAt(line, col, "bad hex literal %q", l.src[start:l.pos])
 		}
-		return Token{Kind: TokInt, Int: v, Line: line, Col: col}, nil
+		return Token{Kind: TokInt, Int: v, Line: int32(line), Col: int32(col)}, nil
 	}
 	isFloat := false
 	for l.pos < len(l.src) && isDigit(l.peek()) {
@@ -185,13 +216,13 @@ func (l *Lexer) lexNumber(line, col int) (Token, error) {
 		if err != nil {
 			return Token{}, errAt(line, col, "bad float literal %q", text)
 		}
-		return Token{Kind: TokFloat, Flt: v, Line: line, Col: col}, nil
+		return Token{Kind: TokFloat, Flt: v, Line: int32(line), Col: int32(col)}, nil
 	}
 	v, err := strconv.ParseInt(text, 10, 64)
 	if err != nil {
 		return Token{}, errAt(line, col, "bad integer literal %q", text)
 	}
-	return Token{Kind: TokInt, Int: v, Line: line, Col: col}, nil
+	return Token{Kind: TokInt, Int: v, Line: int32(line), Col: int32(col)}, nil
 }
 
 func isHexDigit(c byte) bool {
@@ -241,7 +272,7 @@ func (l *Lexer) lexChar(line, col int) (Token, error) {
 	if l.pos >= len(l.src) || l.advance() != '\'' {
 		return Token{}, errAt(line, col, "unterminated character literal")
 	}
-	return Token{Kind: TokChar, Int: int64(v), Line: line, Col: col}, nil
+	return Token{Kind: TokChar, Int: int64(v), Line: int32(line), Col: int32(col)}, nil
 }
 
 func (l *Lexer) lexString(line, col int) (Token, error) {
@@ -265,7 +296,7 @@ func (l *Lexer) lexString(line, col int) (Token, error) {
 		}
 		b.WriteByte(c)
 	}
-	return Token{Kind: TokString, Str: b.String(), Line: line, Col: col}, nil
+	return Token{Kind: TokString, Str: b.String(), Line: int32(line), Col: int32(col)}, nil
 }
 
 // Tokenize lexes the whole input.
@@ -276,7 +307,7 @@ func Tokenize(src string) ([]Token, error) {
 	// holds the tokens of almost every program in one allocation; a
 	// denser source grows the slice as usual. The guess stops at 16K
 	// tokens (about 1 MiB), so a large source that is mostly comment
-	// cannot make it allocate 36 bytes per source byte up front.
+	// cannot make it allocate 32 bytes per source byte up front.
 	out := make([]Token, 0, min(len(src)/2, 1<<14)+1)
 	for {
 		t, err := l.Next()

@@ -87,12 +87,46 @@ func TestLexComments(t *testing.T) {
 	}
 }
 
+// TestLexPunctuationMaximalMunch: each punctuator lexes as one token on
+// its own, and runs of punctuation split by maximal munch.
 func TestLexPunctuationMaximalMunch(t *testing.T) {
 	toks := lex(t, "a<<=b >>= << >> <= >= == != ++ -- && ||")
 	want := []string{"a", "<<=", "b", ">>=", "<<", ">>", "<=", ">=", "==", "!=", "++", "--", "&&", "||"}
 	for i, w := range want {
 		if toks[i].Text != w {
 			t.Errorf("token %d = %q, want %q", i, toks[i].Text, w)
+		}
+	}
+	for _, p := range []string{
+		"<<=", ">>=", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+		"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--", "->",
+		"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
+		"(", ")", "{", "}", "[", "]", ";", ",", "?", ":", ".",
+	} {
+		toks := lex(t, p)
+		if len(toks) != 2 || toks[0].Kind != TokPunct || toks[0].Text != p || toks[1].Kind != TokEOF {
+			t.Errorf("Tokenize(%q) = %v, want one punctuator", p, toks)
+		}
+	}
+	for src, want := range map[string][]string{
+		"->":    {"->"},
+		"a--b":  {"a", "--", "b"},
+		"x<<=1": {"x", "<<=", "1"},
+		"a&&&b": {"a", "&&", "&", "b"},
+		"!==":   {"!=", "="},
+		"p->q":  {"p", "->", "q"},
+		"a>>>b": {"a", ">>", ">", "b"},
+		"<<<=":  {"<<", "<="},
+		"+++=":  {"++", "+="},
+		"a-->b": {"a", "--", ">", "b"},
+	} {
+		toks := lex(t, src)
+		var got []string
+		for _, tk := range toks[:len(toks)-1] {
+			got = append(got, tk.String())
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("Tokenize(%q) = %q, want %q", src, got, want)
 		}
 	}
 }

@@ -46,12 +46,12 @@ func (p *Parser) expect(kind TokKind, text string) (Token, error) {
 	if want == "" {
 		want = fmt.Sprintf("token kind %d", kind)
 	}
-	return t, errAt(t.Line, t.Col, "expected %q, found %s", want, t)
+	return t, errAt(int(t.Line), int(t.Col), "expected %q, found %s", want, t)
 }
 
 func (p *Parser) errHere(format string, args ...interface{}) error {
 	t := p.cur()
-	return errAt(t.Line, t.Col, format, args...)
+	return errAt(int(t.Line), int(t.Col), format, args...)
 }
 
 // atTypeName reports whether the current token begins a type.
@@ -75,7 +75,7 @@ func (p *Parser) parseBaseType() (*Type, error) {
 	case "void":
 		return VoidType, nil
 	}
-	return nil, errAt(t.Line, t.Col, "expected type name, found %s", t)
+	return nil, errAt(int(t.Line), int(t.Col), "expected type name, found %s", t)
 }
 
 // parseUnit = { global-var | function }*
@@ -121,7 +121,7 @@ func (p *Parser) parseVarDeclRest(base, typ *Type, nameTok Token) ([]*VarDecl, e
 		if err != nil {
 			return nil, err
 		}
-		d := &VarDecl{pos: pos{nameTok.Line, nameTok.Col}, Name: nameTok.Text, Type: full}
+		d := &VarDecl{pos: nameTok.pos(), Name: nameTok.Text, Type: full}
 		if p.accept(TokPunct, "=") {
 			init, err := p.parseInitializer()
 			if err != nil {
@@ -156,7 +156,7 @@ func (p *Parser) parseArraySuffix(typ *Type) (*Type, error) {
 			return nil, err
 		}
 		if t.Int <= 0 {
-			return nil, errAt(t.Line, t.Col, "array size must be positive")
+			return nil, errAt(int(t.Line), int(t.Col), "array size must be positive")
 		}
 		dims = append(dims, int(t.Int))
 		if _, err := p.expect(TokPunct, "]"); err != nil {
@@ -172,7 +172,7 @@ func (p *Parser) parseArraySuffix(typ *Type) (*Type, error) {
 func (p *Parser) parseInitializer() (*Initializer, error) {
 	t := p.cur()
 	if p.accept(TokPunct, "{") {
-		init := &Initializer{pos: pos{t.Line, t.Col}}
+		init := &Initializer{pos: t.pos()}
 		for !p.atPunct("}") {
 			sub, err := p.parseInitializer()
 			if err != nil {
@@ -192,11 +192,11 @@ func (p *Parser) parseInitializer() (*Initializer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Initializer{pos: pos{t.Line, t.Col}, Expr: e}, nil
+	return &Initializer{pos: t.pos(), Expr: e}, nil
 }
 
 func (p *Parser) parseFuncRest(ret *Type, nameTok Token) (*FuncDecl, error) {
-	fn := &FuncDecl{pos: pos{nameTok.Line, nameTok.Col}, Name: nameTok.Text, Ret: ret}
+	fn := &FuncDecl{pos: nameTok.pos(), Name: nameTok.Text, Ret: ret}
 	if _, err := p.expect(TokPunct, "("); err != nil {
 		return nil, err
 	}
@@ -227,7 +227,7 @@ func (p *Parser) parseFuncRest(ret *Type, nameTok Token) (*FuncDecl, error) {
 					}
 					typ = PtrTo(typ)
 				}
-				fn.Params = append(fn.Params, &Param{pos: pos{pt.Line, pt.Col}, Name: pt.Text, Type: typ})
+				fn.Params = append(fn.Params, &Param{pos: pt.pos(), Name: pt.Text, Type: typ})
 				if !p.accept(TokPunct, ",") {
 					break
 				}
@@ -250,7 +250,7 @@ func (p *Parser) parseBlock() (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Block{pos: pos{t.Line, t.Col}}
+	b := &Block{pos: t.pos()}
 	for !p.atPunct("}") {
 		if p.at(TokEOF, "") {
 			return nil, p.errHere("unexpected end of input in block")
@@ -272,7 +272,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return p.parseBlock()
 	case p.atPunct(";"):
 		p.next()
-		return &Empty{pos{t.Line, t.Col}}, nil
+		return &Empty{t.pos()}, nil
 	case p.atTypeName():
 		return p.parseLocalDecl()
 	case p.atKeyword("if"):
@@ -290,16 +290,16 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(TokPunct, ";"); err != nil {
 			return nil, err
 		}
-		return &Break{pos{t.Line, t.Col}}, nil
+		return &Break{t.pos()}, nil
 	case p.atKeyword("continue"):
 		p.next()
 		if _, err := p.expect(TokPunct, ";"); err != nil {
 			return nil, err
 		}
-		return &Continue{pos{t.Line, t.Col}}, nil
+		return &Continue{t.pos()}, nil
 	case p.atKeyword("return"):
 		p.next()
-		r := &Return{pos: pos{t.Line, t.Col}}
+		r := &Return{pos: t.pos()}
 		if !p.atPunct(";") {
 			e, err := p.parseExpr()
 			if err != nil {
@@ -319,7 +319,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	if _, err := p.expect(TokPunct, ";"); err != nil {
 		return nil, err
 	}
-	return &ExprStmt{pos{t.Line, t.Col}, e}, nil
+	return &ExprStmt{t.pos(), e}, nil
 }
 
 func (p *Parser) parseLocalDecl() (Stmt, error) {
@@ -340,7 +340,7 @@ func (p *Parser) parseLocalDecl() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DeclStmt{pos{t.Line, t.Col}, decls}, nil
+	return &DeclStmt{t.pos(), decls}, nil
 }
 
 func (p *Parser) parseIf() (Stmt, error) {
@@ -359,7 +359,7 @@ func (p *Parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &If{pos: pos{t.Line, t.Col}, Cond: cond, Then: then}
+	s := &If{pos: t.pos(), Cond: cond, Then: then}
 	if p.accept(TokKeyword, "else") {
 		els, err := p.parseStmt()
 		if err != nil {
@@ -386,7 +386,7 @@ func (p *Parser) parseWhile() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &While{pos{t.Line, t.Col}, cond, body}, nil
+	return &While{t.pos(), cond, body}, nil
 }
 
 func (p *Parser) parseDoWhile() (Stmt, error) {
@@ -411,7 +411,7 @@ func (p *Parser) parseDoWhile() (Stmt, error) {
 	if _, err := p.expect(TokPunct, ";"); err != nil {
 		return nil, err
 	}
-	return &DoWhile{pos{t.Line, t.Col}, body, cond}, nil
+	return &DoWhile{t.pos(), body, cond}, nil
 }
 
 func (p *Parser) parseFor() (Stmt, error) {
@@ -419,7 +419,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if _, err := p.expect(TokPunct, "("); err != nil {
 		return nil, err
 	}
-	s := &For{pos: pos{t.Line, t.Col}}
+	s := &For{pos: t.pos()}
 	if !p.atPunct(";") {
 		if p.atTypeName() {
 			init, err := p.parseLocalDecl()
@@ -432,7 +432,7 @@ func (p *Parser) parseFor() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.Init = &ExprStmt{pos{t.Line, t.Col}, e}
+			s.Init = &ExprStmt{t.pos(), e}
 			if _, err := p.expect(TokPunct, ";"); err != nil {
 				return nil, err
 			}
@@ -483,12 +483,12 @@ func (p *Parser) parseSwitch() (Stmt, error) {
 	if _, err := p.expect(TokPunct, "{"); err != nil {
 		return nil, err
 	}
-	s := &Switch{pos: pos{t.Line, t.Col}, X: x}
+	s := &Switch{pos: t.pos(), X: x}
 	for !p.atPunct("}") {
 		ct := p.cur()
 		var c *Case
 		if p.accept(TokKeyword, "case") {
-			c = &Case{pos: pos{ct.Line, ct.Col}}
+			c = &Case{pos: ct.pos()}
 			neg := p.accept(TokPunct, "-")
 			vt := p.cur()
 			if vt.Kind != TokInt && vt.Kind != TokChar {
@@ -500,7 +500,7 @@ func (p *Parser) parseSwitch() (Stmt, error) {
 				c.Value = -c.Value
 			}
 		} else if p.accept(TokKeyword, "default") {
-			c = &Case{pos: pos{ct.Line, ct.Col}, IsDefault: true}
+			c = &Case{pos: ct.pos(), IsDefault: true}
 		} else {
 			return nil, p.errHere("expected case or default in switch")
 		}
@@ -541,7 +541,7 @@ func (p *Parser) parseAssign() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Assign{exprBase: exprBase{pos: pos{t.Line, t.Col}}, Op: t.Text, L: l, R: r}, nil
+		return &Assign{exprBase: exprBase{pos: t.pos()}, Op: t.Text, L: l, R: r}, nil
 	}
 	return l, nil
 }
@@ -564,53 +564,64 @@ func (p *Parser) parseTernary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &CondExpr{exprBase: exprBase{pos: pos{t.Line, t.Col}}, C: c, T: tv, F: fv}, nil
+		return &CondExpr{exprBase: exprBase{pos: t.pos()}, C: c, T: tv, F: fv}, nil
 	}
 	return c, nil
 }
 
-// binary operator precedence levels, lowest first.
-var binLevels = [][]string{
-	{"||"},
-	{"&&"},
-	{"|"},
-	{"^"},
-	{"&"},
-	{"==", "!="},
-	{"<", "<=", ">", ">="},
-	{"<<", ">>"},
-	{"+", "-"},
-	{"*", "/", "%"},
+// binPrec returns the precedence level of a binary operator, from 0
+// (||, the loosest) to 9 (* / %, the tightest), or -1 for any other
+// token.
+func binPrec(t *Token) int {
+	if t.Kind != TokPunct {
+		return -1
+	}
+	switch t.Text {
+	case "||":
+		return 0
+	case "&&":
+		return 1
+	case "|":
+		return 2
+	case "^":
+		return 3
+	case "&":
+		return 4
+	case "==", "!=":
+		return 5
+	case "<", "<=", ">", ">=":
+		return 6
+	case "<<", ">>":
+		return 7
+	case "+", "-":
+		return 8
+	case "*", "/", "%":
+		return 9
+	}
+	return -1
 }
 
-func (p *Parser) parseBinary(level int) (Expr, error) {
-	if level >= len(binLevels) {
-		return p.parseUnary()
-	}
-	l, err := p.parseBinary(level + 1)
+// parseBinary parses a binary expression whose operators all have
+// precedence minPrec or higher, by precedence climbing: an operator's
+// right operand takes only operators that bind tighter, so operators
+// of one level associate to the left.
+func (p *Parser) parseBinary(minPrec int) (Expr, error) {
+	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		t := p.cur()
-		matched := false
-		if t.Kind == TokPunct {
-			for _, op := range binLevels[level] {
-				if t.Text == op {
-					matched = true
-					break
-				}
-			}
-		}
-		if !matched {
+		t := &p.toks[p.pos]
+		prec := binPrec(t)
+		if prec < minPrec {
 			return l, nil
 		}
-		p.next()
-		r, err := p.parseBinary(level + 1)
+		p.pos++
+		r, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{exprBase: exprBase{pos: pos{t.Line, t.Col}}, Op: t.Text, L: l, R: r}
+		l = &Binary{exprBase: exprBase{pos: t.pos()}, Op: t.Text, L: l, R: r}
 	}
 }
 
@@ -627,7 +638,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 			if t.Text == "+" {
 				return x, nil
 			}
-			return &Unary{exprBase: exprBase{pos: pos{t.Line, t.Col}}, Op: t.Text, X: x}, nil
+			return &Unary{exprBase: exprBase{pos: t.pos()}, Op: t.Text, X: x}, nil
 		case "(":
 			// Cast or parenthesized expression.
 			if p.toks[p.pos+1].Kind == TokKeyword && keywordIsType(p.toks[p.pos+1].Text) {
@@ -647,7 +658,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &Cast{exprBase: exprBase{pos: pos{t.Line, t.Col}}, To: typ, X: x}, nil
+				return &Cast{exprBase: exprBase{pos: t.pos()}, To: typ, X: x}, nil
 			}
 		}
 	}
@@ -674,9 +685,9 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			if _, err := p.expect(TokPunct, "]"); err != nil {
 				return nil, err
 			}
-			x = &Index{exprBase: exprBase{pos: pos{t.Line, t.Col}}, X: x, I: i}
+			x = &Index{exprBase: exprBase{pos: t.pos()}, X: x, I: i}
 		case p.accept(TokPunct, "("):
-			call := &Call{exprBase: exprBase{pos: pos{t.Line, t.Col}}, Fun: x}
+			call := &Call{exprBase: exprBase{pos: t.pos()}, Fun: x}
 			for !p.atPunct(")") {
 				a, err := p.parseAssign()
 				if err != nil {
@@ -693,7 +704,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			x = call
 		case p.atPunct("++") || p.atPunct("--"):
 			p.next()
-			x = &Postfix{exprBase: exprBase{pos: pos{t.Line, t.Col}}, Op: t.Text, X: x}
+			x = &Postfix{exprBase: exprBase{pos: t.pos()}, Op: t.Text, X: x}
 		default:
 			return x, nil
 		}
@@ -705,19 +716,19 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch t.Kind {
 	case TokInt:
 		p.next()
-		return &IntLit{exprBase: exprBase{pos: pos{t.Line, t.Col}}, Value: t.Int}, nil
+		return &IntLit{exprBase: exprBase{pos: t.pos()}, Value: t.Int}, nil
 	case TokChar:
 		p.next()
-		return &IntLit{exprBase: exprBase{pos: pos{t.Line, t.Col}}, Value: t.Int}, nil
+		return &IntLit{exprBase: exprBase{pos: t.pos()}, Value: t.Int}, nil
 	case TokFloat:
 		p.next()
-		return &FloatLit{exprBase: exprBase{pos: pos{t.Line, t.Col}}, Value: t.Flt}, nil
+		return &FloatLit{exprBase: exprBase{pos: t.pos()}, Value: t.Flt}, nil
 	case TokString:
 		p.next()
-		return &StrLit{exprBase: exprBase{pos: pos{t.Line, t.Col}}, Value: t.Str}, nil
+		return &StrLit{exprBase: exprBase{pos: t.pos()}, Value: t.Str}, nil
 	case TokIdent:
 		p.next()
-		return &Ident{exprBase: exprBase{pos: pos{t.Line, t.Col}}, Name: t.Text}, nil
+		return &Ident{exprBase: exprBase{pos: t.pos()}, Name: t.Text}, nil
 	case TokPunct:
 		if t.Text == "(" {
 			p.next()

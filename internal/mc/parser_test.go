@@ -1,6 +1,9 @@
 package mc
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func parse(t *testing.T, src string) *Unit {
 	t.Helper()
@@ -99,6 +102,66 @@ func TestParsePrecedence(t *testing.T) {
 	if or.Op != "|" {
 		t.Errorf("right of && = %s", or.Op)
 	}
+	// Every ordered pair of binary operators: "a op1 b op2 c" groups by
+	// precedence, and operators of one level associate to the left
+	// (a - b - c is (a - b) - c).
+	for l1, ops1 := range precLevels {
+		for l2, ops2 := range precLevels {
+			for _, op1 := range ops1 {
+				for _, op2 := range ops2 {
+					src := fmt.Sprintf("int f(int a, int b, int c) { return a %s b %s c; }", op1, op2)
+					want := fmt.Sprintf("((a %s b) %s c)", op1, op2)
+					if l2 > l1 {
+						want = fmt.Sprintf("(a %s (b %s c))", op1, op2)
+					}
+					ret := parse(t, src).Funcs[0].Body.Stmts[0].(*Return)
+					if got := shape(ret.X); got != want {
+						t.Errorf("a %s b %s c parses as %s, want %s", op1, op2, got, want)
+					}
+				}
+			}
+		}
+	}
+	for src, want := range map[string]string{
+		"a - b - c":           "((a - b) - c)",
+		"a / b % c":           "((a / b) % c)",
+		"a << b >> c":         "((a << b) >> c)",
+		"a || b && c | d":     "(a || (b && (c | d)))",
+		"a + b * c - d / e":   "((a + (b * c)) - (d / e))",
+		"a == b < c << d + e": "(a == (b < (c << (d + e))))",
+	} {
+		u := parse(t, "int f(int a, int b, int c, int d, int e) { return "+src+"; }")
+		if got := shape(u.Funcs[0].Body.Stmts[0].(*Return).X); got != want {
+			t.Errorf("%s parses as %s, want %s", src, got, want)
+		}
+	}
+}
+
+// precLevels lists MC's binary operators by precedence, loosest first,
+// as C orders them.
+var precLevels = [][]string{
+	{"||"},
+	{"&&"},
+	{"|"},
+	{"^"},
+	{"&"},
+	{"==", "!="},
+	{"<", "<=", ">", ">="},
+	{"<<", ">>"},
+	{"+", "-"},
+	{"*", "/", "%"},
+}
+
+// shape renders an expression tree of identifiers and binary operators
+// with every binary node parenthesized.
+func shape(e Expr) string {
+	switch x := e.(type) {
+	case *Ident:
+		return x.Name
+	case *Binary:
+		return "(" + shape(x.L) + " " + x.Op + " " + shape(x.R) + ")"
+	}
+	return fmt.Sprintf("%T", e)
 }
 
 func TestParseUnaryAndPostfix(t *testing.T) {

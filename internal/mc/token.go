@@ -8,7 +8,7 @@ package mc
 import "fmt"
 
 // TokKind classifies tokens.
-type TokKind int
+type TokKind uint8
 
 const (
 	TokEOF TokKind = iota
@@ -21,16 +21,20 @@ const (
 	TokPunct
 )
 
-// Token is one lexical token with its source position.
+// Token is one lexical token with its source position. Tokenize holds
+// every token of a source at once, so the record is kept small (its size
+// is pinned by TestTokenSize).
 type Token struct {
 	Kind TokKind
 	Text string  // identifier, keyword, or punctuation spelling
 	Int  int64   // TokInt / TokChar value
 	Flt  float64 // TokFloat value
 	Str  string  // TokString decoded contents
-	Line int
-	Col  int
+	Line int32
+	Col  int32
 }
+
+func (t Token) pos() pos { return pos{int(t.Line), int(t.Col)} }
 
 func (t Token) String() string {
 	switch t.Kind {

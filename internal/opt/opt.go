@@ -36,18 +36,19 @@ var Default = Options{Fold: true, CopyProp: true, CSE: true, DCE: true, Simplify
 // None disables every pass (for ablation experiments).
 var None = Options{}
 
-// Run optimizes the function in place and re-runs CFG analysis.
-func Run(f *ir.Func, o Options) error {
+// run optimizes the function in place and re-runs CFG analysis.
+func run(f *ir.Func, o Options, s *scratch) error {
+	s.fit(f)
 	for round := 0; round < 3; round++ {
 		changed := false
 		if o.Fold {
-			changed = foldConstants(f) || changed
+			changed = foldConstants(f, s) || changed
 		}
 		if o.CopyProp {
-			changed = copyProp(f) || changed
+			changed = copyProp(f, s) || changed
 		}
 		if o.CSE {
-			changed = localCSE(f) || changed
+			changed = localCSE(f, s) || changed
 		}
 		if o.Simplify {
 			c, err := simplifyCFG(f)
@@ -67,7 +68,7 @@ func Run(f *ir.Func, o Options) error {
 		if licm(f) {
 			// Clean up after motion (dead copies, newly foldable code).
 			if o.CopyProp {
-				copyProp(f)
+				copyProp(f, s)
 			}
 			if o.DCE {
 				deadCode(f)
@@ -77,41 +78,119 @@ func Run(f *ir.Func, o Options) error {
 	return f.Analyze()
 }
 
-// RunUnit optimizes every function in the unit.
+// RunUnit optimizes every function in the unit. Every pass over every
+// function takes its per-register tables from one scratch.
 func RunUnit(u *ir.Unit, o Options) error {
+	s := new(scratch)
 	for _, f := range u.Funcs {
-		if err := Run(f, o); err != nil {
+		if err := run(f, o, s); err != nil {
 			return fmt.Errorf("opt: %s: %w", f.Name, err)
 		}
 	}
 	return nil
 }
 
+// scratch is the per-register state of the block-local passes
+// (foldConstants, copyProp, localCSE), held in dense tables indexed by
+// vreg and grown to each function's register counts. Nothing is cleared
+// between blocks or functions. A constant or copy entry is live only
+// while its stamp equals the current block's, and a copy or available
+// expression recorded against a register's version dies as soon as that
+// register is defined again, so every kill is O(1).
+type scratch struct {
+	block      uint32   // stamp of the block being scanned; 0 is never current
+	verI, verF []uint32 // per-vreg versions: definitions seen so far
+
+	constVal   []int32 // foldConstants: value of a known-constant int vreg
+	constStamp []uint32
+
+	copyI, copyF copies // copyProp
+
+	avail  map[cseKey]cseEntry // localCSE: the block's available expressions
+	mem    uint32              // localCSE: memory epoch, bumped by stores and calls
+	is, fs []ir.Reg
+}
+
+// copies records, per vreg, the register it holds a copy of.
+type copies struct {
+	src   []ir.Reg
+	ver   []uint32 // the source's version when the copy was made
+	stamp []uint32
+}
+
+// fit grows the tables to f's register counts; new entries are dead.
+func (s *scratch) fit(f *ir.Func) {
+	s.verI = fit(s.verI, f.NumInt)
+	s.verF = fit(s.verF, f.NumFloat)
+	s.constVal = fit(s.constVal, f.NumInt)
+	s.constStamp = fit(s.constStamp, f.NumInt)
+	s.copyI.fit(f.NumInt)
+	s.copyF.fit(f.NumFloat)
+}
+
+func (c *copies) fit(n int) {
+	c.src = fit(c.src, n)
+	c.ver = fit(c.ver, n)
+	c.stamp = fit(c.stamp, n)
+}
+
+func fit[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
+}
+
+// nextBlock starts a block: every stamped entry of the last one dies.
+func (s *scratch) nextBlock() {
+	s.block++
+	if s.block == 0 {
+		clear(s.constStamp)
+		clear(s.copyI.stamp)
+		clear(s.copyF.stamp)
+		s.block = 1
+	}
+}
+
+// define bumps the versions of the registers an instruction writes.
+func (s *scratch) define(di, df ir.Reg) {
+	if di != ir.None {
+		s.verI[di]++
+	}
+	if df != ir.None {
+		s.verF[df]++
+	}
+}
+
 // ---- constant folding / propagation ----
 
-func foldConstants(f *ir.Func) bool {
+// known returns the constant int vreg r holds in the current block.
+func (s *scratch) known(r ir.Reg) (int32, bool) {
+	if uint(r) < uint(len(s.constStamp)) && s.constStamp[r] == s.block {
+		return s.constVal[r], true
+	}
+	return 0, false
+}
+
+func foldConstants(f *ir.Func, s *scratch) bool {
 	changed := false
-	known := map[ir.Reg]int32{}
 	for _, b := range f.Blocks {
-		clear(known)
+		s.nextBlock()
 		for i := range b.Ins {
 			in := &b.Ins[i]
 			// Propagate a known-constant B operand into the immediate field.
 			usesB := (in.Kind.IsBinALU() || in.Kind == ir.OpSetCond || in.Kind == ir.OpBr) && !in.UseImm
 			if usesB {
-				if v, ok := known[in.B]; ok {
+				if v, ok := s.known(in.B); ok {
 					in.UseImm = true
 					in.Imm = int64(v)
 					in.B = ir.None
 					changed = true
 				}
 			}
-			if in.Kind == ir.OpStore && in.Off == 0 {
-				// nothing to fold; stores keep register operands
-			}
 			// Fold fully-constant ALU ops.
 			if in.Kind.IsBinALU() && in.UseImm {
-				if a, ok := known[in.A]; ok {
+				if a, ok := s.known(in.A); ok {
 					if v, ok2 := evalALU(in.Kind, a, int32(in.Imm)); ok2 {
 						*in = ir.Ins{Kind: ir.OpConst, Dst: in.Dst, Imm: int64(v)}
 						changed = true
@@ -119,7 +198,7 @@ func foldConstants(f *ir.Func) bool {
 				}
 			}
 			if in.Kind == ir.OpSetCond && in.UseImm {
-				if a, ok := known[in.A]; ok {
+				if a, ok := s.known(in.A); ok {
 					v := int32(0)
 					if holdsInt(in.Cond, a, int32(in.Imm)) {
 						v = 1
@@ -138,15 +217,14 @@ func foldConstants(f *ir.Func) bool {
 				changed = true
 			}
 			// Track definitions.
-			di, df := in.Defs()
-			if di != ir.None {
+			if di, _ := in.Defs(); di != ir.None {
 				if in.Kind == ir.OpConst {
-					known[di] = int32(in.Imm)
+					s.constVal[di] = int32(in.Imm)
+					s.constStamp[di] = s.block
 				} else {
-					delete(known, di)
+					s.constStamp[di] = 0
 				}
 			}
-			_ = df
 		}
 	}
 	return changed
@@ -206,82 +284,58 @@ func holdsInt(c ir.Cond, a, b int32) bool {
 
 // ---- copy propagation ----
 
-func copyProp(f *ir.Func) bool {
+// resolve returns the register r is a copy of in the current block, or
+// r. An entry dies with its block, when its destination is redefined
+// (the stamp is reset) or when its source is (the version moves on).
+func (c *copies) resolve(r ir.Reg, ver []uint32, block uint32) ir.Reg {
+	if uint(r) < uint(len(c.stamp)) && c.stamp[r] == block && ver[c.src[r]] == c.ver[r] {
+		return c.src[r]
+	}
+	return r
+}
+
+func (c *copies) set(dst, src ir.Reg, ver []uint32, block uint32) {
+	c.src[dst], c.ver[dst], c.stamp[dst] = src, ver[src], block
+}
+
+func copyProp(f *ir.Func, s *scratch) bool {
 	changed := false
-	copyOfI := map[ir.Reg]ir.Reg{}
-	copyOfF := map[ir.Reg]ir.Reg{}
+	rewrite := func(p *ir.Reg, c *copies, ver []uint32) {
+		if n := c.resolve(*p, ver, s.block); n != *p {
+			*p = n
+			changed = true
+		}
+	}
 	for _, b := range f.Blocks {
-		clear(copyOfI)
-		clear(copyOfF)
-		resolveI := func(r ir.Reg) ir.Reg {
-			if s, ok := copyOfI[r]; ok {
-				return s
-			}
-			return r
-		}
-		resolveF := func(r ir.Reg) ir.Reg {
-			if s, ok := copyOfF[r]; ok {
-				return s
-			}
-			return r
-		}
-		killI := func(r ir.Reg) {
-			delete(copyOfI, r)
-			for k, v := range copyOfI {
-				if v == r {
-					delete(copyOfI, k)
-				}
-			}
-		}
-		killF := func(r ir.Reg) {
-			delete(copyOfF, r)
-			for k, v := range copyOfF {
-				if v == r {
-					delete(copyOfF, k)
-				}
-			}
-		}
+		s.nextBlock()
 		for i := range b.Ins {
 			in := &b.Ins[i]
-			// Rewrite sources.
-			rewrite := func(p *ir.Reg, fl bool) {
-				if *p == ir.None {
-					return
-				}
-				var n ir.Reg
-				if fl {
-					n = resolveF(*p)
-				} else {
-					n = resolveI(*p)
-				}
-				if n != *p {
-					*p = n
-					changed = true
-				}
-			}
-			rewrite(&in.A, false)
-			rewrite(&in.B, false)
-			rewrite(&in.FA, true)
-			rewrite(&in.FB, true)
+			// Rewrite sources (unused fields too: they resolve to themselves
+			// unless they name a register with a live copy).
+			rewrite(&in.A, &s.copyI, s.verI)
+			rewrite(&in.B, &s.copyI, s.verI)
+			rewrite(&in.FA, &s.copyF, s.verF)
+			rewrite(&in.FB, &s.copyF, s.verF)
 			for j := range in.Args {
 				if in.Args[j].Float {
-					rewrite(&in.Args[j].R, true)
+					rewrite(&in.Args[j].R, &s.copyF, s.verF)
 				} else {
-					rewrite(&in.Args[j].R, false)
+					rewrite(&in.Args[j].R, &s.copyI, s.verI)
 				}
 			}
 			di, df := in.Defs()
+			s.define(di, df)
 			if di != ir.None {
-				killI(di)
+				s.copyI.stamp[di] = 0
 			}
 			if df != ir.None {
-				killF(df)
+				s.copyF.stamp[df] = 0
 			}
 			if in.Kind == ir.OpMov && in.Dst != in.A {
-				copyOfI[in.Dst] = in.A
+				s.copyI.set(in.Dst, in.A, s.verI, s.block)
 			}
 			if in.Kind == ir.OpMovF && in.FDst != in.FA {
-				copyOfF[in.FDst] = in.FA
+				s.copyF.set(in.FDst, in.FA, s.verF, s.block)
 			}
 		}
 	}
@@ -290,41 +344,51 @@ func copyProp(f *ir.Func) bool {
 
 // ---- local common subexpression elimination ----
 
+// cseKey names a computed value: the operation, its fields, and the
+// versions of the registers it reads, so a redefined source makes a new
+// key instead of deleting old ones. A load's key also carries the memory
+// epoch, so a store or call retires every earlier load at once.
 type cseKey struct {
-	kind   ir.OpKind
-	a, b   ir.Reg
-	fa, fb ir.Reg
-	imm    int64
-	fimm   float64
-	useImm bool
-	cond   ir.Cond
-	sym    string
-	slot   int
-	off    int32
-	size   int
+	kind             ir.OpKind
+	cond             ir.Cond
+	useImm           bool
+	a, b, fa, fb     ir.Reg
+	va, vb, vfa, vfb uint32
+	mem              uint32
+	imm              int64
+	fimm             float64
+	sym              string
+	slot, off, size  int32
 }
 
-func localCSE(f *ir.Func) bool {
+// cseEntry is the instruction that computed a key's value: its
+// destinations and their versions right after it. Once a destination
+// is redefined the value is gone from it, and a lookup misses.
+type cseEntry struct {
+	dst, fdst ir.Reg
+	ver, fver uint32
+}
+
+func (s *scratch) live(e cseEntry) bool {
+	return (e.dst == ir.None || s.verI[e.dst] == e.ver) &&
+		(e.fdst == ir.None || s.verF[e.fdst] == e.fver)
+}
+
+func localCSE(f *ir.Func, s *scratch) bool {
 	changed := false
-	avail := map[cseKey]*ir.Ins{}
-	var loads []cseKey // keys of loads, invalidated by stores/calls
-	var is, fs []ir.Reg
+	if s.avail == nil {
+		s.avail = map[cseKey]cseEntry{}
+	}
 	for _, b := range f.Blocks {
-		clear(avail)
-		loads = loads[:0]
+		clear(s.avail)
 		for i := range b.Ins {
 			in := &b.Ins[i]
 			switch in.Kind {
 			case ir.OpStore, ir.OpStoreF, ir.OpCall:
-				for _, k := range loads {
-					delete(avail, k)
-				}
-				loads = loads[:0]
+				s.mem++
 			}
 			if !cseable(in.Kind) {
-				// Kill expressions using a redefined register.
-				di, df := in.Defs()
-				killDefs(avail, &loads, di, df)
+				s.define(in.Defs())
 				continue
 			}
 			// Build the key from the registers the instruction actually
@@ -333,55 +397,49 @@ func localCSE(f *ir.Func) bool {
 				fb: ir.None, imm: in.Imm, fimm: in.FImm, useImm: in.UseImm,
 				cond: in.Cond, sym: in.Sym, slot: in.Slot, off: in.Off,
 				size: in.Size}
-			is, fs = in.Uses(is[:0], fs[:0])
+			s.is, s.fs = in.Uses(s.is[:0], s.fs[:0])
+			is, fs := s.is, s.fs
 			if len(is) > 0 {
-				k.a = is[0]
+				k.a, k.va = is[0], s.verI[is[0]]
 			}
 			if len(is) > 1 {
-				k.b = is[1]
+				k.b, k.vb = is[1], s.verI[is[1]]
 			}
 			if len(fs) > 0 {
-				k.fa = fs[0]
+				k.fa, k.vfa = fs[0], s.verF[fs[0]]
 			}
 			if len(fs) > 1 {
-				k.fb = fs[1]
+				k.fb, k.vfb = fs[1], s.verF[fs[1]]
 			}
-			if prev, ok := avail[k]; ok {
-				di, df := in.Defs()
-				pi, pf := prev.Defs()
-				if di != ir.None && pi != ir.None {
-					*in = ir.Ins{Kind: ir.OpMov, Dst: di, A: pi}
-					changed = true
-				} else if df != ir.None && pf != ir.None {
-					*in = ir.Ins{Kind: ir.OpMovF, FDst: df, FA: pf}
-					changed = true
-				}
-				di2, df2 := in.Defs()
-				killDefs(avail, &loads, di2, df2)
-				continue
+			if in.Kind == ir.OpLoad || in.Kind == ir.OpLoadF {
+				k.mem = s.mem
 			}
 			di, df := in.Defs()
-			killDefs(avail, &loads, di, df)
-			// Only record if the destination is not also a source (else the
-			// value is destroyed immediately).
-			selfKill := false
-			for _, r := range is {
-				if di == r {
-					selfKill = true
+			if prev, ok := s.avail[k]; ok && s.live(prev) {
+				if di != ir.None && prev.dst != ir.None {
+					*in = ir.Ins{Kind: ir.OpMov, Dst: di, A: prev.dst}
+					changed = true
+				} else if df != ir.None && prev.fdst != ir.None {
+					*in = ir.Ins{Kind: ir.OpMovF, FDst: df, FA: prev.fdst}
+					changed = true
 				}
-			}
-			for _, r := range fs {
-				if df == r {
-					selfKill = true
-				}
-			}
-			if selfKill {
+				s.define(in.Defs())
 				continue
 			}
-			avail[k] = in
-			if in.Kind == ir.OpLoad || in.Kind == ir.OpLoadF {
-				loads = append(loads, k)
+			s.define(di, df)
+			// Only record if the destination is not also a source (else the
+			// value is destroyed immediately).
+			if (di != ir.None && slices.Contains(is, di)) || (df != ir.None && slices.Contains(fs, df)) {
+				continue
 			}
+			e := cseEntry{dst: di, fdst: df}
+			if di != ir.None {
+				e.ver = s.verI[di]
+			}
+			if df != ir.None {
+				e.fver = s.verF[df]
+			}
+			s.avail[k] = e
 		}
 	}
 	return changed
@@ -395,32 +453,6 @@ func cseable(k ir.OpKind) bool {
 		return true
 	}
 	return k.IsBinALU()
-}
-
-// killDefs removes available expressions that read or write redefined regs.
-func killDefs(avail map[cseKey]*ir.Ins, loads *[]cseKey, di, df ir.Reg) {
-	if di == ir.None && df == ir.None {
-		return
-	}
-	for k, prev := range avail {
-		pi, pf := prev.Defs()
-		kill := false
-		if di != ir.None && (k.a == di || k.b == di || pi == di) {
-			kill = true
-		}
-		if df != ir.None && (k.fa == df || k.fb == df || pf == df) {
-			kill = true
-		}
-		if kill {
-			delete(avail, k)
-			for j, lk := range *loads {
-				if lk == k {
-					*loads = append((*loads)[:j], (*loads)[j+1:]...)
-					break
-				}
-			}
-		}
-	}
 }
 
 // ---- dead code elimination ----

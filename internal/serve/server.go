@@ -81,9 +81,10 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker pins its class to the
 	// fallback engine before half-open probing (default 30s).
 	BreakerCooldown time.Duration
-	// ShadowRate samples every Nth successful execution of a class for
-	// background differential re-execution on the alternate engine
-	// (default 32; negative disables shadow verification).
+	// ShadowRate samples every Nth successful execution of a class, and
+	// every Nth class's first execution, for background differential
+	// re-execution on the alternate engine (default 32; negative disables
+	// shadow verification).
 	ShadowRate int
 	// IncidentCap bounds the incident ring served at GET /v1/incidents
 	// (default 256).
