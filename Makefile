@@ -1,18 +1,19 @@
 # Build and verification entry points. `make check` is the PR gate:
-# vet, a generated-code drift check (the emulator's fast loops come from
-# one template), plus the full test suite under the race detector — which
-# drives the experiment engine's worker pool (suite equality across all
-# engine tiers at parallelism 4, cancellation, compile cache
-# singleflight) and the four-tier engine differential with race checking
-# enabled — plus a short coverage-guided fuzz smoke over the differential
-# fuzzers (including fused-vs-fast) and the fault injector (trap or clean
-# exit, never a panic), plus the chaos smoke (brserve under a seeded
-# fault plan must keep every response byte-correct through engine-tier
-# fallback while its breaker demonstrably opens and closes), plus the
-# benchmark gate (emulator throughput must
-# stay within BENCH_REGRESS percent of the last committed
-# BENCH_emulator.json entry — the profiling hooks in the fast loops are
-# budgeted, not assumed, cheap).
+# vet, a generated-code drift check (the emulator's fused engine comes
+# from one template), plus the full test suite under the race detector —
+# which drives the experiment engine's worker pool (suite equality across
+# all engine tiers at parallelism 4, cancellation, compile cache
+# singleflight) and the engine-tier differential with race checking
+# enabled — plus the allocation budgets, a short coverage-guided fuzz
+# smoke over the differential fuzzers (including fused-vs-fast and
+# adaptive-vs-fast) and the fault injector (trap or clean exit, never a
+# panic), plus the serve smoke and the chaos smoke (brserve under a
+# seeded fault plan must keep every response byte-correct through
+# engine-tier fallback while its breaker demonstrably opens and closes),
+# plus a build and test of the separate perfbench module (it imports
+# the APIs the rest of the gate changes), plus the benchmark gate
+# (emulator throughput must stay within BENCH_REGRESS percent of the
+# last committed BENCH_emulator.json entry).
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -23,7 +24,7 @@ FUZZTIME ?= 10s
 # cache breakage) cost well over 10%.
 BENCH_REGRESS ?= 8.0
 
-.PHONY: all build test vet race fuzz-smoke generate generate-check check bench bench-all bench-gate bench-serve serve-smoke chaos-smoke alloc-gate
+.PHONY: all build test vet race fuzz-smoke generate generate-check check bench bench-all bench-gate bench-serve serve-smoke chaos-smoke alloc-gate perfbench-check
 
 all: build
 
@@ -47,7 +48,7 @@ fuzz-smoke:
 	$(GO) test ./internal/driver -run='^$$' -fuzz=FuzzAdaptiveDifferential -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/driver -run='^$$' -fuzz=FuzzFaultPlan -fuzztime=$(FUZZTIME)
 
-# The emulator's two specialized loops (fast+profiled, fused) are
+# The emulator's block-fused engine and its superinstruction table are
 # generated from one template; regenerate after editing
 # internal/emu/gen/main.go.
 generate:
@@ -58,10 +59,11 @@ generate:
 generate-check:
 	$(GO) run ./internal/emu/gen -dir internal/emu -check
 
-check: vet generate-check race alloc-gate fuzz-smoke serve-smoke chaos-smoke bench-gate
+check: vet generate-check race alloc-gate fuzz-smoke serve-smoke chaos-smoke perfbench-check bench-gate
 
-# Allocation budgets for the serve hot path and for compiling the suite
-# (testing.AllocsPerRun).
+# Allocation budgets for the serve hot path (testing.AllocsPerRun) and
+# for compiling the suite (allocation and byte ceilings read from
+# runtime.MemStats).
 # These run WITHOUT the race detector: -race instruments allocations and
 # would fail honest budgets, so the alloc tests skip themselves under
 # race and get this dedicated non-race invocation in the PR gate.
@@ -85,7 +87,8 @@ serve-smoke:
 	exit $$rc
 
 # Boot brserve with a seeded chaos plan (every adaptive execution of the
-# sieve classes panics, eight panics total), drive a differential
+# sieve classes panics, eight panics total, and the fast loop serves
+# them), drive a differential
 # brload burst, then audit the supervision layer: every response must
 # stay byte-correct via fallback, the breaker must open AND close, the
 # incident log must show the injected events and zero shadow
@@ -120,13 +123,16 @@ bench:
 bench-gate:
 	$(GO) run ./cmd/benchrecord -gate -max-regress $(BENCH_REGRESS)
 
-# Measure the brserve service (in-process, shared load generator) and
-# append p50/p99 latency + cold/warm saturation req/s + the warm-run
-# cache hit rate to BENCH_serve.json, then print the cache-hit
-# micro-benchmark with allocation counts.
+# Print the brserve cache-hit micro-benchmark with allocation counts.
+# Service throughput and latency are measured by perfbench
+# (bash perfbench/run.sh); BENCH_serve.json is frozen history.
 bench-serve:
-	$(GO) run ./cmd/benchrecord -serve
 	$(GO) test ./internal/serve -run='^$$' -bench=BenchmarkServeCacheHit -benchmem
+
+# perfbench is a module of its own, so `go test ./...` never builds it,
+# yet it imports the driver, emu and serve APIs: vet and test it here.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regenerate the paper's full evaluation as benchmarks with custom metrics.
 bench-all:

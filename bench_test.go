@@ -233,13 +233,12 @@ func BenchmarkEmulator(b *testing.B) {
 		})
 	}
 
-	// The adaptive tier's win condition (ROADMAP): on compiler-shaped
-	// workloads a superinstruction vocabulary mined from the program's own
-	// pair/triple statistics must beat the static global table. tinycc is
-	// that workload; both rows run a precompiled program so they compare
-	// dispatch loops, not compile time, and the adaptive row is warmed
-	// untimed so it measures the promoted steady state brserve's cached
-	// programs reach.
+	// tinycc, a compiler-shaped workload, under the fused tier and the
+	// adaptive tier. Both rows run a precompiled program so they compare
+	// dispatch, not compile time, and the adaptive row is warmed untimed,
+	// so it measures the steady state brserve's cached programs reach: a
+	// run in the program's one fused form, the same form the fused row
+	// runs. The two rows differ only by the adaptive tier's entry check.
 	wt, _ := workloads.ByName("tinycc")
 	for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
 		p, err := driver.Compile(context.Background(), wt.FullSource(), kind, o)

@@ -12,20 +12,15 @@
 // does not fail the build. `make bench-gate` (wired into `make check`)
 // runs exactly this.
 //
-// benchrecord manages a second trajectory for the brserve service:
-// -serve measures an in-process server under the shared load generator
-// (internal/serve) and appends p50/p99 latency and saturation req/s to
-// BENCH_serve.json; -serve -gate compares throughput against the last
-// committed entry, bootstrapping the file with an initial entry when it
-// does not exist yet. Gate output always names the file it gated.
+// The brserve service is measured by perfbench (perfbench/run.sh);
+// BENCH_serve.json is frozen history. Gate output always names the file
+// it gated.
 //
 // Usage:
 //
 //	benchrecord [-out BENCH_emulator.json] [-benchtime 3x] [-label text]
 //	benchrecord -print   # run and print the entry without writing
 //	benchrecord -gate [-max-regress 3.0]
-//	benchrecord -serve [-serve-clients 32] [-serve-requests N] [-out BENCH_serve.json]
-//	benchrecord -serve -gate [-max-regress 8.0]
 package main
 
 import (
@@ -78,8 +73,7 @@ var (
 
 // emuKinds is the row set BenchmarkEmulator must produce for an entry
 // to be recordable: the sieve throughput rows per machine, plus the
-// static-fused vs adaptive comparison on the compiler-shaped tinycc
-// workload (the adaptive tier's win condition).
+// fused and adaptive rows of the compiler-shaped tinycc workload.
 var emuKinds = []string{
 	"baseline", "branchreg",
 	"tinycc/baseline/fused", "tinycc/baseline/adaptive",
@@ -135,28 +129,7 @@ func main() {
 		"let -gate compare against a *-dirty entry (one recorded from an\n"+
 			"uncommitted tree); refused by default because such an entry does\n"+
 			"not correspond to any commit")
-	serveMode := flag.Bool("serve", false,
-		"measure the brserve service (in-process, via the shared load\n"+
-			"generator) instead of the emulator benchmarks; the trajectory\n"+
-			"defaults to BENCH_serve.json")
-	serveClients := flag.Int("serve-clients", 32, "concurrent load clients (-serve)")
-	serveRequests := flag.Int("serve-requests", 0,
-		"total requests per load sample (-serve; 0 = ten workload-matrix sweeps)")
 	flag.Parse()
-
-	if *serveMode {
-		if *out == "BENCH_emulator.json" {
-			*out = "BENCH_serve.json"
-		}
-		if *serveRequests <= 0 {
-			*serveRequests = 10 * 19 * 2
-		}
-		if err := serveMain(*out, *serveClients, *serveRequests, *label, *printOnly, *gate, *maxRegress, *allowDirty); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrecord: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *gate {
 		if err := runGate(*out, *benchtime, *maxRegress, *allowDirty); err != nil {

@@ -73,12 +73,13 @@ func main() {
 	profile := flag.Bool("profile", false,
 		"profile suite runs: print per-program hot-block tables and add\n"+
 			"hot_blocks to the JSON report (profiled runs execute on the\n"+
-			"profiled fast loop whatever -engine asks, except instrumented)")
+			"instrumented loop whatever -engine asks)")
 	metrics := flag.Bool("metrics", false, "print the process metrics registry after the run")
 	engine := flag.String("engine", "auto",
 		"emulator engine for suite runs: auto|adaptive|fused|fast|instrumented\n"+
 			"(auto picks the block-fused loop whenever hooks and faults permit;\n"+
-			"adaptive promotes hot programs to a re-fused form at runtime)")
+			"adaptive starts a program's first run on the fast loop and\n"+
+			"enters the same fused form at its first context poll)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile after the run to this path")
 	flag.Parse()

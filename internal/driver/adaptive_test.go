@@ -14,62 +14,75 @@ import (
 )
 
 // Differential coverage for the adaptive tier (emu.LoopAdaptive): at any
-// promotion threshold — promote-at-first-opportunity, the default, or
-// never — and at any point in the warm→promoted lifecycle, an adaptive
-// run must be byte-identical to the instrumented reference: output,
-// status, Stats, trap kind/PC/detail, and step-budget Limit/Executed.
-// Each program is compiled fresh per threshold so promotion state
-// (keyed by program identity) is isolated, and each case runs twice in
-// sequence: run 1 exercises warmup and possibly mid-run promotion, run
-// 2 enters the promoted form directly when a promotion happened.
+// point of its rule — a cold run on the fast loop, the switch to the
+// fused form at the first context poll (mid-run), a later run in the
+// form from the start — an adaptive run must be byte-identical to the
+// instrumented and fast references: output, status, Stats, trap
+// kind/PC/detail, and step-budget Limit/Executed. Each program is
+// compiled fresh per case so its fused form (keyed by program identity)
+// is isolated, and each case runs twice in sequence: run 1 is cold, run
+// 2 enters the form when run 1 reached it or ran at all.
 
-// adaptiveThresholds are the promotion regimes under test: promote as
-// soon as the stride poll sees any arrival, the production default, and
-// promotion disabled.
-var adaptiveThresholds = []int64{1, emu.DefaultPromoteThreshold, -1}
+// firstPoll is where a cold adaptive run switches to the fused form:
+// the fast loop's first context poll (emu's ctxCheckStride).
+const firstPoll = 1 << 16
+
+// adaptiveBudgets straddle the first poll: no budget, one instruction
+// before it, at it, and just past it (inside the bridge to the next
+// block leader, and beyond).
+var adaptiveBudgets = []int64{0, firstPoll - 1, firstPoll, firstPoll + 1, firstPoll + 100}
 
 // runAdaptiveAgainstReference executes p twice under LoopAdaptive with
-// the given threshold and budget, comparing each run against a fresh
-// instrumented run of the same request.
-func runAdaptiveAgainstReference(t *testing.T, p *isa.Program, input string, threshold, budget int64) {
+// the given budget, comparing each run against instrumented and fast
+// runs of the same request.
+func runAdaptiveAgainstReference(t *testing.T, p *isa.Program, input string, budget int64) {
 	t.Helper()
-	ref, refErr := Exec(context.Background(), Request{
-		Program: p, Input: input, Loop: emu.LoopInstrumented, MaxInstructions: budget,
-	})
+	type ref struct {
+		res *Result
+		err error
+	}
+	var refs []ref
+	for _, loop := range []emu.LoopMode{emu.LoopInstrumented, emu.LoopFast} {
+		res, err := Exec(context.Background(), Request{
+			Program: p, Input: input, Loop: loop, MaxInstructions: budget,
+		})
+		refs = append(refs, ref{res, err})
+	}
 	for run := 1; run <= 2; run++ {
 		res, err := Exec(context.Background(), Request{
-			Program: p, Input: input, Loop: emu.LoopAdaptive,
-			PromoteThreshold: threshold, MaxInstructions: budget,
+			Program: p, Input: input, Loop: emu.LoopAdaptive, MaxInstructions: budget,
 		})
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("th=%d run %d error divergence: adaptive=%v instrumented=%v",
-				threshold, run, err, refErr)
-		}
-		if err != nil {
-			var at, it *emu.Trap
-			if errors.As(err, &at) != errors.As(refErr, &it) {
-				t.Fatalf("th=%d run %d trap-ness divergence: adaptive=%v instrumented=%v",
-					threshold, run, err, refErr)
+		for _, r := range refs {
+			if (err == nil) != (r.err == nil) {
+				t.Fatalf("budget %d run %d error divergence: adaptive=%v reference=%v",
+					budget, run, err, r.err)
 			}
-			if at != nil && !reflect.DeepEqual(*at, *it) {
-				t.Fatalf("th=%d run %d trap divergence:\n adaptive: %+v\n step:     %+v",
-					threshold, run, *at, *it)
+			if err != nil {
+				var at, rt *emu.Trap
+				if errors.As(err, &at) != errors.As(r.err, &rt) {
+					t.Fatalf("budget %d run %d trap-ness divergence: adaptive=%v reference=%v",
+						budget, run, err, r.err)
+				}
+				if at != nil && !reflect.DeepEqual(*at, *rt) {
+					t.Fatalf("budget %d run %d trap divergence:\n adaptive:  %+v\n reference: %+v",
+						budget, run, *at, *rt)
+				}
+				continue
 			}
-			continue
-		}
-		if res.Engine != emu.EngineAdaptive {
-			t.Fatalf("th=%d run %d engine %q, want %q", threshold, run, res.Engine, emu.EngineAdaptive)
-		}
-		if threshold < 0 && res.Refusion.Promoted {
-			t.Fatalf("th=%d run %d promoted with promotion disabled: %+v", threshold, run, res.Refusion)
-		}
-		refEq := *ref
-		refEq.Engine = res.Engine     // only the engine name
-		refEq.Fusion = res.Fusion     // and the tier-descriptive counters
-		refEq.Refusion = res.Refusion // may differ between tiers
-		if !eqResult(*res, refEq) {
-			t.Fatalf("th=%d run %d result divergence:\n adaptive: %+v\n step:     %+v",
-				threshold, run, res, ref)
+			if res.Engine != emu.EngineAdaptive {
+				t.Fatalf("budget %d run %d engine %q, want %q", budget, run, res.Engine, emu.EngineAdaptive)
+			}
+			if run == 2 && !res.Refusion.Promoted {
+				t.Fatalf("budget %d: second run stayed off the fused form: %+v", budget, res.Refusion)
+			}
+			refEq := *r.res
+			refEq.Engine = res.Engine     // only the engine name
+			refEq.Fusion = res.Fusion     // and the tier-descriptive counters
+			refEq.Refusion = res.Refusion // may differ between tiers
+			if !eqResult(*res, refEq) {
+				t.Fatalf("budget %d run %d result divergence:\n adaptive:  %+v\n reference: %+v",
+					budget, run, res, r.res)
+			}
 		}
 	}
 }
@@ -84,14 +97,14 @@ func TestAdaptiveWorkloadDifferential(t *testing.T) {
 			w, kind := w, kind
 			t.Run(fmt.Sprintf("%s/%v", w.Name, kind), func(t *testing.T) {
 				t.Parallel()
-				for _, th := range adaptiveThresholds {
-					// A fresh compile per threshold isolates promotion state:
-					// program identity keys the adaptive state machine.
+				for _, budget := range adaptiveBudgets {
+					// A fresh compile per budget isolates the fused form:
+					// program identity keys it.
 					p, err := Compile(context.Background(), w.FullSource(), kind, o)
 					if err != nil {
 						t.Fatal(err)
 					}
-					runAdaptiveAgainstReference(t, p, w.Input, th, 0)
+					runAdaptiveAgainstReference(t, p, w.Input, budget)
 				}
 			})
 		}
@@ -100,8 +113,8 @@ func TestAdaptiveWorkloadDifferential(t *testing.T) {
 
 func TestAdaptiveStepBudgetTrap(t *testing.T) {
 	// Step-budget traps must carry identical Limit/Executed wherever the
-	// budget lands: during warmup (before the first stride poll), right
-	// around the promotion window, or deep in the promoted form.
+	// budget lands: on the cold fast loop (before the first poll), just
+	// past the switch, or deep in the fused form.
 	w, ok := workloads.ByName("sieve")
 	if !ok {
 		t.Fatal("no sieve workload")
@@ -112,72 +125,66 @@ func TestAdaptiveStepBudgetTrap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runAdaptiveAgainstReference(t, p, w.Input, 1, budget)
+			runAdaptiveAgainstReference(t, p, w.Input, budget)
 		}
 	}
 }
 
 func TestAdaptivePromotionLifecycle(t *testing.T) {
-	// The promotion state machine itself: a loopy program at threshold 1
-	// promotes (mid-run past the stride poll, or between runs), and the
-	// second run enters the promoted form with a mined vocabulary and a
-	// mixed-tier block split; with promotion disabled nothing promotes.
-	w, ok := workloads.ByName("dhrystone")
-	if !ok {
-		t.Fatal("no dhrystone workload")
-	}
-	p, err := Compile(context.Background(), w.FullSource(), isa.BranchReg, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := Exec(context.Background(), Request{
-		Program: p, Input: w.Input, Loop: emu.LoopAdaptive, PromoteThreshold: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Exec(context.Background(), Request{
-		Program: p, Input: w.Input, Loop: emu.LoopAdaptive, PromoteThreshold: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Refusion.Promoted {
-		t.Fatalf("second run did not enter the promoted form: %+v", second.Refusion)
-	}
-	if second.Refusion.Promotions != 1 {
-		t.Fatalf("promotions = %d, want exactly 1", second.Refusion.Promotions)
-	}
-	if second.Refusion.VocabPairs == 0 {
-		t.Fatalf("promoted form mined an empty pair vocabulary: %+v", second.Refusion)
-	}
-	if second.Refusion.HotBlocks == 0 {
-		t.Fatalf("promoted form has no hot blocks: %+v", second.Refusion)
-	}
-	if second.Refusion.WarmupInsts == 0 {
-		t.Fatalf("promotion recorded no warmup instructions: %+v", second.Refusion)
-	}
-	if second.Fusion.Blocks == 0 {
-		t.Fatalf("promoted run entered no fused blocks: %+v", second.Fusion)
-	}
-	if first.Output != second.Output || first.Stats != second.Stats {
-		t.Fatalf("warmup and promoted runs diverge")
-	}
-
-	// Promotion disabled: two runs, no state, no promoted form.
-	p2, err := Compile(context.Background(), w.FullSource(), isa.BranchReg, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		res, err := Exec(context.Background(), Request{
-			Program: p2, Input: w.Input, Loop: emu.LoopAdaptive, PromoteThreshold: -1,
-		})
+	// The rule itself, on both machines. A program whose run ends before
+	// the first poll leaves nothing on the program; its second run
+	// enters the fused form from the start. A longer program's first run
+	// switches to the form at its first poll, so it runs fewer fused
+	// blocks than a run that started in the form.
+	ctx := context.Background()
+	for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
+		short, _ := workloads.ByName("tr")
+		p, err := Compile(ctx, short.FullSource(), kind, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Refusion.Promoted || res.Fusion.Blocks != 0 {
-			t.Fatalf("run %d promoted with promotion disabled: %+v %+v", i, res.Refusion, res.Fusion)
+		req := Request{Program: p, Input: short.Input, Loop: emu.LoopAdaptive}
+		first, err := Exec(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Stats.Instructions >= firstPoll {
+			t.Fatalf("%v: tr ran %d instructions, not a short program", kind, first.Stats.Instructions)
+		}
+		if b := emu.AdaptiveBytes(p); b != 0 || first.Refusion.Promoted || first.Fusion.Blocks != 0 {
+			t.Fatalf("%v: one short run left %d bytes (refusion %+v, fusion %+v), want none",
+				kind, b, first.Refusion, first.Fusion)
+		}
+		second, err := Exec(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !second.Refusion.Promoted || second.Fusion.Blocks == 0 || emu.AdaptiveBytes(p) == 0 {
+			t.Fatalf("%v: second run did not enter the fused form: %+v %+v", kind, second.Refusion, second.Fusion)
+		}
+		if first.Output != second.Output || first.Stats != second.Stats {
+			t.Fatalf("%v: cold and fused runs diverge", kind)
+		}
+
+		long, _ := workloads.ByName("dhrystone")
+		lp, err := Compile(ctx, long.FullSource(), kind, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mid, err := Exec(ctx, Request{Program: lp, Input: long.Input, Loop: emu.LoopAdaptive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := Exec(ctx, Request{Program: lp, Input: long.Input, Loop: emu.LoopAdaptive})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !mid.Refusion.Promoted || mid.Fusion.Blocks == 0 || mid.Fusion.Blocks >= whole.Fusion.Blocks {
+			t.Fatalf("%v: first long run did not switch mid-run: %+v, fusion %+v (whole run %+v)",
+				kind, mid.Refusion, mid.Fusion, whole.Fusion)
+		}
+		if mid.Output != whole.Output || mid.Stats != whole.Stats {
+			t.Fatalf("%v: mid-run switch and fused run diverge", kind)
 		}
 	}
 }
@@ -203,22 +210,18 @@ func TestAdaptiveRejectsHooksAndFaults(t *testing.T) {
 // FuzzAdaptiveDifferential is the adaptive tier's coverage-guided
 // differential (wired into `make fuzz-smoke`): one generated program per
 // input, run on both machines under the fast loop (reference) and twice
-// under the adaptive tier with a fuzzed budget and threshold regime —
-// so the budget cutoff and the promotion point land at arbitrary
-// offsets relative to each other, including inside the warmup→promoted
-// bridge. Asserts identical output, status, Stats, and trap fields.
+// under the adaptive tier with a fuzzed budget — so the budget cutoff
+// lands at arbitrary offsets from the switch to the fused form,
+// including inside the bridge to the next block leader. Asserts
+// identical output, status, Stats, and trap fields.
 func FuzzAdaptiveDifferential(f *testing.F) {
-	f.Add(int64(1), int64(0), int64(0))
-	f.Add(int64(20260806), int64(1000), int64(1))
-	f.Add(int64(7), int64(70001), int64(2))
-	f.Fuzz(func(t *testing.T, seed, budget, thSel int64) {
+	f.Add(int64(1), int64(0))
+	f.Add(int64(20260806), int64(1000))
+	f.Add(int64(7), int64(70001))
+	f.Fuzz(func(t *testing.T, seed, budget int64) {
 		gen := &progGen{r: rand.New(rand.NewSource(seed))}
 		src := gen.generate()
 		o := DefaultOptions()
-		if thSel < 0 {
-			thSel = -thSel
-		}
-		threshold := adaptiveThresholds[thSel%int64(len(adaptiveThresholds))]
 		for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
 			p, err := Compile(context.Background(), src, kind, o)
 			if err != nil {
@@ -230,7 +233,6 @@ func FuzzAdaptiveDifferential(f *testing.F) {
 					t.Fatalf("%v: %v", kind, err)
 				}
 				m.Loop = mode
-				m.PromoteThreshold = threshold
 				if budget > 0 {
 					m.MaxInstructions = budget % (1 << 20)
 				}

@@ -15,18 +15,25 @@ import (
 
 // The byte-budgeted compile cache: a stream of distinct programs through
 // a small budget keeps every output right, never charges more than the
-// budget, frees what it evicts (with the adaptive tier's state for it),
-// and still compiles each key once under concurrent requests.
+// budget, frees what it evicts (with the program's fused form), and
+// still compiles each key once under concurrent requests.
+
+// formLoops are the engine modes that attach a fused form to a cached
+// program: the adaptive tier by its second run, the fused tier at once.
+var formLoops = []emu.LoopMode{emu.LoopAdaptive, emu.LoopFused}
 
 func TestCacheBudgetBoundsDistinctPrograms(t *testing.T) {
 	const budget = 1 << 20
-	const programs = 160
-	c := NewCache()
-	c.SetMaxBytes(budget)
+	const programs = 200
+	caches := make([]*Cache, len(formLoops))
+	for i := range caches {
+		caches[i] = NewCache()
+		caches[i].SetMaxBytes(budget)
+	}
 	ctx := context.Background()
 	gen := &progGen{r: rand.New(rand.NewSource(20261017))}
 
-	var first weak.Pointer[isa.Program]
+	firsts := make([]weak.Pointer[isa.Program], len(formLoops))
 	var maxEntries int64
 	for i := 0; i < programs; i++ {
 		src := gen.generate()
@@ -35,50 +42,57 @@ func TestCacheBudgetBoundsDistinctPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program %d: %v\n%s", i, err, src)
 		}
-		// Promote at the first opportunity, so the cached program carries
-		// a warmup profile and a promoted form by its second run.
-		req := Request{Source: src, Kind: kind, Options: DefaultOptions(),
-			Loop: emu.LoopAdaptive, PromoteThreshold: 1}
-		for run := 0; run < 2; run++ {
-			res, err := c.Exec(ctx, req)
-			if err != nil {
-				t.Fatalf("program %d run %d: %v", i, run, err)
+		for li, c := range caches {
+			// Two runs, so the cached program carries its fused form
+			// under either mode.
+			req := Request{Source: src, Kind: kind, Options: DefaultOptions(), Loop: formLoops[li]}
+			for run := 0; run < 2; run++ {
+				res, err := c.Exec(ctx, req)
+				if err != nil {
+					t.Fatalf("loop %d program %d run %d: %v", formLoops[li], i, run, err)
+				}
+				if res.Output != ref.Output || res.Status != ref.Status || res.Stats != ref.Stats {
+					t.Fatalf("loop %d program %d run %d diverges from the instrumented run: %q/%d vs %q/%d",
+						formLoops[li], i, run, res.Output, res.Status, ref.Output, ref.Status)
+				}
 			}
-			if res.Output != ref.Output || res.Status != ref.Status || res.Stats != ref.Stats {
-				t.Fatalf("program %d run %d diverges from the instrumented run: %q/%d vs %q/%d",
-					i, run, res.Output, res.Status, ref.Output, ref.Status)
+			if i == 0 {
+				firsts[li] = formWeakRef(t, c, src, kind)
 			}
+			ms := c.MemStats()
+			if ms.Bytes > budget {
+				t.Fatalf("loop %d: after program %d the cache charges %d bytes, over its %d-byte budget",
+					formLoops[li], i, ms.Bytes, budget)
+			}
+			maxEntries = max(maxEntries, ms.Entries)
 		}
-		if i == 0 {
-			first = adaptiveWeakRef(t, c, src, kind)
-		}
-		ms := c.MemStats()
-		if ms.Bytes > budget {
-			t.Fatalf("after program %d the cache charges %d bytes, over its %d-byte budget", i, ms.Bytes, budget)
-		}
-		maxEntries = max(maxEntries, ms.Entries)
 	}
 	if programs < 10*maxEntries {
 		t.Fatalf("the budget held up to %d programs; %d distinct programs are not 10x that", maxEntries, programs)
 	}
-	if ms := c.MemStats(); ms.Evictions < programs-maxEntries {
-		t.Fatalf("%d evictions for %d programs in a cache holding at most %d", ms.Evictions, programs, maxEntries)
+	for li, c := range caches {
+		if ms := c.MemStats(); ms.Evictions < programs-maxEntries {
+			t.Fatalf("loop %d: %d evictions for %d programs in a cache holding at most %d",
+				formLoops[li], ms.Evictions, programs, maxEntries)
+		}
 	}
 	// The first program was evicted long ago. Nothing may keep it alive:
-	// not the cache, not the adaptive tier's state for it.
-	for i := 0; i < 3 && first.Value() != nil; i++ {
-		runtime.GC()
-	}
-	if first.Value() != nil {
-		t.Fatal("an evicted program is still reachable after garbage collection")
+	// not the cache, not its fused form.
+	for li, first := range firsts {
+		for i := 0; i < 3 && first.Value() != nil; i++ {
+			runtime.GC()
+		}
+		if first.Value() != nil {
+			t.Fatalf("loop %d: an evicted program is still reachable after garbage collection", formLoops[li])
+		}
 	}
 }
 
-// adaptiveWeakRef returns a weak pointer to the cached program for (src,
-// kind), after checking that its adaptive-tier state exists and is
-// charged to it. It is a function of its own so that no variable of the
-// caller's keeps the program alive.
-func adaptiveWeakRef(t *testing.T, c *Cache, src string, kind isa.Kind) weak.Pointer[isa.Program] {
+// formWeakRef returns a weak pointer to the cached program for (src,
+// kind), after checking that its fused form exists and is charged to
+// it. It is a function of its own so that no variable of the caller's
+// keeps the program alive.
+func formWeakRef(t *testing.T, c *Cache, src string, kind isa.Kind) weak.Pointer[isa.Program] {
 	t.Helper()
 	hits := c.Stats().Hits
 	p, err := c.Compile(context.Background(), src, kind, DefaultOptions())
@@ -89,7 +103,7 @@ func adaptiveWeakRef(t *testing.T, c *Cache, src string, kind isa.Kind) weak.Poi
 		t.Fatal("the program just run is not resident")
 	}
 	if emu.AdaptiveBytes(p) == 0 {
-		t.Fatal("two adaptive runs left no adaptive state on the program")
+		t.Fatal("two runs left no fused form on the program")
 	}
 	if ms := c.MemStats(); ms.Bytes < p.RetainedBytes()+emu.AdaptiveBytes(p) {
 		t.Fatalf("cache charges %d bytes, less than its one program retains", ms.Bytes)
@@ -132,8 +146,9 @@ func TestCacheBudgetSingleflight(t *testing.T) {
 }
 
 // TestCacheChargesRetainedHeap holds the charge to what a cached program
-// actually keeps alive: the live heap a cache of adaptively run programs
-// adds must be within a third of what the cache charges for them.
+// actually keeps alive: the live heap a cache of programs run once
+// adaptively (no fused form) or fused (with one) adds must be within a
+// third of what the cache charges for them.
 func TestCacheChargesRetainedHeap(t *testing.T) {
 	const programs = 200
 	gen := &progGen{r: rand.New(rand.NewSource(5))}
@@ -146,21 +161,23 @@ func TestCacheChargesRetainedHeap(t *testing.T) {
 	if _, err := Exec(context.Background(), Request{Source: cacheTestSrc, Options: DefaultOptions()}); err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache()
-	before := liveHeap()
-	for i, src := range srcs {
-		req := Request{Source: src, Kind: isa.Kind(i % 2), Options: DefaultOptions(), Loop: emu.LoopAdaptive}
-		if _, err := c.Exec(context.Background(), req); err != nil {
-			t.Fatal(err)
+	for _, loop := range formLoops {
+		c := NewCache()
+		before := liveHeap()
+		for i, src := range srcs {
+			req := Request{Source: src, Kind: isa.Kind(i % 2), Options: DefaultOptions(), Loop: loop}
+			if _, err := c.Exec(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
 		}
+		live := float64(liveHeap() - before)
+		charged := float64(c.MemStats().Bytes)
+		t.Logf("loop %d: cache charges %.0f bytes for %.0f bytes of live heap (ratio %.2f)", loop, charged, live, charged/live)
+		if r := charged / live; r < 0.75 || r > 1.33 {
+			t.Fatalf("loop %d: cache charges %.0f bytes for %.0f bytes of live heap (ratio %.2f)", loop, charged, live, r)
+		}
+		runtime.KeepAlive(c)
 	}
-	live := float64(liveHeap() - before)
-	charged := float64(c.MemStats().Bytes)
-	t.Logf("cache charges %.0f bytes for %.0f bytes of live heap (ratio %.2f)", charged, live, charged/live)
-	if r := charged / live; r < 0.75 || r > 1.33 {
-		t.Fatalf("cache charges %.0f bytes for %.0f bytes of live heap (ratio %.2f)", charged, live, r)
-	}
-	runtime.KeepAlive(c)
 }
 
 // liveHeap is the heap in use after a full collection.

@@ -73,8 +73,8 @@ type CacheMemStats struct {
 
 // Cache memoizes Compile. A linked *isa.Program is never mutated after
 // Link (the emulator copies the data image into its own memory, and the
-// adaptive tier's per-program state sits in a slot that is safe for
-// concurrent use), so a cached program is shared freely across
+// program's fused form sits in a slot that is safe for concurrent use),
+// so a cached program is shared freely across
 // goroutines; concurrent requests for the same key block on a single
 // compilation (singleflight). Compilation errors are cached too: a
 // workload with a syntax error fails every variant without recompiling.
@@ -85,10 +85,10 @@ type CacheMemStats struct {
 // then kept in least-recently-used order and evicted from the tail while
 // their charges exceed it. An entry is charged what it retains: its
 // program's heap (isa.Program.RetainedBytes) plus, re-measured after
-// every adaptive run through Exec, the adaptive tier's state for it
-// (emu.AdaptiveBytes), plus cacheEntryOverhead. An evicted program stays
-// valid for whoever still holds it and is freed, with its adaptive state,
-// when the last holder lets go.
+// every run through Exec, the program's fused form (emu.AdaptiveBytes),
+// plus cacheEntryOverhead. An evicted program stays valid for whoever
+// still holds it and is freed, with its fused form, when the last
+// holder lets go.
 type Cache struct {
 	mu        sync.Mutex
 	entries   map[cacheKey]*cacheEntry
@@ -213,9 +213,9 @@ func (c *Cache) admit(e *cacheEntry) {
 	c.evictLocked()
 }
 
-// recharge re-measures a resident entry after a run: the adaptive tier
-// grows a program's state (warmup profile, promoted form) after the
-// program was admitted, and the budget must see it.
+// recharge re-measures a resident entry after a run: a fused, auto or
+// adaptive run may attach the program's fused form after the program
+// was admitted, and the budget must see it.
 func (c *Cache) recharge(e *cacheEntry) {
 	if e.p == nil {
 		return

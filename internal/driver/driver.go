@@ -135,9 +135,8 @@ type Result struct {
 	// entered, superinstructions retired, hand-offs to the fast loop).
 	// Zero unless Engine is emu.EngineFused or emu.EngineAdaptive.
 	Fusion emu.FusionStats
-	// Refusion describes the adaptive tier's promotion behavior for this
-	// run (whether it executed a promoted form, the mixed-tier block
-	// split, the mined vocabulary size). Zero unless Engine is
+	// Refusion describes what the adaptive tier did for this run: whether
+	// it executed the program's fused form. Zero unless Engine is
 	// emu.EngineAdaptive.
 	Refusion emu.RefusionStats
 	// Timing is where the request's wall clock went: compile (zero for

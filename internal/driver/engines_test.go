@@ -16,11 +16,10 @@ import (
 
 // Driver-level golden differential: the full workload suite and a sweep of
 // generated programs must produce identical Results from every engine tier
-// — the instrumented Step loop, the predecoded fast loop with and without
-// a profile attached (the profiled one serves every profiled run and
-// every adaptive warm-up), and the block-fused loop — and the
-// pooled-memory runner must stay correct under concurrency (run with
-// -race via `make check`).
+// — the instrumented Step loop, the predecoded fast loop, a profiled
+// request (which runs on the instrumented loop whatever its Loop), and
+// the block-fused loop — and the pooled-memory runner must stay correct
+// under concurrency (run with -race via `make check`).
 
 // engineTiers is the driver-level tier table; the instrumented loop is
 // the reference the others must reproduce byte for byte.
@@ -32,7 +31,7 @@ var engineTiers = []struct {
 }{
 	{"step", emu.LoopInstrumented, false, emu.EngineInstrumented},
 	{"fast", emu.LoopFast, false, emu.EngineFast},
-	{"fast-prof", emu.LoopFast, true, emu.EngineFast},
+	{"profiled", emu.LoopFast, true, emu.EngineInstrumented},
 	{"fused", emu.LoopFused, false, emu.EngineFused},
 }
 

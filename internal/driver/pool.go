@@ -92,7 +92,6 @@ func execute(ctx context.Context, p *isa.Program, req *Request) (*Result, error)
 	m.SetFaultPlan(req.Faults)
 	m.Loop = req.Loop
 	m.Prof = req.Profile
-	m.PromoteThreshold = req.PromoteThreshold
 	m.ReserveOutput(req.OutputHint)
 	if req.MaxInstructions > 0 {
 		m.MaxInstructions = req.MaxInstructions

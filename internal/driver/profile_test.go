@@ -2,6 +2,9 @@ package driver
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
@@ -13,10 +16,9 @@ import (
 
 // Profiling differential: attaching a BlockProfile must be invisible to
 // the program — byte-identical output and identical Stats across the full
-// workload suite on both machines — must keep the run on the fast path
-// (the profiled fast loop, whatever the LoopMode), and must produce flow
-// counts that conserve (per-instruction counts sum to Stats.Instructions)
-// and agree across engines.
+// workload suite on both machines — must run on the instrumented loop
+// whatever the LoopMode, and must produce flow counts that conserve
+// (per-instruction counts sum to Stats.Instructions).
 
 func TestProfiledRunsMatchUnprofiled(t *testing.T) {
 	if testing.Short() {
@@ -44,8 +46,8 @@ func TestProfiledRunsMatchUnprofiled(t *testing.T) {
 				if profiled.Output != plain.Output || profiled.Status != plain.Status || profiled.Stats != plain.Stats {
 					t.Fatalf("profiling changed the run:\n plain:    %+v\n profiled: %+v", plain, profiled)
 				}
-				if profiled.Engine != emu.EngineFast {
-					t.Fatalf("profiled run did not take the profiled fast loop: engine %q", profiled.Engine)
+				if profiled.Engine != emu.EngineInstrumented {
+					t.Fatalf("profiled run did not take the instrumented loop: engine %q", profiled.Engine)
 				}
 				var sum, taken, notTaken, penalty int64
 				for _, c := range prof.Counts() {
@@ -90,12 +92,52 @@ func TestProfiledRunsMatchUnprofiled(t *testing.T) {
 	}
 }
 
+// blockProfileGolden is one SHA-256 over the five BlockProfile arrays of
+// every suite workload on both machines, as TestBlockProfilesPinned
+// computes it. Flow counts are a function of the program and its input
+// alone, so no engine change may move it.
+const blockProfileGolden = "e2f19f683ae5fcf381bed6e06775e540af30395dfb8d3da67fb58442fcee0735"
+
+// TestBlockProfilesPinned pins the profiles the hot-block tables and
+// cmd/fusepairs are built from: a profiled default request over the 19
+// suite workloads on both machines must fill exactly the arrays it
+// filled when the constant was generated.
+func TestBlockProfilesPinned(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("full-suite profile digest is slow under -short and -race")
+	}
+	ctx := context.Background()
+	o := DefaultOptions()
+	h := sha256.New()
+	var word [8]byte
+	for _, w := range workloads.All() {
+		for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
+			p, err := Compile(ctx, w.FullSource(), kind, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof := emu.NewBlockProfile(len(p.Text))
+			if _, err := Exec(ctx, Request{Program: p, Input: w.Input, Profile: prof}); err != nil {
+				t.Fatalf("%s/%v: %v", w.Name, kind, err)
+			}
+			for _, arr := range [][]int64{prof.Arrive, prof.Depart, prof.Taken, prof.NotTaken, prof.Penalty} {
+				for _, v := range arr {
+					binary.LittleEndian.PutUint64(word[:], uint64(v))
+					h.Write(word[:])
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != blockProfileGolden {
+		t.Errorf("combined block-profile digest is %s, golden %s", got, blockProfileGolden)
+	}
+}
+
 func TestProfileEnginesAgree(t *testing.T) {
-	// The fast loop's inlined profile updates and the instrumented loop's
-	// profBranch/jumpTo updates must fill identical arrays. Every
-	// fast-path LoopMode runs a profiled request on the profiled fast
-	// loop — the adaptive one even for a program that has promoted — so
-	// each must report EngineFast and fill the same profile.
+	// Every LoopMode sends a profiled request to the instrumented loop —
+	// the adaptive one even for a program that already has its fused
+	// form — so each must report EngineInstrumented, no refusion, and
+	// fill the profile a LoopInstrumented request fills.
 	o := DefaultOptions()
 	ctx := context.Background()
 	names := []string{"sieve", "puzzle", "sort"}
@@ -115,7 +157,7 @@ func TestProfileEnginesAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				if i == 1 && !res.Refusion.Promoted {
-					t.Fatalf("%s/%v: program did not promote", name, kind)
+					t.Fatalf("%s/%v: program did not enter its fused form", name, kind)
 				}
 			}
 			instProf := emu.NewBlockProfile(len(p.Text))
@@ -129,8 +171,8 @@ func TestProfileEnginesAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Engine != emu.EngineFast || res.Refusion != (emu.RefusionStats{}) {
-					t.Fatalf("%s/%v loop %d: profiled run took engine %q (refusion %+v), want the profiled fast loop",
+				if res.Engine != emu.EngineInstrumented || res.Refusion != (emu.RefusionStats{}) {
+					t.Fatalf("%s/%v loop %d: profiled run took engine %q (refusion %+v), want the instrumented loop",
 						name, kind, loop, res.Engine, res.Refusion)
 				}
 				if !reflect.DeepEqual(prof, instProf) {

@@ -52,15 +52,10 @@ type Request struct {
 	// build on.
 	MaxInstructions int64
 	// Profile, when set, receives the run's flow counts (see
-	// emu.BlockProfile). Must be sized for the program's Text; profiling
-	// does not force the instrumented engine: under any fast-path Loop
-	// the run executes on the profiled fast loop (Result.Engine "fast").
+	// emu.BlockProfile). Must be sized for the program's Text; a profiled
+	// run executes on the instrumented loop whatever Loop says
+	// (Result.Engine "instrumented").
 	Profile *emu.BlockProfile
-	// PromoteThreshold tunes the adaptive tier's promotion trigger
-	// (emu.Machine.PromoteThreshold): 0 means the emulator default,
-	// negative disables promotion. Ignored unless Loop is
-	// emu.LoopAdaptive.
-	PromoteThreshold int64
 }
 
 // Validate rejects requests the driver cannot honor.
@@ -108,9 +103,6 @@ func (r *Request) Fingerprint() string {
 	if r.Profile != nil {
 		fp += fmt.Sprintf("|prof=%p", r.Profile)
 	}
-	if r.PromoteThreshold != 0 {
-		fp += fmt.Sprintf("|pt=%d", r.PromoteThreshold)
-	}
 	return fp
 }
 
@@ -144,7 +136,7 @@ func (c *Cache) Exec(ctx context.Context, req Request) (*Result, error) {
 		}
 		return e.p, e.err
 	})
-	if e != nil && req.Loop == emu.LoopAdaptive {
+	if e != nil {
 		c.recharge(e)
 	}
 	return res, err

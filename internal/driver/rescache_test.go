@@ -105,7 +105,7 @@ func TestResultCacheSanitizes(t *testing.T) {
 		Output: "out", Status: 3, Engine: emu.EngineAdaptive,
 		Stats:    emu.Stats{Instructions: 42},
 		Fusion:   emu.FusionStats{Blocks: 5},
-		Refusion: emu.RefusionStats{Promoted: true, WarmupInsts: 9},
+		Refusion: emu.RefusionStats{Promoted: true},
 		Timing:   Timing{CompileNS: 7, RunNS: 9},
 	}
 	s, _ := rc.Acquire("k", "c")

@@ -2,158 +2,167 @@ package emu
 
 import (
 	"context"
+	"sync"
 	"testing"
+
+	"branchreg/internal/isa"
 )
 
-// Unit tests for the adaptive tier's building blocks. The end-to-end
-// byte-identity contract lives in internal/driver (the adaptive
-// differential matrix and FuzzAdaptiveDifferential); here we pin the
-// pieces those tests compose: DP segmentation never fuses fewer
-// dispatches than the greedy pass, profile merging is exact, and the
-// promotion context fires iff a block crosses the threshold.
+// Unit tests for the rule LoopAdaptive enters the fused form by. The
+// end-to-end byte-identity contract lives in internal/driver (the
+// adaptive differential matrix and FuzzAdaptiveDifferential); here we
+// pin when a run enters the form, that the form is built once per
+// program, and what it is charged.
 
-// segFused counts the dispatches a segmentation choice vector saves.
-func segFused(ch []int8) int {
-	saved := 0
-	for i := 0; i < len(ch); {
-		step := int(ch[i])
-		saved += step - 1
-		i += step
+// countdown builds a program that loops n times and exits: four
+// instructions per iteration on the baseline machine, three on the BRM.
+func countdown(t *testing.T, kind isa.Kind, n int32) *isa.Program {
+	t.Helper()
+	if kind == isa.Baseline {
+		return buildBase(t, func(f *isa.Function) {
+			f.Emit(isa.Instr{Op: isa.OpAdd, Rd: 3, Rs1: 0, UseImm: true, Imm: n})
+			f.Bind("loop")
+			f.Emit(isa.Instr{Op: isa.OpSub, Rd: 3, Rs1: 3, UseImm: true, Imm: 1})
+			f.Emit(isa.Instr{Op: isa.OpCmp, Rs1: 3, UseImm: true, Imm: 0})
+			f.Emit(isa.Instr{Op: isa.OpB, Cond: isa.CondGT, Target: "loop"})
+			f.Emit(isa.Instr{Op: isa.OpNop})
+			f.Emit(isa.Instr{Op: isa.OpTrap, UseImm: true, Imm: isa.TrapExit})
+		})
 	}
-	return saved
-}
-
-// greedyFused mirrors the static seal() pass: probe a triple first,
-// then a pair, at each position.
-func greedyFused(kinds []uopKind, pol *fusePolicy) int {
-	saved := 0
-	for i := 0; i < len(kinds); {
-		if i+2 < len(kinds) {
-			if _, ok := pol.triple(kinds[i], kinds[i+1], kinds[i+2]); ok {
-				saved += 2
-				i += 3
-				continue
-			}
-		}
-		if i+1 < len(kinds) {
-			if _, ok := pol.pair(kinds[i], kinds[i+1]); ok {
-				saved++
-				i += 2
-				continue
-			}
-		}
-		i++
-	}
-	return saved
-}
-
-func TestDPSegmentationBeatsGreedy(t *testing.T) {
-	// Exhaustive sweep over short kind sequences drawn from a small
-	// alphabet with the static tables: the DP choice vector must be
-	// well-formed (steps land exactly at the end) and save at least as
-	// many dispatches as greedy triple-then-pair probing.
-	alphabet := []uopKind{uConst, uAddImm, uAddReg, uSllImm, uLwImm, uCmpImm, uNop}
-	pol := &staticPolicy
-	var sweep func(seq []uopKind)
-	sweep = func(seq []uopKind) {
-		if len(seq) > 0 {
-			src := make([]fuop, len(seq))
-			for i, k := range seq {
-				src[i].kind = k
-			}
-			ch := dpSegment(src, pol)
-			// Validate structure: steps of 1/2/3 that tile the sequence,
-			// each multi-step backed by a table entry.
-			for i := 0; i < len(ch); {
-				step := int(ch[i])
-				if step < 1 || step > 3 || i+step > len(ch) {
-					t.Fatalf("seq %v: malformed choice %v at %d", seq, ch, i)
-				}
-				switch step {
-				case 2:
-					if _, ok := pol.pair(seq[i], seq[i+1]); !ok {
-						t.Fatalf("seq %v: choice fuses unfusable pair at %d", seq, i)
-					}
-				case 3:
-					if _, ok := pol.triple(seq[i], seq[i+1], seq[i+2]); !ok {
-						t.Fatalf("seq %v: choice fuses unfusable triple at %d", seq, i)
-					}
-				}
-				i += step
-			}
-			if dp, greedy := segFused(ch), greedyFused(seq, pol); dp < greedy {
-				t.Fatalf("seq %v: dp saves %d < greedy %d", seq, dp, greedy)
-			}
-		}
-		if len(seq) == 4 {
-			return
-		}
-		for _, k := range alphabet {
-			sweep(append(seq, k))
-		}
-	}
-	sweep(nil)
-}
-
-func TestBlockProfileMerge(t *testing.T) {
-	a, b := NewBlockProfile(3), NewBlockProfile(3)
-	a.Arrive[0], a.Depart[1], a.Taken[2] = 1, 2, 3
-	b.Arrive[0], b.NotTaken[1], b.Penalty[2] = 10, 20, 30
-	a.Merge(b)
-	if a.Arrive[0] != 11 || a.Depart[1] != 2 || a.Taken[2] != 3 ||
-		a.NotTaken[1] != 20 || a.Penalty[2] != 30 {
-		t.Fatalf("merge wrong: %+v", a)
-	}
+	return buildBRM(t, func(f *isa.Function) {
+		f.Emit(isa.Instr{Op: isa.OpAdd, Rd: 3, Rs1: 0, UseImm: true, Imm: n})
+		f.Emit(isa.Instr{Op: isa.OpBrCalc, Rd: 1, Rs1: -1, Target: "loop"})
+		f.Bind("loop")
+		f.Emit(isa.Instr{Op: isa.OpSub, Rd: 3, Rs1: 3, UseImm: true, Imm: 1})
+		f.Emit(isa.Instr{Op: isa.OpCmpBr, Cond: isa.CondGT, Rs1: 3, UseImm: true, Imm: 0, BSrc: 1})
+		f.Emit(isa.Instr{Op: isa.OpNop, BR: isa.RABr})
+		f.Emit(isa.Instr{Op: isa.OpTrap, UseImm: true, Imm: isa.TrapExit})
+	})
 }
 
 func TestPromoteCtxFires(t *testing.T) {
-	ctx := context.Background()
-	arrive := make([]int64, 4)
-	pc := &promoteCtx{Context: ctx, arrive: arrive, threshold: 64}
-	if err := pc.Err(); err != nil {
-		t.Fatalf("cold promoteCtx fired: %v", err)
+	// The first poll of a live run enters the fused form; a run whose
+	// own context has ended reports that instead.
+	if err := (promoteCtx{context.Background()}).Err(); err != errPromote {
+		t.Fatalf("live promoteCtx returned %v, want errPromote", err)
 	}
-	arrive[2] = 63
-	if err := pc.Err(); err != nil {
-		t.Fatalf("below-threshold promoteCtx fired: %v", err)
-	}
-	arrive[2] = 64
-	if err := pc.Err(); err != errPromote {
-		t.Fatalf("promoteCtx did not fire at threshold: %v", err)
-	}
-	// Accumulated arrivals from earlier runs count toward the threshold.
-	arrive[2] = 0
-	pc.base = []int64{0, 0, 60, 0}
-	arrive[2] = 4
-	if err := pc.Err(); err != errPromote {
-		t.Fatalf("promoteCtx ignored accumulated base: %v", err)
-	}
-	// A real context error wins over promotion.
-	cctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	pc.Context = cctx
-	if err := pc.Err(); err != context.Canceled {
+	if err := (promoteCtx{ctx}).Err(); err != context.Canceled {
 		t.Fatalf("cancelled promoteCtx returned %v", err)
 	}
 }
 
-func TestMinedVocabularyCoversStaticAndExt(t *testing.T) {
-	// mineVocab admits patterns from both the static and the extended
-	// tables, and nothing else.
-	v := &dynVocab{pairs: map[uint16]uopKind{}, triples: map[uint32]uopKind{}}
-	if k, ok := fusePair(uConst, uAddImm); !ok || k == 0 {
-		t.Fatal("static pair const+addi missing from fusePair")
+func TestAdaptiveEntersFormByRule(t *testing.T) {
+	for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
+		// A run shorter than the first poll stays on the fast loop and
+		// builds nothing.
+		p := countdown(t, kind, 1000)
+		cold, err := runEngine(t, p, "", LoopAdaptive, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cold.Stats.Instructions >= ctxCheckStride {
+			t.Fatalf("%v: short program ran %d instructions", kind, cold.Stats.Instructions)
+		}
+		if cold.Refusion.Promoted || cold.Fusion.Blocks != 0 || AdaptiveBytes(p) != 0 {
+			t.Fatalf("%v: cold run entered the form: %+v %+v, %d bytes",
+				kind, cold.Refusion, cold.Fusion, AdaptiveBytes(p))
+		}
+		// Its second run enters the form from the start.
+		warm, err := runEngine(t, p, "", LoopAdaptive, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm.Refusion.Promoted || warm.Fusion.Blocks == 0 || warm.Fusion.Bails != 0 {
+			t.Fatalf("%v: second run did not run in the form: %+v %+v", kind, warm.Refusion, warm.Fusion)
+		}
+		if got, want := AdaptiveBytes(p), warm.fp.bytes(); got == 0 || got != want {
+			t.Fatalf("%v: AdaptiveBytes = %d, want the form's %d", kind, got, want)
+		}
+		ref, ierr := runEngine(t, p, "", LoopInstrumented, false, 0)
+		diffMachines(t, "adaptive-warm", warm, err, ref, ierr)
+
+		// A run longer than the first poll switches mid-run: it enters
+		// the form, but fewer blocks than a whole fused run executes.
+		long := countdown(t, kind, 50000)
+		mid, err := runEngine(t, long, "", LoopAdaptive, false, 0)
+		fused, ferr := runEngine(t, long, "", LoopFused, false, 0)
+		ref, ierr = runEngine(t, long, "", LoopInstrumented, false, 0)
+		diffMachines(t, "adaptive-mid-run", mid, err, ref, ierr)
+		diffMachines(t, "fused", fused, ferr, ref, ierr)
+		if !mid.Refusion.Promoted || mid.Fusion.Blocks == 0 || mid.Fusion.Blocks >= fused.Fusion.Blocks {
+			t.Fatalf("%v: long run did not switch at its first poll: %+v, adaptive %+v, fused %+v",
+				kind, mid.Refusion, mid.Fusion, fused.Fusion)
+		}
 	}
-	if _, ok := fusePairExt(uAddImm, uCmpImm); !ok {
-		t.Fatal("extended pair addi+cmpi missing from fusePairExt")
+}
+
+func TestFusedFormSharedAcrossRuns(t *testing.T) {
+	// LoopFused, LoopAuto and LoopAdaptive runs of one program share the
+	// one form the first of them built.
+	for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
+		p := countdown(t, kind, 10)
+		var fp *fprog
+		for _, mode := range []LoopMode{LoopFused, LoopAuto, LoopAdaptive, LoopFused} {
+			m, err := runEngine(t, p, "", mode, false, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fp == nil {
+				fp = m.fp
+			}
+			if m.fp == nil || m.fp != fp || &m.dec[0] != &fp.dec[0] {
+				t.Fatalf("%v mode %d: run did not use the program's one form", kind, mode)
+			}
+			if mode == LoopAdaptive && !m.Refusion.Promoted {
+				t.Fatalf("%v: adaptive run of a program with a form stayed cold", kind)
+			}
+		}
+		if AdaptiveBytes(p) != fp.bytes() {
+			t.Fatalf("%v: AdaptiveBytes = %d, want %d", kind, AdaptiveBytes(p), fp.bytes())
+		}
 	}
-	if _, ok := fusePair(uAddImm, uCmpImm); ok {
-		t.Fatal("addi+cmpi unexpectedly in the static table; ext test is vacuous")
-	}
-	if _, ok := fuseTripleExt(uConst, uAddImm, uLwImm); !ok {
-		t.Fatal("extended triple const+addi+lwi missing from fuseTripleExt")
-	}
-	if _, ok := v.pair(uConst, uAddImm); ok {
-		t.Fatal("empty vocabulary resolved a pair")
+}
+
+func TestFusedFormConcurrentRuns(t *testing.T) {
+	// Concurrent first runs of one program race to build its form: every
+	// run must still match the instrumented loop, and all must end up
+	// sharing the one form that was published.
+	for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
+		p := countdown(t, kind, 30000)
+		ref, ierr := runEngine(t, p, "", LoopInstrumented, false, 0)
+		const runners = 8
+		machines := make([]*Machine, runners)
+		errs := make([]error, runners)
+		var wg sync.WaitGroup
+		for i := 0; i < runners; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				m, err := New(p, "")
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				m.Loop = LoopAdaptive
+				if i%2 == 1 {
+					m.Loop = LoopFused
+				}
+				_, errs[i] = m.Run()
+				machines[i] = m
+			}(i)
+		}
+		wg.Wait()
+		fp := formStateFor(p).fp.Load()
+		for i, m := range machines {
+			diffMachines(t, "concurrent", m, errs[i], ref, ierr)
+			if m.fp != nil && m.fp != fp {
+				t.Fatalf("%v runner %d ran a form that was not published", kind, i)
+			}
+		}
+		if fp == nil {
+			t.Fatalf("%v: no form published after fused runs", kind)
+		}
 	}
 }

@@ -206,58 +206,11 @@ type symBreg struct {
 	pos   int32 // Text index of the originating brcalc (calc time)
 }
 
-// fusePolicy parameterizes which superinstructions buildFprog may form
-// and where. The static fused tier uses staticPolicy: the frozen global
-// pair/triple tables, greedy left-to-right rewriting, every block
-// eligible. The adaptive tier (adaptive.go) substitutes a per-program
-// vocabulary mined from the promotion profile, restricts fusion to
-// blocks the profile proved hot, and uses DP-optimal segmentation. A nil
-// policy fuses nothing.
-type fusePolicy struct {
-	// pair and triple report the fused kind for an adjacent body pair or
-	// triple admitted by this policy.
-	pair   func(a, b uopKind) (uopKind, bool)
-	triple func(a, b, c uopKind) (uopKind, bool)
-	// hot reports whether the block starting at this Text index may fuse
-	// at all (body and terminator). nil means every block is eligible.
-	hot func(start int) bool
-	// dp selects DP-optimal in-block segmentation (maximizing fused-away
-	// dispatches) instead of greedy longest-match-first.
-	dp bool
-}
-
-var staticPolicy = fusePolicy{pair: fusePair, triple: fuseTriple}
-
-// dpSegment computes, for one block body, the per-index step choices
-// (1 = single, 2 = pair, 3 = triple) that maximize the number of
-// fused-away dispatches under the policy's vocabulary. Ties prefer the
-// longer match, like the greedy rewriter.
-func dpSegment(src []fuop, pol *fusePolicy) []int8 {
-	l := len(src)
-	best := make([]int, l+1)
-	ch := make([]int8, l)
-	for i := l - 1; i >= 0; i-- {
-		b, c := best[i+1], int8(1)
-		if i+1 < l {
-			if _, ok := pol.pair(src[i].kind, src[i+1].kind); ok && 1+best[i+2] > b {
-				b, c = 1+best[i+2], 2
-			}
-		}
-		if i+2 < l {
-			if _, ok := pol.triple(src[i].kind, src[i+1].kind, src[i+2].kind); ok && 2+best[i+3] >= b {
-				b, c = 2+best[i+3], 3
-			}
-		}
-		best[i], ch[i] = b, c
-	}
-	return ch
-}
-
-// buildFprog lowers a predecoded program into block-fused form under the
-// fusion policy pol: &staticPolicy for the static fused tier, a mined
-// policy for the adaptive tier, or nil for the unfused block form that
-// PairStats and vocabulary mining measure raw adjacencies on.
-func buildFprog(p *isa.Program, dec []uop, pol *fusePolicy) *fprog {
+// buildFprog lowers a predecoded program into block-fused form. With
+// fuse set it rewrites superinstructions from the static tables (the
+// program's fused form); without, it leaves every micro-op alone (the
+// unfused block form PairStats measures raw adjacencies on).
+func buildFprog(p *isa.Program, dec []uop, fuse bool) *fprog {
 	n := len(dec)
 	fp := &fprog{dec: dec, pc2block: make([]int32, n)}
 	for i := range fp.pc2block {
@@ -273,12 +226,8 @@ func buildFprog(p *isa.Program, dec []uop, pol *fusePolicy) *fprog {
 	baseline := p.Kind == isa.Baseline
 
 	// scan builds one block starting at Text index start and returns it
-	// with the index where the next block begins. fuseBlk gates all
-	// fusion (body and terminator) for this block: cold blocks under an
-	// adaptive policy keep the fast tier's per-uop form, so one fprog
-	// mixes promoted superblocks and unfused regions chained together.
+	// with the index where the next block begins.
 	scan := func(start int) (fblock, int) {
-		fuseBlk := pol != nil && (pol.hot == nil || pol.hot(start))
 		b := fblock{
 			start: int32(start),
 			off:   int32(len(fp.ops)),
@@ -308,35 +257,24 @@ func buildFprog(p *isa.Program, dec []uop, pol *fusePolicy) *fprog {
 			b.n = int32(len(fp.ops)) - b.off
 			orig := b.n
 			// Rewrite hot adjacent triples and pairs into superinstructions
-			// in place: greedy left-to-right longest-match-first, or — under
-			// a dp policy — the segmentation maximizing fused-away
-			// dispatches.
-			if fuseBlk && b.n > 1 {
+			// in place: greedy left to right, a triple before a pair.
+			if fuse && b.n > 1 {
 				src := fp.ops[b.off : b.off+b.n]
-				var ch []int8
-				if pol.dp {
-					ch = dpSegment(src, pol)
-				}
 				out := src[:0]
 				for i := 0; i < len(src); {
-					step := 1
-					if pol.dp {
-						step = int(ch[i])
-					} else {
-						if i+2 < len(src) {
-							if _, ok := pol.triple(src[i].kind, src[i+1].kind, src[i+2].kind); ok {
-								step = 3
-							}
+					k, step := uopKind(0), 1
+					if i+2 < len(src) {
+						if fk, ok := fuseTriple(src[i].kind, src[i+1].kind, src[i+2].kind); ok {
+							k, step = fk, 3
 						}
-						if step == 1 && i+1 < len(src) {
-							if _, ok := pol.pair(src[i].kind, src[i+1].kind); ok {
-								step = 2
-							}
+					}
+					if step == 1 && i+1 < len(src) {
+						if fk, ok := fusePair(src[i].kind, src[i+1].kind); ok {
+							k, step = fk, 2
 						}
 					}
 					switch step {
 					case 3:
-						k, _ := pol.triple(src[i].kind, src[i+1].kind, src[i+2].kind)
 						f, s, t := src[i], &src[i+1], &src[i+2]
 						f.kind = k
 						f.imm2, f.rd2, f.rs21, f.rs22 = s.imm, s.rd, s.rs1, s.rs2
@@ -350,7 +288,6 @@ func buildFprog(p *isa.Program, dec []uop, pol *fusePolicy) *fprog {
 						out = append(out, f)
 						i += 3
 					case 2:
-						k, _ := pol.pair(src[i].kind, src[i+1].kind)
 						f, s := src[i], &src[i+1]
 						f.kind = k
 						f.imm2, f.rd2, f.rs21, f.rs22 = s.imm, s.rd, s.rs1, s.rs2
@@ -407,7 +344,7 @@ func buildFprog(p *isa.Program, dec []uop, pol *fusePolicy) *fprog {
 						return seal(ftJump, 2, j+2)
 					case uBCond:
 						b.tgt = u.tgt
-						if fuseBlk && int32(len(fp.ops)) > b.off {
+						if fuse && int32(len(fp.ops)) > b.off {
 							switch last := fp.ops[len(fp.ops)-1]; last.kind {
 							case uCmpImm, uCmpReg, uFcmp:
 								b.cob = last.uop
@@ -431,7 +368,7 @@ func buildFprog(p *isa.Program, dec []uop, pol *fusePolicy) *fprog {
 				b.termPC = int32(j)
 				b.fallIdx = int32(j + 1)
 				b.retAddr = isa.IndexToAddr(j) + isa.WordSize
-				if fuseBlk && int32(len(fp.ops)) > b.off && !writesBReg(u.kind) {
+				if fuse && int32(len(fp.ops)) > b.off && !writesBReg(u.kind) {
 					last := fp.ops[len(fp.ops)-1]
 					switch {
 					case u.br == isa.RABr &&

@@ -144,7 +144,7 @@ type Machine struct {
 	faults *faultState // deterministic fault-injection state (nil = none)
 
 	dec     []uop  // predecoded form, built lazily by RunContext
-	fp      *fprog // block-fused form, built lazily by RunContext
+	fp      *fprog // the program's fused form, once a run enters it
 	scratch []byte // putf formatting buffer
 
 	// Fusion counts the fused engine's dynamic behavior (blocks entered,
@@ -154,9 +154,8 @@ type Machine struct {
 	Fusion FusionStats
 
 	// Prof, when set, accumulates flow counts at transfers of control
-	// (see BlockProfile). Profiling is fast-path compatible: under any
-	// fast-path LoopMode a profiled run executes on the profiled fast
-	// loop; it never forces the instrumented loop.
+	// (see BlockProfile). A profiled run executes on the instrumented
+	// loop whatever the LoopMode.
 	Prof        *BlockProfile
 	profEntered bool   // Arrive[entry] already charged for this machine
 	engine      string // engine used by the last RunContext (see Engine)
@@ -164,19 +163,14 @@ type Machine struct {
 	MaxInstructions int64
 
 	// Loop selects the execution engine; the zero value (LoopAuto) uses the
-	// fast loop whenever no hooks are installed and no fault plan is armed.
+	// block-fused loop whenever no hooks are installed and no fault plan
+	// is armed.
 	Loop LoopMode
 
-	// PromoteThreshold is the adaptive tier's promotion trigger: a block
-	// arrival count at or above it promotes the program to a re-fused
-	// form (see adaptive.go). Zero means DefaultPromoteThreshold;
-	// negative disables promotion (the adaptive tier then runs the plain
-	// fast loop). Ignored by every other LoopMode.
-	PromoteThreshold int64
-
 	// Refusion describes what the adaptive tier did for the last run
-	// (zero value for unpromoted runs and other engines). Like Fusion it
-	// is not part of Stats: Stats stay identical across tiers.
+	// (zero value for runs that stayed on the fast loop and for other
+	// engines). Like Fusion it is not part of Stats: Stats stay
+	// identical across tiers.
 	Refusion RefusionStats
 }
 
@@ -266,42 +260,32 @@ const ctxCheckStride = 1 << 16
 // block-fused loop runs whenever it can reproduce the instrumented loop
 // exactly — no hooks installed and no fault plan armed — and the
 // instruction-at-a-time Step loop runs otherwise. A profiled run (m.Prof
-// set) under any fast-path mode executes on the profiled fast loop and
-// records EngineFast: profiles are diagnostic, and flow conservation makes
-// them identical on every engine.
+// set) executes on the Step loop under every mode and records
+// EngineInstrumented: profiles are diagnostic, and flow conservation
+// makes them identical on every engine.
 func (m *Machine) RunContext(ctx context.Context) (int32, error) {
-	fast := false
-	fused := false
-	adaptive := false
+	hooked := m.hooksInstalled() || m.faults != nil
+	var mode string
 	switch m.Loop {
 	case LoopFast:
-		if m.hooksInstalled() || m.faults != nil {
-			return 0, fmt.Errorf("emu: LoopFast cannot honor hooks or fault plans")
-		}
-		fast = true
+		mode = "LoopFast"
 	case LoopFused:
-		if m.hooksInstalled() || m.faults != nil {
-			return 0, fmt.Errorf("emu: LoopFused cannot honor hooks or fault plans")
-		}
-		fused = true
+		mode = "LoopFused"
 	case LoopAdaptive:
-		if m.hooksInstalled() || m.faults != nil {
-			return 0, fmt.Errorf("emu: LoopAdaptive cannot honor hooks or fault plans")
-		}
-		adaptive = true
-	case LoopAuto:
-		fused = !m.hooksInstalled() && m.faults == nil
+		mode = "LoopAdaptive"
 	}
-	if m.Prof != nil && (fused || adaptive) {
-		fast, fused, adaptive = true, false, false
+	if mode != "" && hooked {
+		return 0, fmt.Errorf("emu: %s cannot honor hooks or fault plans", mode)
 	}
 	switch {
-	case adaptive:
-		m.engine = EngineAdaptive
-	case fused:
-		m.engine = EngineFused
-	case fast:
+	case m.Prof != nil:
+		m.engine = EngineInstrumented
+	case m.Loop == LoopFast:
 		m.engine = EngineFast
+	case m.Loop == LoopAdaptive:
+		m.engine = EngineAdaptive
+	case m.Loop == LoopFused || m.Loop == LoopAuto && !hooked:
+		m.engine = EngineFused
 	default:
 		m.engine = EngineInstrumented
 	}
@@ -313,35 +297,15 @@ func (m *Machine) RunContext(ctx context.Context) (int32, error) {
 	}
 	var status int32
 	var err error
-	if fast || fused || adaptive {
-		if m.dec == nil {
-			m.dec = predecode(m.P)
-		}
-		if fused && m.fp == nil {
-			m.fp = buildFprog(m.P, m.dec, &staticPolicy)
-		}
-		// A profiled run dispatches to the profiled twin of the fast
-		// loop; the unprofiled loops carry no profiling code at all (see
-		// fastloop_prof.go for why the twins are separate functions).
-		baseline := m.P.Kind == isa.Baseline
-		switch {
-		case adaptive:
-			status, err = m.runAdaptive(ctx)
-		case fused && baseline:
-			status, err = runFusedBaseline(m, ctx)
-		case fused:
-			status, err = runFusedBRM(m, ctx)
-		case baseline && m.Prof != nil:
-			status, err = runFastBaselineProf(m, ctx, m.Prof)
-		case baseline:
-			status, err = m.runFastBaseline(ctx)
-		case m.Prof != nil:
-			status, err = runFastBRMProf(m, ctx, m.Prof)
-		default:
-			status, err = m.runFastBRM(ctx)
-		}
-	} else {
+	switch m.engine {
+	case EngineInstrumented:
 		status, err = m.runInstrumented(ctx)
+	case EngineAdaptive:
+		status, err = m.runAdaptive(ctx)
+	case EngineFused:
+		status, err = m.runFused(ctx)
+	default:
+		status, err = m.runFast(ctx)
 	}
 	// Close the flow at the run's last instruction so Counts() conserves.
 	// Only a finished run (halt or trap) closes; a context cancellation
@@ -355,6 +319,29 @@ func (m *Machine) RunContext(ctx context.Context) (int32, error) {
 		}
 	}
 	return status, err
+}
+
+// runFast runs the predecoded fast loop, predecoding on first use.
+func (m *Machine) runFast(ctx context.Context) (int32, error) {
+	if m.dec == nil {
+		m.dec = predecode(m.P)
+	}
+	if m.P.Kind == isa.Baseline {
+		return m.runFastBaseline(ctx)
+	}
+	return m.runFastBRM(ctx)
+}
+
+// runFused runs the program's fused form, building it on first use.
+func (m *Machine) runFused(ctx context.Context) (int32, error) {
+	if m.fp == nil {
+		m.fp = fusedForm(m.P, m.dec)
+		m.dec = m.fp.dec
+	}
+	if m.P.Kind == isa.Baseline {
+		return runFusedBaseline(m, ctx)
+	}
+	return runFusedBRM(m, ctx)
 }
 
 // runInstrumented is the original Step-at-a-time engine, required for

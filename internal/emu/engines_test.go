@@ -12,11 +12,12 @@ import (
 )
 
 // The golden differential contract of the predecoded engines: for every
-// program, input, and instruction budget, the fast loop (profiled or
-// not), the block-fused loop and the instrumented loop must agree on all
-// observable machine state — Stats, output bytes, exit status, trap
-// values, registers, memory, and the final pc/pending. The profiled fast
-// loop is the one every profiled run and every adaptive warm-up executes.
+// program, input, and instruction budget, the fast loop, the block-fused
+// loop and the instrumented loop must agree on all observable machine
+// state — Stats, output bytes, exit status, trap values, registers,
+// memory, and the final pc/pending — and attaching a profile must change
+// none of it (a profiled run executes on the instrumented loop under
+// every mode).
 
 // engineTiers is the table every differential test sweeps: the
 // instrumented Step loop is the reference; each other tier must reproduce
@@ -28,7 +29,7 @@ var engineTiers = []struct {
 }{
 	{"step", LoopInstrumented, false},
 	{"fast", LoopFast, false},
-	{"fast-prof", LoopFast, true},
+	{"profiled", LoopFast, true},
 	{"fused", LoopFused, false},
 }
 

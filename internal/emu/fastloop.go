@@ -20,10 +20,8 @@ import (
 // engines to byte-identical results.
 //
 // These loops carry no profiling code; a run with a BlockProfile attached
-// dispatches to the profiled twins in fastloop_prof.go instead — under
-// every fast-path LoopMode, the fused and adaptive ones included —
-// keeping this file's loops, the ones `make bench-gate` holds to the
-// committed throughput trajectory, free of even a per-transfer branch.
+// executes on the instrumented loop instead, under every LoopMode,
+// keeping this file's loops free of even a per-transfer branch.
 
 // LoopMode selects which execution engine RunContext uses.
 type LoopMode int
@@ -31,27 +29,25 @@ type LoopMode int
 const (
 	// LoopAuto picks the block-fused engine when no hooks are installed
 	// and no fault plan is armed, and the instrumented loop otherwise. A
-	// profiled run (Machine.Prof set) takes the profiled fast loop
-	// instead of the fused engine, here and under LoopFused and
-	// LoopAdaptive.
+	// profiled run (Machine.Prof set) takes the instrumented loop, here
+	// and under every other mode.
 	LoopAuto LoopMode = iota
 	// LoopFast forces the predecoded fast loop. RunContext fails if hooks
 	// or a fault plan are present, since the fast loop cannot honor them.
 	LoopFast
 	// LoopInstrumented forces the instruction-at-a-time Step loop.
 	LoopInstrumented
-	// LoopFused forces the block-fused engine (fusedloop.go): basic blocks
-	// chained by pre-linked successor indices, adjacent micro-op pairs
-	// rewritten into superinstructions, and the step budget checked once
-	// per block. Like LoopFast it cannot honor hooks or fault plans.
+	// LoopFused forces the block-fused engine (fusedloop.go) over the
+	// program's fused form: basic blocks chained by pre-linked successor
+	// indices, adjacent micro-op pairs rewritten into superinstructions,
+	// and the step budget checked once per block. Like LoopFast it cannot
+	// honor hooks or fault plans.
 	LoopFused
-	// LoopAdaptive is the tiered-promotion engine (adaptive.go): cold
-	// programs warm up in the profiled fast loop, and once a block's
-	// arrival count crosses Machine.PromoteThreshold the program is
-	// re-fused with a vocabulary mined from its own profile and the run
-	// continues in the fused engine. Promotion state is shared across
-	// runs of the same program. Like LoopFast it cannot honor hooks or
-	// fault plans.
+	// LoopAdaptive enters the same fused form by a rule (adaptive.go): a
+	// cold program's first run starts on the fast loop and switches to
+	// the form at its first context poll; every later run of the program
+	// enters the form from the start. Like LoopFast it cannot honor hooks
+	// or fault plans.
 	LoopAdaptive
 )
 

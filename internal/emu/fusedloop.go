@@ -283,7 +283,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 				if u.rd != 0 {
 					R[u.rd] = int32(F[u.rs1])
 				}
-
 			case uTrapGetc:
 				if m.inPos >= len(m.input) {
 					R[1] = -1
@@ -975,738 +974,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 				m.CC = signOf(R[u.rs31], u.imm3)
 				m.ccF = false
 				m.Fusion.Fused += 2
-			case fAddiCmpi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				m.CC = signOf(R[u.rs21], u.imm2)
-				m.ccF = false
-				m.Fusion.Fused += 1
-			case fSlliConst:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fOriAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] | u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fAddiAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fAddConst:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fLwiSwi:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				st.Stores++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd2]))
-				}
-				m.Fusion.Fused += 1
-			case fLwiSlli:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] << (uint32(u.imm2) & 31)
-				}
-				m.Fusion.Fused += 1
-			case fOriConst:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] | u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fAddiSubi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] - u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fSubiSlli:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] - u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] << (uint32(u.imm2) & 31)
-				}
-				m.Fusion.Fused += 1
-			case fSwiAddi:
-				st.Stores++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fOriOri:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] | u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] | u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fAddiLw:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + R[u.rs22]
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				m.Fusion.Fused += 1
-			case fFaddFmul:
-				F[u.rd] = F[u.rs1] + F[u.rs2]
-				insts++
-				F[u.rd2] = F[u.rs21] * F[u.rs22]
-				m.Fusion.Fused += 1
-			case fLfiFmul:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				}
-				insts++
-				F[u.rd2] = F[u.rs21] * F[u.rs22]
-				m.Fusion.Fused += 1
-			case fAddiLfi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd2] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				}
-				m.Fusion.Fused += 1
-			case fAddAdd:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + R[u.rs22]
-				}
-				m.Fusion.Fused += 1
-			case fSlliAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fLbiAddi:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fLbiSbi:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				}
-				insts++
-				st.Stores++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd2])
-				}
-				m.Fusion.Fused += 1
-			case fSbiLbi:
-				st.Stores++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(int8(mem[a]))
-					}
-				}
-				m.Fusion.Fused += 1
-			case fAddiLbi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(int8(mem[a]))
-					}
-				}
-				m.Fusion.Fused += 1
-			case fLbiAdd:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + R[u.rs22]
-				}
-				m.Fusion.Fused += 1
-			case fConstCmpi:
-				if u.rd != 0 {
-					R[u.rd] = u.imm
-				}
-				insts++
-				m.CC = signOf(R[u.rs21], u.imm2)
-				m.ccF = false
-				m.Fusion.Fused += 1
-			case fConstCmp:
-				if u.rd != 0 {
-					R[u.rd] = u.imm
-				}
-				insts++
-				m.CC = signOf(R[u.rs21], R[u.rs22])
-				m.ccF = false
-				m.Fusion.Fused += 1
-			case fAddCmpi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				m.CC = signOf(R[u.rs21], u.imm2)
-				m.ccF = false
-				m.Fusion.Fused += 1
-			case fConstSbi:
-				if u.rd != 0 {
-					R[u.rd] = u.imm
-				}
-				insts++
-				st.Stores++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd2])
-				}
-				m.Fusion.Fused += 1
-			case fSwiConst:
-				st.Stores++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fConstAddiLwi:
-				if u.rd != 0 {
-					R[u.rd] = u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs31] + u.imm3
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+2, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+2, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd3 != 0 {
-						R[u.rd3] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				m.Fusion.Fused += 2
-			case fAddiLwiCmp:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				m.CC = signOf(R[u.rs31], R[u.rs32])
-				m.ccF = false
-				m.Fusion.Fused += 2
-			case fAddLwiAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fLwiAddiCmpi:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				m.CC = signOf(R[u.rs31], u.imm3)
-				m.ccF = false
-				m.Fusion.Fused += 2
-			case fSlliConstAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fSwiAddiOri:
-				st.Stores++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] | u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fConstAddiAddi:
-				if u.rd != 0 {
-					R[u.rd] = u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fAddConstAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fAddiAddiSlli:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] << (uint32(u.imm3) & 31)
-				}
-				m.Fusion.Fused += 2
-			case fAddiOriAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] | u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fAddLwiSwi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				st.Stores++
-				{
-					a := R[u.rs31] + u.imm3
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+2, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+2, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd3]))
-				}
-				m.Fusion.Fused += 2
-			case fLwiSwiAddi:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				st.Stores++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd2]))
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fSlliAddConst:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + R[u.rs22]
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fLwiSlliAdd:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] << (uint32(u.imm2) & 31)
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + R[u.rs32]
-				}
-				m.Fusion.Fused += 2
-			case fOriConstAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] | u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fAddiSubiSlli:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] - u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] << (uint32(u.imm3) & 31)
-				}
-				m.Fusion.Fused += 2
-			case fConstAddiSubi:
-				if u.rd != 0 {
-					R[u.rd] = u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] - u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fSubiSlliAdd:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] - u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] << (uint32(u.imm2) & 31)
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + R[u.rs32]
-				}
-				m.Fusion.Fused += 2
-			case fLfiConstAddi:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fAddLfiConst:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd2] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fFaddFmulFadd:
-				F[u.rd] = F[u.rs1] + F[u.rs2]
-				insts++
-				F[u.rd2] = F[u.rs21] * F[u.rs22]
-				insts++
-				F[u.rd3] = F[u.rs31] + F[u.rs32]
-				m.Fusion.Fused += 2
-			case fFmulFaddFmul:
-				F[u.rd] = F[u.rs1] * F[u.rs2]
-				insts++
-				F[u.rd2] = F[u.rs21] + F[u.rs22]
-				insts++
-				F[u.rd3] = F[u.rs31] * F[u.rs32]
-				m.Fusion.Fused += 2
 
 			default: // uIllegal and any BRM-only op
 				return 0, m.fastTrap(int(u.pc), insts, TrapIllegalInstr, "baseline cannot execute %v", isa.Op(u.imm))
@@ -1967,7 +1234,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 					if u.rd != 0 {
 						R[u.rd] = int32(F[u.rs1])
 					}
-
 				case uTrapGetc:
 					if m.inPos >= len(m.input) {
 						R[1] = -1
@@ -2286,7 +1552,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 					if u.rd != 0 {
 						R[u.rd] = int32(F[u.rs1])
 					}
-
 				case uTrapGetc:
 					if m.inPos >= len(m.input) {
 						R[1] = -1
@@ -2595,7 +1860,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 					if u.rd != 0 {
 						R[u.rd] = int32(F[u.rs1])
 					}
-
 				case uTrapGetc:
 					if m.inPos >= len(m.input) {
 						R[1] = -1
@@ -2888,7 +2152,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 					if u.rd != 0 {
 						R[u.rd] = int32(F[u.rs1])
 					}
-
 				case uTrapGetc:
 					if m.inPos >= len(m.input) {
 						R[1] = -1
@@ -3186,7 +2449,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 					if u.rd != 0 {
 						R[u.rd] = int32(F[u.rs1])
 					}
-
 				case uTrapGetc:
 					if m.inPos >= len(m.input) {
 						R[1] = -1
@@ -3512,7 +2774,6 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				if u.rd != 0 {
 					R[u.rd] = int32(F[u.rs1])
 				}
-
 			case uTrapGetc:
 				if m.inPos >= len(m.input) {
 					R[1] = -1
@@ -4312,742 +3573,6 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 					R[u.rd3] = R[u.rs31] + u.imm3
 				}
 				m.Fusion.Fused += 2
-			case fAddiCmpbri:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				now = insts
-				if isa.Cond(u.cond).HoldsInt(R[u.rs21], u.imm2) {
-					src := m.B[u.bsrc]
-					m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-				} else {
-					m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-				}
-				m.Fusion.Fused += 1
-			case fSlliConst:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fOriAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] | u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fAddiAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fAddConst:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fLwiSwi:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				st.Stores++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd2]))
-				}
-				m.Fusion.Fused += 1
-			case fLwiSlli:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] << (uint32(u.imm2) & 31)
-				}
-				m.Fusion.Fused += 1
-			case fOriConst:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] | u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fAddiSubi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] - u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fSubiSlli:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] - u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] << (uint32(u.imm2) & 31)
-				}
-				m.Fusion.Fused += 1
-			case fSwiAddi:
-				st.Stores++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fOriOri:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] | u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] | u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fAddiLw:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + R[u.rs22]
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				m.Fusion.Fused += 1
-			case fFaddFmul:
-				F[u.rd] = F[u.rs1] + F[u.rs2]
-				insts++
-				F[u.rd2] = F[u.rs21] * F[u.rs22]
-				m.Fusion.Fused += 1
-			case fLfiFmul:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				}
-				insts++
-				F[u.rd2] = F[u.rs21] * F[u.rs22]
-				m.Fusion.Fused += 1
-			case fAddiLfi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd2] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				}
-				m.Fusion.Fused += 1
-			case fAddAdd:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + R[u.rs22]
-				}
-				m.Fusion.Fused += 1
-			case fSlliAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fLbiAddi:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fLbiSbi:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				}
-				insts++
-				st.Stores++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd2])
-				}
-				m.Fusion.Fused += 1
-			case fSbiLbi:
-				st.Stores++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(int8(mem[a]))
-					}
-				}
-				m.Fusion.Fused += 1
-			case fAddiLbi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(int8(mem[a]))
-					}
-				}
-				m.Fusion.Fused += 1
-			case fLbiAdd:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + R[u.rs22]
-				}
-				m.Fusion.Fused += 1
-			case fAddCmpbri:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				now = insts
-				if isa.Cond(u.cond).HoldsInt(R[u.rs21], u.imm2) {
-					src := m.B[u.bsrc]
-					m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-				} else {
-					m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-				}
-				m.Fusion.Fused += 1
-			case fConstSbi:
-				if u.rd != 0 {
-					R[u.rd] = u.imm
-				}
-				insts++
-				st.Stores++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd2])
-				}
-				m.Fusion.Fused += 1
-			case fSwiConst:
-				st.Stores++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				m.Fusion.Fused += 1
-			case fConstAddiLwi:
-				if u.rd != 0 {
-					R[u.rd] = u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs31] + u.imm3
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+2, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+2, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd3 != 0 {
-						R[u.rd3] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				m.Fusion.Fused += 2
-			case fAddiLwiCmpbr:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				now = insts
-				if isa.Cond(u.cond).HoldsInt(R[u.rs31], R[u.rs32]) {
-					src := m.B[u.bsrc]
-					m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-				} else {
-					m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-				}
-				m.Fusion.Fused += 2
-			case fAddLwiAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fLwiAddiCmpbri:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				now = insts
-				if isa.Cond(u.cond).HoldsInt(R[u.rs31], u.imm3) {
-					src := m.B[u.bsrc]
-					m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-				} else {
-					m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-				}
-				m.Fusion.Fused += 2
-			case fSlliConstAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fSwiAddiOri:
-				st.Stores++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] | u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fConstAddiAddi:
-				if u.rd != 0 {
-					R[u.rd] = u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fAddConstAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fAddiAddiSlli:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] << (uint32(u.imm3) & 31)
-				}
-				m.Fusion.Fused += 2
-			case fAddiOriAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] | u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fAddLwiSwi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd2 != 0 {
-						R[u.rd2] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				st.Stores++
-				{
-					a := R[u.rs31] + u.imm3
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+2, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+2, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd3]))
-				}
-				m.Fusion.Fused += 2
-			case fLwiSwiAddi:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				st.Stores++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd2]))
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fSlliAddConst:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + R[u.rs22]
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fLwiSlliAdd:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(int(u.pc), insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] << (uint32(u.imm2) & 31)
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + R[u.rs32]
-				}
-				m.Fusion.Fused += 2
-			case fOriConstAddi:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] | u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fAddiSubiSlli:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] - u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] << (uint32(u.imm3) & 31)
-				}
-				m.Fusion.Fused += 2
-			case fConstAddiSubi:
-				if u.rd != 0 {
-					R[u.rd] = u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] + u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] - u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fSubiSlliAdd:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] - u.imm
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = R[u.rs21] << (uint32(u.imm2) & 31)
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + R[u.rs32]
-				}
-				m.Fusion.Fused += 2
-			case fLfiConstAddi:
-				st.Loads++
-				{
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(int(u.pc), insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				}
-				insts++
-				if u.rd2 != 0 {
-					R[u.rd2] = u.imm2
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = R[u.rs31] + u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fAddLfiConst:
-				if u.rd != 0 {
-					R[u.rd] = R[u.rs1] + R[u.rs2]
-				}
-				insts++
-				st.Loads++
-				{
-					a := R[u.rs21] + u.imm2
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(int(u.pc)+1, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd2] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				}
-				insts++
-				if u.rd3 != 0 {
-					R[u.rd3] = u.imm3
-				}
-				m.Fusion.Fused += 2
-			case fFaddFmulFadd:
-				F[u.rd] = F[u.rs1] + F[u.rs2]
-				insts++
-				F[u.rd2] = F[u.rs21] * F[u.rs22]
-				insts++
-				F[u.rd3] = F[u.rs31] + F[u.rs32]
-				m.Fusion.Fused += 2
-			case fFmulFaddFmul:
-				F[u.rd] = F[u.rs1] * F[u.rs2]
-				insts++
-				F[u.rd2] = F[u.rs21] + F[u.rs22]
-				insts++
-				F[u.rd3] = F[u.rs31] * F[u.rs32]
-				m.Fusion.Fused += 2
 
 			default: // uIllegal and any baseline-only op
 				return 0, m.fastTrap(int(u.pc), insts, TrapIllegalInstr, "BRM cannot execute %v", isa.Op(u.imm))
@@ -5296,7 +3821,6 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 					if u.rd != 0 {
 						R[u.rd] = int32(F[u.rs1])
 					}
-
 				case uTrapGetc:
 					if m.inPos >= len(m.input) {
 						R[1] = -1
@@ -5418,7 +3942,6 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 					} else {
 						st.PrefetchMiss++
 					}
-
 				}
 				m.B[isa.RABr] = ret
 				switch {
@@ -5664,7 +4187,6 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 					if u.rd != 0 {
 						R[u.rd] = int32(F[u.rs1])
 					}
-
 				case uTrapGetc:
 					if m.inPos >= len(m.input) {
 						R[1] = -1
@@ -5987,7 +4509,6 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 					if u.rd != 0 {
 						R[u.rd] = int32(F[u.rs1])
 					}
-
 				case uTrapGetc:
 					if m.inPos >= len(m.input) {
 						R[1] = -1
@@ -6351,7 +4872,6 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 					if u.rd != 0 {
 						R[u.rd] = int32(F[u.rs1])
 					}
-
 				case uTrapGetc:
 					if m.inPos >= len(m.input) {
 						R[1] = -1
@@ -6454,7 +4974,6 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 					} else {
 						st.PrefetchMiss++
 					}
-
 				}
 				m.B[isa.RABr] = ret
 				switch {
@@ -6701,7 +5220,6 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 					if u.rd != 0 {
 						R[u.rd] = int32(F[u.rs1])
 					}
-
 				case uTrapGetc:
 					if m.inPos >= len(m.input) {
 						R[1] = -1

@@ -63,60 +63,6 @@ const (
 	fAddLbiCmpi
 	fAddLbiCmpbri
 	fBrcalcConstAddi
-	fAddiCmpi
-	fAddiCmpbri
-	fSlliConst
-	fOriAddi
-	fAddiAddi
-	fAddConst
-	fLwiSwi
-	fLwiSlli
-	fOriConst
-	fAddiSubi
-	fSubiSlli
-	fSwiAddi
-	fOriOri
-	fAddiLw
-	fFaddFmul
-	fLfiFmul
-	fAddiLfi
-	fAddAdd
-	fSlliAddi
-	fLbiAddi
-	fLbiSbi
-	fSbiLbi
-	fAddiLbi
-	fLbiAdd
-	fConstCmpi
-	fConstCmp
-	fAddCmpi
-	fAddCmpbri
-	fConstSbi
-	fSwiConst
-	fConstAddiLwi
-	fAddiLwiCmp
-	fAddiLwiCmpbr
-	fAddLwiAddi
-	fLwiAddiCmpi
-	fLwiAddiCmpbri
-	fSlliConstAddi
-	fSwiAddiOri
-	fConstAddiAddi
-	fAddConstAddi
-	fAddiAddiSlli
-	fAddiOriAddi
-	fAddLwiSwi
-	fLwiSwiAddi
-	fSlliAddConst
-	fLwiSlliAdd
-	fOriConstAddi
-	fAddiSubiSlli
-	fConstAddiSubi
-	fSubiSlliAdd
-	fLfiConstAddi
-	fAddLfiConst
-	fFaddFmulFadd
-	fFmulFaddFmul
 )
 
 // fusePair reports the fused kind for an adjacent body pair, if the
@@ -235,130 +181,6 @@ func fuseTriple(a, b, c uopKind) (uopKind, bool) {
 		return fAddLbiCmpbri, true
 	case a == uBrCalcAbs && b == uConst && c == uAddImm:
 		return fBrcalcConstAddi, true
-	}
-	return 0, false
-}
-
-// fusePairExt reports the fused kind for a pair in the extended candidate
-// vocabulary (adaptive tier only; the static fused tier never consults it).
-func fusePairExt(a, b uopKind) (uopKind, bool) {
-	switch {
-	case a == uAddImm && b == uCmpImm:
-		return fAddiCmpi, true
-	case a == uAddImm && b == uCmpBrImm:
-		return fAddiCmpbri, true
-	case a == uSllImm && b == uConst:
-		return fSlliConst, true
-	case a == uOrImm && b == uAddImm:
-		return fOriAddi, true
-	case a == uAddImm && b == uAddImm:
-		return fAddiAddi, true
-	case a == uAddReg && b == uConst:
-		return fAddConst, true
-	case a == uLwImm && b == uSwImm:
-		return fLwiSwi, true
-	case a == uLwImm && b == uSllImm:
-		return fLwiSlli, true
-	case a == uOrImm && b == uConst:
-		return fOriConst, true
-	case a == uAddImm && b == uSubImm:
-		return fAddiSubi, true
-	case a == uSubImm && b == uSllImm:
-		return fSubiSlli, true
-	case a == uSwImm && b == uAddImm:
-		return fSwiAddi, true
-	case a == uOrImm && b == uOrImm:
-		return fOriOri, true
-	case a == uAddImm && b == uLwReg:
-		return fAddiLw, true
-	case a == uFadd && b == uFmul:
-		return fFaddFmul, true
-	case a == uLfImm && b == uFmul:
-		return fLfiFmul, true
-	case a == uAddImm && b == uLfImm:
-		return fAddiLfi, true
-	case a == uAddReg && b == uAddReg:
-		return fAddAdd, true
-	case a == uSllImm && b == uAddImm:
-		return fSlliAddi, true
-	case a == uLbImm && b == uAddImm:
-		return fLbiAddi, true
-	case a == uLbImm && b == uSbImm:
-		return fLbiSbi, true
-	case a == uSbImm && b == uLbImm:
-		return fSbiLbi, true
-	case a == uAddImm && b == uLbImm:
-		return fAddiLbi, true
-	case a == uLbImm && b == uAddReg:
-		return fLbiAdd, true
-	case a == uConst && b == uCmpImm:
-		return fConstCmpi, true
-	case a == uConst && b == uCmpReg:
-		return fConstCmp, true
-	case a == uAddReg && b == uCmpImm:
-		return fAddCmpi, true
-	case a == uAddReg && b == uCmpBrImm:
-		return fAddCmpbri, true
-	case a == uConst && b == uSbImm:
-		return fConstSbi, true
-	case a == uSwImm && b == uConst:
-		return fSwiConst, true
-	}
-	return 0, false
-}
-
-// fuseTripleExt reports the fused kind for a triple in the extended
-// candidate vocabulary (adaptive tier only).
-func fuseTripleExt(a, b, c uopKind) (uopKind, bool) {
-	switch {
-	case a == uConst && b == uAddImm && c == uLwImm:
-		return fConstAddiLwi, true
-	case a == uAddImm && b == uLwImm && c == uCmpReg:
-		return fAddiLwiCmp, true
-	case a == uAddImm && b == uLwImm && c == uCmpBrReg:
-		return fAddiLwiCmpbr, true
-	case a == uAddReg && b == uLwImm && c == uAddImm:
-		return fAddLwiAddi, true
-	case a == uLwImm && b == uAddImm && c == uCmpImm:
-		return fLwiAddiCmpi, true
-	case a == uLwImm && b == uAddImm && c == uCmpBrImm:
-		return fLwiAddiCmpbri, true
-	case a == uSllImm && b == uConst && c == uAddImm:
-		return fSlliConstAddi, true
-	case a == uSwImm && b == uAddImm && c == uOrImm:
-		return fSwiAddiOri, true
-	case a == uConst && b == uAddImm && c == uAddImm:
-		return fConstAddiAddi, true
-	case a == uAddReg && b == uConst && c == uAddImm:
-		return fAddConstAddi, true
-	case a == uAddImm && b == uAddImm && c == uSllImm:
-		return fAddiAddiSlli, true
-	case a == uAddImm && b == uOrImm && c == uAddImm:
-		return fAddiOriAddi, true
-	case a == uAddReg && b == uLwImm && c == uSwImm:
-		return fAddLwiSwi, true
-	case a == uLwImm && b == uSwImm && c == uAddImm:
-		return fLwiSwiAddi, true
-	case a == uSllImm && b == uAddReg && c == uConst:
-		return fSlliAddConst, true
-	case a == uLwImm && b == uSllImm && c == uAddReg:
-		return fLwiSlliAdd, true
-	case a == uOrImm && b == uConst && c == uAddImm:
-		return fOriConstAddi, true
-	case a == uAddImm && b == uSubImm && c == uSllImm:
-		return fAddiSubiSlli, true
-	case a == uConst && b == uAddImm && c == uSubImm:
-		return fConstAddiSubi, true
-	case a == uSubImm && b == uSllImm && c == uAddReg:
-		return fSubiSlliAdd, true
-	case a == uLfImm && b == uConst && c == uAddImm:
-		return fLfiConstAddi, true
-	case a == uAddReg && b == uLfImm && c == uConst:
-		return fAddLfiConst, true
-	case a == uFadd && b == uFmul && c == uFadd:
-		return fFaddFmulFadd, true
-	case a == uFmul && b == uFadd && c == uFmul:
-		return fFmulFaddFmul, true
 	}
 	return 0, false
 }

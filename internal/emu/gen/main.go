@@ -1,11 +1,10 @@
-// Command gen generates the emulator's dispatch loops from a single
-// template: the profiled fast loops (fastloop_prof.go) and the block-fused
-// engine (fusedloop.go), plus the fused superinstruction table
-// (fusedtab.go). The hand-written fastloop.go is the semantic reference;
-// everything that must stay byte-identical to it — micro-op case bodies,
-// trap messages and ordering, Stats arithmetic — lives in the shared
-// template defines below, so a fix lands in every engine variant at once
-// instead of being hand-copied across the loops.
+// Command gen generates the emulator's block-fused engine (fusedloop.go)
+// and its superinstruction table (fusedtab.go) from one template. The
+// hand-written fastloop.go is the semantic reference; everything that
+// must stay byte-identical to it — micro-op case bodies, trap messages
+// and ordering, Stats arithmetic — lives in the shared template defines
+// below, so a fix lands in every fused switch site at once instead of
+// being hand-copied across them.
 //
 // Usage:
 //
@@ -33,20 +32,18 @@ import (
 
 // caseCtx parameterizes the shared micro-op case bodies for one switch
 // site: how a trap syncs machine state (Pend/PC), which machine's op set
-// is live (Brm), whether the uTrapExit case belongs in the switch
-// (Exit/Adv), and whether fused superinstruction pairs can appear (Body).
+// is live (Brm), and whether fused superinstruction pairs can appear
+// (Body).
 type caseCtx struct {
 	Pend string // expression assigned to m.pending before a trap ("" = none)
 	PC   string // trap program-counter expression
 	Brm  bool   // BRM micro-ops are live (and `now` is in scope)
-	Exit bool   // include the uTrapExit case (fast loops only)
-	Adv  string // advance flag cleared by uTrapExit ("seqAdv"/"advance")
 	Body bool   // fused block body: include superinstruction pair cases
 }
 
 var funcs = template.FuncMap{
-	"cases": func(pend, pc string, brm, exit, body bool, adv string) caseCtx {
-		return caseCtx{Pend: pend, PC: pc, Brm: brm, Exit: exit, Adv: adv, Body: body}
+	"cases": func(pend, pc string, brm, body bool) caseCtx {
+		return caseCtx{Pend: pend, PC: pc, Brm: brm, Body: body}
 	},
 	// trap emits the fast loop's trap sequence for the context: optional
 	// m.pending sync, then fastTrap at the context's program counter.
@@ -216,24 +213,6 @@ m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
 	"brcalc": {label: "Brcalc", kind: "uBrCalcAbs", brm: true, now: true, code: func(s slotRefs) string {
 		return fmt.Sprintf("st.BrCalcs++\nm.B[%s] = breg{addr: %s, calcTime: now, valid: true}", s.rd, s.imm)
 	}},
-	"subi": {label: "Subi", kind: "uSubImm", code: func(s slotRefs) string {
-		return fmt.Sprintf("if %s != 0 {\nR[%s] = R[%s] - %s\n}", s.rd, s.rd, s.rs1, s.imm)
-	}},
-	"lw": {label: "Lw", kind: "uLwReg", code: func(s slotRefs) string {
-		return fmt.Sprintf(`st.Loads++
-{
-a := R[%s] + R[%s]
-if a < 0 || int(a)+4 > len(mem) {
-return 0, m.fastTrap(%s, insts, TrapOOBLoad, "load out of range: %%#x", uint32(a))
-}
-if a%%isa.WordSize != 0 {
-return 0, m.fastTrap(%s, insts, TrapMisaligned, "misaligned word load: %%#x", uint32(a))
-}
-if %s != 0 {
-R[%s] = int32(binary.LittleEndian.Uint32(mem[a:]))
-}
-}`, s.rs1, s.rs2, s.pc, s.pc, s.rd, s.rd)
-	}},
 }
 
 // pairSel and tripleSel are the fused superinstruction selection, in
@@ -261,42 +240,10 @@ var tripleSel = [][]string{
 	{"add", "lbi", "cmpbri"}, {"brcalc", "const", "addi"},
 }
 
-// pairSelExt and tripleSelExt are the *extended candidate* vocabulary for
-// the adaptive tier (DESIGN §13): adjacencies that fall below the static
-// selection's global ~1% cutoff but dominate individual workloads — e.g.
-// tinycc retires >2% of its instructions in addi+cmpi, slli+const and
-// const+addi+lwi, none of which earn a global slot. The static tables
-// above never consult these (the fused tier's decode is frozen as the
-// comparison baseline); only the adaptive builder does, and only for
-// patterns the program's own profile proves hot. Appending after the
-// static selection keeps the static kind constants stable.
-var pairSelExt = [][]string{
-	{"addi", "cmpi"}, {"addi", "cmpbri"}, {"slli", "const"}, {"ori", "addi"},
-	{"addi", "addi"}, {"add", "const"}, {"lwi", "swi"}, {"lwi", "slli"},
-	{"ori", "const"}, {"addi", "subi"}, {"subi", "slli"}, {"swi", "addi"},
-	{"ori", "ori"}, {"addi", "lw"}, {"fadd", "fmul"}, {"lfi", "fmul"},
-	{"addi", "lfi"}, {"add", "add"}, {"slli", "addi"}, {"lbi", "addi"},
-	{"lbi", "sbi"}, {"sbi", "lbi"}, {"addi", "lbi"}, {"lbi", "add"},
-	{"const", "cmpi"}, {"const", "cmp"}, {"add", "cmpi"}, {"add", "cmpbri"},
-	{"const", "sbi"}, {"swi", "const"},
-}
-
-var tripleSelExt = [][]string{
-	{"const", "addi", "lwi"}, {"addi", "lwi", "cmp"}, {"addi", "lwi", "cmpbr"},
-	{"add", "lwi", "addi"}, {"lwi", "addi", "cmpi"}, {"lwi", "addi", "cmpbri"},
-	{"slli", "const", "addi"}, {"swi", "addi", "ori"}, {"const", "addi", "addi"},
-	{"add", "const", "addi"}, {"addi", "addi", "slli"}, {"addi", "ori", "addi"},
-	{"add", "lwi", "swi"}, {"lwi", "swi", "addi"}, {"slli", "add", "const"},
-	{"lwi", "slli", "add"}, {"ori", "const", "addi"}, {"addi", "subi", "slli"},
-	{"const", "addi", "subi"}, {"subi", "slli", "add"}, {"lfi", "const", "addi"},
-	{"add", "lfi", "const"}, {"fadd", "fmul", "fadd"}, {"fmul", "fadd", "fmul"},
-}
-
-// fusedSelections returns every selection — static pairs, static triples,
-// then the extended candidates — in kind order.
+// fusedSelections returns every selection, pairs then triples, in kind
+// order.
 func fusedSelections() [][]string {
-	sel := append(append([][]string{}, pairSel...), tripleSel...)
-	return append(append(sel, pairSelExt...), tripleSelExt...)
+	return append(append([][]string{}, pairSel...), tripleSel...)
 }
 
 func fusedKindName(ops []string) string {
@@ -412,32 +359,6 @@ switch {
 	sb.WriteString(`}
 return 0, false
 }
-
-// fusePairExt reports the fused kind for a pair in the extended candidate
-// vocabulary (adaptive tier only; the static fused tier never consults it).
-func fusePairExt(a, b uopKind) (uopKind, bool) {
-switch {
-`)
-	for _, ops := range pairSelExt {
-		fmt.Fprintf(&sb, "case a == %s && b == %s:\nreturn %s, true\n",
-			vocab[ops[0]].kind, vocab[ops[1]].kind, fusedKindName(ops))
-	}
-	sb.WriteString(`}
-return 0, false
-}
-
-// fuseTripleExt reports the fused kind for a triple in the extended
-// candidate vocabulary (adaptive tier only).
-func fuseTripleExt(a, b, c uopKind) (uopKind, bool) {
-switch {
-`)
-	for _, ops := range tripleSelExt {
-		fmt.Fprintf(&sb, "case a == %s && b == %s && c == %s:\nreturn %s, true\n",
-			vocab[ops[0]].kind, vocab[ops[1]].kind, vocab[ops[2]].kind, fusedKindName(ops))
-	}
-	sb.WriteString(`}
-return 0, false
-}
 `)
 	return sb.String()
 }
@@ -460,8 +381,6 @@ func main() {
 
 	files := map[string]string{
 		"fusedtab.go": fusedTab(),
-		"fastloop_prof.go": fastProfHeader +
-			render(t, "fastBaseline") + "\n" + render(t, "fastBRM"),
 		"fusedloop.go": fusedHeader +
 			render(t, "fusedBaseline") + "\n" + render(t, "fusedBRM"),
 	}
@@ -536,37 +455,6 @@ func dumpNumbered(s string) {
 }
 
 const genMark = "// Code generated by branchreg/internal/emu/gen. DO NOT EDIT.\n"
-
-const fastProfHeader = genMark + `
-package emu
-
-// The profiled twins of the fast loops (fastloop.go). Each is the same
-// predecoded dispatch loop with BlockProfile updates at transfers of
-// control — unconditional writes, no callbacks — generated from the same
-// template as the fused engine so the micro-op semantics cannot drift
-// between engine variants.
-//
-// The twins are deliberately separate functions rather than a generic
-// parameterization: an earlier generic version put a dictionary-indirect
-// call at every hook site of the shared gcshape body, costing ~20% BRM
-// throughput even for the no-op instantiation, and a runtime 'prof !=
-// nil' test per transfer cost ~4% baseline / ~12% BRM. Keeping the
-// unprofiled loops byte-identical to their pre-profiler form is a gated
-// requirement (make bench-gate).
-//
-// Drift between a loop and its twin is caught by TestProfileEnginesAgree
-// and TestProfiledRunsMatchUnprofiled (internal/driver), which hold
-// profiled and unprofiled runs to identical outputs and Stats across the
-// full suite, and by the Stats-identity assertions on the profile itself.
-
-import (
-	"context"
-	"encoding/binary"
-
-	"branchreg/internal/isa"
-)
-
-`
 
 const fusedHeader = genMark + `
 package emu
@@ -818,12 +706,6 @@ case uCvtfi:
 	if u.rd != 0 {
 		R[u.rd] = int32(F[u.rs1])
 	}
-{{if .Exit}}
-case uTrapExit:
-	m.halted = true
-	m.status = R[1]
-	{{.Adv}} = false
-{{end}}
 case uTrapGetc:
 	if m.inPos >= len(m.input) {
 		R[1] = -1
@@ -924,7 +806,7 @@ default: {{if .Brm}}// uIllegal and any baseline-only op
 		u := &b.dob
 		dpc := int(b.dpc)
 		switch u.kind {
-		{{template "dataCases" cases "pend" "dpc" false false false ""}}
+		{{template "dataCases" cases "pend" "dpc" false false}}
 		}
 	}
 {{end}}
@@ -1013,7 +895,6 @@ default: {{if .Brm}}// uIllegal and any baseline-only op
 		} else {
 			st.PrefetchMiss++
 		}
-		
 	}
 	m.B[isa.RABr] = ret
 	switch {
@@ -1034,241 +915,6 @@ default: {{if .Brm}}// uIllegal and any baseline-only op
 			return m.runFastBRM(ctx)
 		}
 	}
-{{end}}
-
-{{/* ================================================================ */}}
-{{/* fastBaseline: the per-instruction baseline loop (profiled twin).  */}}
-{{/* ================================================================ */}}
-{{define "fastBaseline"}}
-// runFastBaselineProf is the profiled twin of Machine.runFastBaseline.
-func runFastBaselineProf(m *Machine, ctx context.Context, prof *BlockProfile) (int32, error) {
-	ops := m.dec
-	st := &m.Stats
-	mem := m.Mem
-	R := &m.R
-	F := &m.F
-	limit := m.MaxInstructions
-	insts := st.Instructions
-	nextPoll := insts + ctxCheckStride
-	pc := m.pc
-	pending := m.pending
-
-	for !m.halted {
-		if pc < 0 || pc >= len(ops) {
-			m.pending = pending
-			st.Instructions = insts
-			return 0, m.fastTrap(pc, insts, TrapPCOutOfRange,
-				"pc index %d outside text [0,%d)", pc, len(ops))
-		}
-		u := &ops[pc]
-		insts++
-
-		seqAdv := true
-		switch u.kind {
-		{{template "dataCases" cases "pending" "pc" false true false "seqAdv"}}
-		case uJump:
-			st.UncondJumps++
-			prof.taken(pc)
-			pending = int(u.tgt)
-			pc++
-			seqAdv = false
-		case uBCond:
-			st.CondBranches++
-			if isa.Cond(u.cond).HoldsInt(m.CC, 0) {
-				st.CondTaken++
-				prof.taken(pc)
-				pending = int(u.tgt)
-			} else {
-				prof.notTaken(pc)
-			}
-			pc++
-			seqAdv = false
-		case uCall:
-			st.Calls++
-			prof.taken(pc)
-			R[isa.RABase] = u.imm
-			pending = int(u.tgt)
-			pc++
-			seqAdv = false
-		case uJalr:
-			st.Calls++
-			prof.taken(pc)
-			target := R[u.rs1]
-			R[isa.RABase] = u.imm
-			pending = addrToIndex(target)
-			pc++
-			seqAdv = false
-		case uJrRet, uJrJmp:
-			pending = addrToIndex(R[u.rs1])
-			if pending != -1 {
-				if u.kind == uJrRet {
-					st.Returns++
-				} else {
-					st.UncondJumps++
-				}
-				prof.taken(pc)
-			}
-			pc++
-			seqAdv = false
-		}
-
-		if seqAdv && !m.halted {
-			if pending != -2 {
-				t := pending
-				pending = -2
-				switch {
-				case t == -1:
-					m.halted = true
-					m.status = R[1]
-				case t < 0 || t >= len(ops):
-					m.pending = pending
-					return 0, m.fastTrap(pc, insts, TrapPCOutOfRange, "jump out of text: index %d", t)
-				default:
-					prof.edge(pc, t)
-					pc = t
-				}
-			} else {
-				pc++
-			}
-		}
-
-		if insts > limit {
-			m.pending = pending
-			t := m.fastTrap(pc, insts, TrapStepBudget, "instruction limit exceeded")
-			t.Limit = limit
-			t.Executed = insts
-			return 0, t
-		}
-		if insts >= nextPoll {
-			if err := ctx.Err(); err != nil {
-				m.pc, m.pending = pc, pending
-				st.Instructions = insts
-				return 0, err
-			}
-			nextPoll = insts + ctxCheckStride
-		}
-	}
-	m.pc, m.pending = pc, pending
-	st.Instructions = insts
-	return m.status, nil
-}
-{{end}}
-
-{{/* ================================================================ */}}
-{{/* fastBRM: the per-instruction BRM loop (profiled twin).            */}}
-{{/* ================================================================ */}}
-{{define "fastBRM"}}
-// runFastBRMProf is the profiled twin of Machine.runFastBRM.
-func runFastBRMProf(m *Machine, ctx context.Context, prof *BlockProfile) (int32, error) {
-	ops := m.dec
-	st := &m.Stats
-	mem := m.Mem
-	R := &m.R
-	F := &m.F
-	limit := m.MaxInstructions
-	insts := st.Instructions
-	nextPoll := insts + ctxCheckStride
-	pc := m.pc
-
-	for !m.halted {
-		if pc < 0 || pc >= len(ops) {
-			return 0, m.fastTrap(pc, insts, TrapPCOutOfRange,
-				"pc index %d outside text [0,%d)", pc, len(ops))
-		}
-		u := &ops[pc]
-		insts++
-		now := insts
-
-		advance := true
-		switch u.kind {
-		{{template "dataCases" cases "" "pc" true true false "advance"}}
-		}
-
-		if advance && !m.halted {
-			if u.br == isa.PCBr {
-				pc++
-			} else {
-				b := m.B[u.br]
-				if !b.valid {
-					return 0, m.fastTrap(pc, insts, TrapUninitBranchReg,
-						"transfer through uninitialized b[%d]", u.br)
-				}
-				switch {
-				case b.viaCmp:
-					st.CondBranches++
-				case b.addr == seq:
-					// only compares produce the sequential sentinel
-				default:
-					idx := addrToIndex(b.addr)
-					switch {
-					case idx == -1:
-						// exit to the halt address: not a workload transfer
-					case m.isFuncEntry(idx):
-						st.Calls++
-					case b.isRA:
-						st.Returns++
-					default:
-						st.UncondJumps++
-					}
-				}
-				ret := breg{addr: isa.IndexToAddr(pc) + isa.WordSize, calcTime: now, isRA: true, valid: true}
-				if b.addr == seq {
-					// Untaken conditional: fall through.
-					prof.notTaken(pc)
-					m.B[isa.RABr] = ret
-					pc++
-				} else {
-					st.CondTaken += b2i(b.viaCmp)
-					idx := addrToIndex(b.addr)
-					if idx != -1 {
-						dist := now - b.calcTime
-						if dist > DistHistMax {
-							st.DistHist[DistHistMax]++
-						} else if dist >= 0 {
-							st.DistHist[dist]++
-						}
-						if dist >= MinPrefetchDist {
-							st.PrefetchHit++
-						} else {
-							st.PrefetchMiss++
-						}
-						prof.taken(pc)
-						prof.prefetch(pc, dist)
-					}
-					m.B[isa.RABr] = ret
-					switch {
-					case idx == -1:
-						m.halted = true
-						m.status = R[1]
-					case idx < 0 || idx >= len(ops):
-						return 0, m.fastTrap(pc, insts, TrapPCOutOfRange, "jump out of text: index %d", idx)
-					default:
-						prof.edge(pc, idx)
-						pc = idx
-					}
-				}
-			}
-		}
-
-		if insts > limit {
-			t := m.fastTrap(pc, insts, TrapStepBudget, "instruction limit exceeded")
-			t.Limit = limit
-			t.Executed = insts
-			return 0, t
-		}
-		if insts >= nextPoll {
-			if err := ctx.Err(); err != nil {
-				m.pc = pc
-				st.Instructions = insts
-				return 0, err
-			}
-			nextPoll = insts + ctxCheckStride
-		}
-	}
-	m.pc = pc
-	st.Instructions = insts
-	return m.status, nil
-}
 {{end}}
 
 {{/* ================================================================ */}}
@@ -1328,13 +974,13 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 			u := &body[i]
 			insts++
 			switch u.kind {
-			{{template "dataCases" cases "" "int(u.pc)" false false true ""}}
+			{{template "dataCases" cases "" "int(u.pc)" false true}}
 			}
 		}
 
 		switch b.term {
 		case ftFall:
-			{{template "fallThrough" cases "" "" false false false ""}}
+			{{template "fallThrough" cases "" "" false false}}
 		case ftExit:
 			insts++
 			m.halted = true
@@ -1382,7 +1028,7 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 			}
 			{{template "baselineDelay" .}}
 			if pend == -2 {
-				{{template "fallThrough" cases "" "" false false false ""}}
+				{{template "fallThrough" cases "" "" false false}}
 			} else {
 				{{template "applyStatic" .}}
 			}
@@ -1472,13 +1118,13 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 			now := insts
 			_ = now
 			switch u.kind {
-			{{template "dataCases" cases "" "int(u.pc)" true false true ""}}
+			{{template "dataCases" cases "" "int(u.pc)" true true}}
 			}
 		}
 
 		switch b.term {
 		case ftFall:
-			{{template "fallThrough" cases "" "" true false false ""}}
+			{{template "fallThrough" cases "" "" true false}}
 		case ftExit:
 			insts++
 			m.halted = true
@@ -1494,7 +1140,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				tpc := int(b.termPC)
 				_ = tpc
 				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true false false ""}}
+				{{template "dataCases" cases "" "tpc" true false}}
 				}
 			}
 			bv := m.B[b.tob.br]
@@ -1510,7 +1156,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 					st.CondBranches++
 				}
 				m.B[isa.RABr] = ret
-				{{template "fallThrough" cases "" "" true false false ""}}
+				{{template "fallThrough" cases "" "" true false}}
 			} else {
 				idx := addrToIndex(bv.addr)
 				switch {
@@ -1539,7 +1185,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				tpc := int(b.termPC)
 				_ = tpc
 				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true false false ""}}
+				{{template "dataCases" cases "" "tpc" true false}}
 				}
 			}
 			m.B[isa.RABr] = breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
@@ -1586,14 +1232,14 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				tpc := int(b.termPC)
 				_ = tpc
 				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true false false ""}}
+				{{template "dataCases" cases "" "tpc" true false}}
 				}
 			}
 			st.CondBranches++
 			ret := breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
 			if m.B[b.tob.br].addr == seq {
 				m.B[isa.RABr] = ret
-				{{template "fallThrough" cases "" "" true false false ""}}
+				{{template "fallThrough" cases "" "" true false}}
 			} else {
 				st.CondTaken++
 				m.B[isa.RABr] = ret
@@ -1662,7 +1308,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				tpc := int(b.termPC)
 				_ = tpc
 				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true false false ""}}
+				{{template "dataCases" cases "" "tpc" true false}}
 				}
 			}
 			// The transfer reads b[7] as the compare left it: the fused
@@ -1671,7 +1317,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 			ret := breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
 			if bv.addr == seq {
 				m.B[isa.RABr] = ret
-				{{template "fallThrough" cases "" "" true false false ""}}
+				{{template "fallThrough" cases "" "" true false}}
 			} else {
 				idx := addrToIndex(bv.addr)
 				{{template "brmApplyTaken" .}}
@@ -1689,7 +1335,7 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				tpc := int(b.termPC)
 				_ = tpc
 				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true false false ""}}
+				{{template "dataCases" cases "" "tpc" true false}}
 				}
 			}
 			switch b.statK {

@@ -1,11 +1,12 @@
 package emu
 
 // BlockProfile accumulates the control-flow counts of one run with costs
-// paid only at transfers of control, never per instruction — the fast
-// loop's profiling contract. Per-instruction execution counts are not
-// stored; they are reconstructed after the run by flow conservation
-// (Counts), which is what lets the predecoded fast loop stay fast while
-// profiled: straight-line execution touches no profile state at all.
+// paid only at transfers of control, never per instruction. The
+// instrumented loop fills it (jumpTo, profBranch, brmAdvance): every
+// profiled run executes there, whatever its LoopMode. Per-instruction
+// execution counts are not stored; they are reconstructed after the run
+// by flow conservation (Counts), so straight-line execution touches no
+// profile state at all.
 //
 // The arrays are indexed by Text index (one slot per instruction):
 //
@@ -85,33 +86,7 @@ const (
 // ("" before any run).
 func (m *Machine) Engine() string { return m.engine }
 
-// The profiled fast loops' hook methods (fastloop_prof.go). All are
-// unconditional — the profiled twins run only with a non-nil profile —
-// and small enough to inline, so the twins' hot paths are plain array
-// increments.
-
-// taken tallies a taken transfer at branch site pc.
-func (p *BlockProfile) taken(pc int) { p.Taken[pc]++ }
-
-// notTaken tallies an untaken conditional at branch site pc.
-func (p *BlockProfile) notTaken(pc int) { p.NotTaken[pc]++ }
-
-// edge records a non-sequential control transfer from -> to.
-func (p *BlockProfile) edge(from, to int) {
-	p.Depart[from]++
-	p.Arrive[to]++
-}
-
-// prefetch charges the Figure 9 late-calculation penalty for a taken BRM
-// transfer whose target was computed dist instructions earlier.
-func (p *BlockProfile) prefetch(pc int, dist int64) {
-	if dist >= 0 && dist < MinPrefetchDist {
-		p.Penalty[pc] += MinPrefetchDist - dist
-	}
-}
-
-// profBranch tallies a branch outcome at the current pc (instrumented
-// loop; the fast loops inline the equivalent updates).
+// profBranch tallies a branch outcome at the current pc.
 func (m *Machine) profBranch(taken bool) {
 	p := m.Prof
 	if p == nil {

@@ -38,12 +38,12 @@ type ProgramResult struct {
 	BaselineEngine string
 	BRMEngine      string
 	// BaselineFusion/BRMFusion describe the block-fused engine's dynamic
-	// behavior for each cell; zero unless that cell ran fused (or ran the
-	// adaptive tier's promoted form).
+	// behavior for each cell; zero unless that cell ran fused (or the
+	// adaptive tier entered the fused form).
 	BaselineFusion emu.FusionStats
 	BRMFusion      emu.FusionStats
-	// BaselineRefusion/BRMRefusion describe the adaptive tier's promotion
-	// behavior for each cell; zero unless that cell ran adaptive.
+	// BaselineRefusion/BRMRefusion say whether the adaptive tier entered
+	// the fused form in each cell; zero unless that cell ran adaptive.
 	BaselineRefusion emu.RefusionStats
 	BRMRefusion      emu.RefusionStats
 	// BaselineBlocks/BRMBlocks are the per-cell hot-block tables

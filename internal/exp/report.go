@@ -39,10 +39,9 @@ import (
 //
 // v5: the adaptive tier — baseline_engine/brm_engine may read "adaptive"
 // (explicit -engine adaptive runs), and such cells gain
-// baseline_refusion/brm_refusion objects (whether the run executed a
-// promoted form, the hot/cold block split, the mined vocabulary size and
-// warmup volume) next to the fusion counters the promoted form shares
-// with the static fused engine. Deterministic for the first adaptive run
+// baseline_refusion/brm_refusion objects ({"promoted": bool}: whether
+// the run switched to the program's fused form) next to the fusion
+// counters that form reports. Deterministic for the first adaptive run
 // of each compiled program, which is what a suite cell is.
 const ReportSchemaVersion = 5
 
@@ -355,11 +354,12 @@ type ProgramReport struct {
 	BRMEngine      string `json:"brm_engine,omitempty"`
 	// Fusion fields (schema v4) describe the block-fused engine's dynamic
 	// behavior; present exactly when the cell's engine is "fused" or
-	// "adaptive" (the promoted form runs the same fused dispatch).
+	// "adaptive" (the adaptive tier runs the same fused form).
 	BaselineFusion *emu.FusionStats `json:"baseline_fusion,omitempty"`
 	BRMFusion      *emu.FusionStats `json:"brm_fusion,omitempty"`
-	// Refusion fields (schema v5) describe the adaptive tier's promotion
-	// behavior; present exactly when the cell's engine is "adaptive".
+	// Refusion fields (schema v5) say whether the adaptive tier entered
+	// the fused form; present exactly when the cell's engine is
+	// "adaptive".
 	BaselineRefusion *emu.RefusionStats `json:"baseline_refusion,omitempty"`
 	BRMRefusion      *emu.RefusionStats `json:"brm_refusion,omitempty"`
 	// Hot-block tables (schema v3, -profile runs only): the program's

@@ -42,7 +42,7 @@ type Spec struct {
 	Faults map[string]*emu.FaultPlan
 	// Profile attaches a block profile to every suite run and aggregates
 	// the result into per-program hot-block tables (ProgramResult.*Blocks).
-	// Profiled runs stay on the fast-path engines; see emu.BlockProfile.
+	// Profiled runs execute on the instrumented loop; see emu.BlockProfile.
 	Profile bool
 	// Loop selects the emulator engine for every suite cell; the zero
 	// value (emu.LoopAuto) picks the block-fused loop whenever hooks and

@@ -57,8 +57,8 @@ func TestProfiledSuiteDeterministic(t *testing.T) {
 	}
 	ref := run(1)
 	for _, p := range ref.Programs {
-		if p.BaselineEngine != "fast" || p.BRMEngine != "fast" {
-			t.Errorf("%s: engines %q/%q, want fast/fast (profiled runs take the profiled fast loop)",
+		if p.BaselineEngine != emu.EngineInstrumented || p.BRMEngine != emu.EngineInstrumented {
+			t.Errorf("%s: engines %q/%q, want instrumented (profiled runs take the instrumented loop)",
 				p.Name, p.BaselineEngine, p.BRMEngine)
 		}
 		if len(p.BaselineBlocks) == 0 || len(p.BRMBlocks) == 0 {
@@ -104,9 +104,9 @@ func TestSuiteEngineTiersIdentical(t *testing.T) {
 				t.Errorf("%s: engines %q/%q, want %q", p.Name, p.BaselineEngine, p.BRMEngine, tier.engine)
 			}
 			// Fused dispatch runs under the static fused tier always, and
-			// under the adaptive tier exactly when the cell promoted
-			// mid-run (each Runner compiles fresh programs, so every
-			// adaptive cell starts cold).
+			// under the adaptive tier exactly when the cell switched to the
+			// fused form at its first poll (each Runner compiles fresh
+			// programs, so every adaptive cell starts cold).
 			fusedBase, fusedBRM := tier.engine == emu.EngineFused, tier.engine == emu.EngineFused
 			if tier.engine == emu.EngineAdaptive {
 				fusedBase, fusedBRM = p.BaselineRefusion.Promoted, p.BRMRefusion.Promoted

@@ -6,8 +6,9 @@
 // The block-fused engine is the most aggressive — and therefore the
 // most bug-prone — execution tier. guard assumes exactly that: a
 // recovered panic in one tier transparently retries the same
-// driver.Request on the next-safer tier (fused → fast → instrumented),
-// annotating the result with the tier that actually served it. N
+// driver.Request on the next-safer tier (adaptive or fused → fast →
+// instrumented), annotating the result with the tier that actually
+// served it. N
 // consecutive failures of a tier for one workload class open that
 // class's breaker, pinning it to the fallback tier for a cooldown with
 // half-open probing to close it again. A configurable sample of
@@ -231,9 +232,11 @@ func chainFor(req *driver.Request) []emu.LoopMode {
 	switch req.Loop {
 	case emu.LoopAuto, emu.LoopAdaptive:
 		// Default (and explicitly adaptive) requests lead with the
-		// adaptive tier: brserve's long-lived cached programs are exactly
-		// the regime where runtime re-fusion amortizes its warmup.
-		return []emu.LoopMode{emu.LoopAdaptive, emu.LoopFused, emu.LoopFast, emu.LoopInstrumented}
+		// adaptive tier: a cached program runs in its fused form, a
+		// one-off program on the fast loop. A fused rung after it would
+		// re-run the same generated loop on the same form, so the
+		// fallback is the fast loop.
+		return []emu.LoopMode{emu.LoopAdaptive, emu.LoopFast, emu.LoopInstrumented}
 	case emu.LoopFused:
 		return []emu.LoopMode{emu.LoopFused, emu.LoopFast, emu.LoopInstrumented}
 	case emu.LoopFast:

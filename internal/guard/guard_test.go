@@ -76,8 +76,8 @@ func TestFallbackRescuesAdaptivePanic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
-	if out.Engine != emu.EngineFused {
-		t.Errorf("Engine = %q, want %q", out.Engine, emu.EngineFused)
+	if out.Engine != emu.EngineFast {
+		t.Errorf("Engine = %q, want %q", out.Engine, emu.EngineFast)
 	}
 	if len(out.FallbackFrom) != 1 || out.FallbackFrom[0] != emu.EngineAdaptive {
 		t.Errorf("FallbackFrom = %v, want [adaptive]", out.FallbackFrom)
@@ -122,6 +122,49 @@ func TestFallbackExhausted(t *testing.T) {
 	}
 }
 
+// TestTierChains pins the fallback order a request walks when every
+// tier panics, and the tier a shadow of each served tier runs on. A
+// fused rung under the adaptive tier would re-run the same generated
+// loop on the same form, so adaptive falls back (and is shadowed) on
+// the fast loop.
+func TestTierChains(t *testing.T) {
+	cases := []struct {
+		loop   emu.LoopMode
+		tried  []string
+		shadow emu.LoopMode
+	}{
+		{emu.LoopAuto, []string{emu.EngineAdaptive, emu.EngineFast, emu.EngineInstrumented}, emu.LoopFast},
+		{emu.LoopAdaptive, []string{emu.EngineAdaptive, emu.EngineFast, emu.EngineInstrumented}, emu.LoopFast},
+		{emu.LoopFused, []string{emu.EngineFused, emu.EngineFast, emu.EngineInstrumented}, emu.LoopFast},
+		{emu.LoopFast, []string{emu.EngineFast, emu.EngineInstrumented}, emu.LoopInstrumented},
+		{emu.LoopInstrumented, []string{emu.EngineInstrumented}, 0},
+	}
+	for _, c := range cases {
+		var tried []string
+		s := New(Config{
+			Exec: func(ctx context.Context, class string, req driver.Request) (*driver.Result, error) {
+				tried = append(tried, tierName(req.Loop))
+				panic("injected engine bug")
+			},
+			Metrics: obs.NewRegistry(),
+		})
+		if _, err := s.Exec(context.Background(), "sieve/branchreg", driver.Request{Loop: c.loop}); err == nil {
+			t.Fatalf("loop %d: every tier panicked, yet Exec succeeded", c.loop)
+		}
+		s.Close()
+		if fmt.Sprint(tried) != fmt.Sprint(c.tried) {
+			t.Errorf("loop %d: tiers tried %v, want %v", c.loop, tried, c.tried)
+		}
+		alt, ok := altTier(c.loop)
+		if c.loop == emu.LoopAuto {
+			alt, ok = altTier(emu.LoopAdaptive) // the tier that serves it
+		}
+		if want := c.shadow != 0; ok != want || ok && alt != c.shadow {
+			t.Errorf("loop %d: shadow tier %d (%v), want %d", c.loop, alt, ok, c.shadow)
+		}
+	}
+}
+
 // TestBreakerLifecycle drives one (class, tier) breaker through
 // closed → open → half-open → closed with a fake clock.
 func TestBreakerLifecycle(t *testing.T) {
@@ -143,11 +186,11 @@ func TestBreakerLifecycle(t *testing.T) {
 	class := "sieve/branchreg"
 
 	// Three consecutive adaptive panics: every request is rescued by the
-	// fused tier, and the third opens the breaker.
+	// fast tier, and the third opens the breaker.
 	for i := 0; i < 3; i++ {
 		out, err := s.Exec(ctx, class, driver.Request{Loop: emu.LoopAuto})
-		if err != nil || out.Engine != emu.EngineFused {
-			t.Fatalf("request %d: out=%+v err=%v, want fused-tier rescue", i, out, err)
+		if err != nil || out.Engine != emu.EngineFast {
+			t.Fatalf("request %d: out=%+v err=%v, want fast-tier rescue", i, out, err)
 		}
 	}
 	if n := counter(reg, "guard.breaker.open"); n != 1 {
@@ -162,8 +205,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Rerouted || out.Engine != emu.EngineFused || len(out.FallbackFrom) != 0 {
-		t.Fatalf("open breaker: got %+v, want rerouted fused-tier result with no fallback", out)
+	if !out.Rerouted || out.Engine != emu.EngineFast || len(out.FallbackFrom) != 0 {
+		t.Fatalf("open breaker: got %+v, want rerouted fast-tier result with no fallback", out)
 	}
 	if n := counter(reg, "guard.breaker.reroute"); n != 1 {
 		t.Errorf("guard.breaker.reroute = %d, want 1", n)
@@ -229,8 +272,8 @@ func TestBreakersOnlyForFailingPairs(t *testing.T) {
 		t.Fatalf("%d breakers after 100 healthy classes, want 0", n)
 	}
 	failing.Store(true)
-	if out, err := s.Exec(ctx, "src:flaky/branchreg", driver.Request{Loop: emu.LoopAuto}); err != nil || out.Engine != emu.EngineFused {
-		t.Fatalf("failing request: out=%+v err=%v, want fused-tier rescue", out, err)
+	if out, err := s.Exec(ctx, "src:flaky/branchreg", driver.Request{Loop: emu.LoopAuto}); err != nil || out.Engine != emu.EngineFast {
+		t.Fatalf("failing request: out=%+v err=%v, want fast-tier rescue", out, err)
 	}
 	if n := breakers(); n != 1 {
 		t.Fatalf("%d breakers after one failing pair, want 1", n)
@@ -397,7 +440,7 @@ func TestShadowMismatchQuarantines(t *testing.T) {
 		if req.Loop == emu.LoopAdaptive {
 			return &driver.Result{Output: "AA", Engine: emu.EngineAdaptive}, nil
 		}
-		return &driver.Result{Output: "BB", Engine: emu.EngineFused}, nil
+		return &driver.Result{Output: "BB", Engine: tierName(req.Loop)}, nil
 	})
 	s := New(Config{Exec: exec, ShadowRate: 1, Metrics: reg})
 	defer s.Close()
@@ -419,8 +462,8 @@ func TestShadowMismatchQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Rerouted || out.Engine != emu.EngineFused {
-		t.Fatalf("post-quarantine: got %+v, want rerouted fused-tier result", out)
+	if !out.Rerouted || out.Engine != emu.EngineFast {
+		t.Fatalf("post-quarantine: got %+v, want rerouted fast-tier result", out)
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 // (brload/fuzz) only catches an engine miscompare when someone runs it;
 // the shadow pool moves that check into production. A deterministic
 // sample of successful responses is re-executed in the background on
-// the alternate engine tier — fused responses re-run on the fast loop,
-// fast responses on the instrumented loop — and compared byte for byte
-// (output, exit status, instruction count). A mismatch records an
-// incident and immediately quarantines the (class, served-tier) pair:
+// the alternate engine tier — adaptive and fused responses re-run on the
+// fast loop, fast responses on the instrumented loop — and compared byte
+// for byte (output, exit status, instruction count). A mismatch records
+// an incident and immediately quarantines the (class, served-tier) pair:
 // the more aggressive tier is the suspect, because the tiers below it
 // are strictly simpler and the instrumented loop is the semantic
 // reference.
@@ -92,9 +92,7 @@ func (p *shadowPool) worker() {
 // tier exists; the instrumented loop is the reference semantics).
 func altTier(mode emu.LoopMode) (emu.LoopMode, bool) {
 	switch mode {
-	case emu.LoopAdaptive:
-		return emu.LoopFused, true
-	case emu.LoopFused:
+	case emu.LoopAdaptive, emu.LoopFused:
 		return emu.LoopFast, true
 	case emu.LoopFast:
 		return emu.LoopInstrumented, true

@@ -125,11 +125,10 @@ type RunResponse struct {
 	Machine   string           `json:"machine,omitempty"`
 	Engine    string           `json:"engine,omitempty"`
 	Fusion    *emu.FusionStats `json:"fusion,omitempty"`
-	// Refusion reports the adaptive tier's promotion state in the
-	// execution that produced this response: whether the program's hot
-	// region had been re-fused with a mined per-workload vocabulary, and
-	// the resulting block/vocabulary mix. It depends on the program's
-	// earlier runs.
+	// Refusion reports whether the execution that produced this
+	// response ran (some of) the program's fused form: from the start
+	// when the program had run before, or after its first context poll.
+	// It depends on the program's earlier runs.
 	Refusion     *emu.RefusionStats `json:"refusion,omitempty"`
 	Instructions int64              `json:"instructions,omitempty"`
 	Transfers    int64              `json:"transfers,omitempty"`

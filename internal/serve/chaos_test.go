@@ -42,7 +42,7 @@ func TestParseChaosPlan(t *testing.T) {
 
 // TestServeChaosSupervision walks the full supervised lifecycle through
 // the HTTP surface with a deterministic chaos plan: three injected
-// adaptive-engine panics, each rescued by the fused loop; the second
+// adaptive-engine panics, each rescued by the fast loop; the second
 // opens the sieve/branchreg breaker; the third defeats the first
 // half-open probe; the (exhausted) plan lets the second probe close the
 // breaker. Every response is a byte-correct 200 throughout.
@@ -50,8 +50,7 @@ func TestServeChaosSupervision(t *testing.T) {
 	reg := obs.NewRegistry()
 	// Generous relative to per-request latency under -race: the
 	// open-breaker request below must land before the cooldown expires,
-	// and the rescue before it executes sieve on the fused tier (about
-	// 1.5s under -race on a 2-CPU host).
+	// and the rescue before it executes sieve on the fast tier.
 	const cooldown = 5 * time.Second
 	_, ts := newTestServer(t, Config{
 		Workers:          2,
@@ -85,11 +84,11 @@ func TestServeChaosSupervision(t *testing.T) {
 		return resp
 	}
 
-	// Panics 1 and 2: rescued by the fused tier; the second opens the breaker.
+	// Panics 1 and 2: rescued by the fast tier; the second opens the breaker.
 	for i, step := range []string{"first injected panic", "second injected panic"} {
 		resp := run(step)
-		if resp.Engine != emu.EngineFused || len(resp.FallbackFrom) != 1 || resp.FallbackFrom[0] != emu.EngineAdaptive {
-			t.Fatalf("%s: engine=%q fallback_from=%v, want fused rescue from adaptive", step, resp.Engine, resp.FallbackFrom)
+		if resp.Engine != emu.EngineFast || len(resp.FallbackFrom) != 1 || resp.FallbackFrom[0] != emu.EngineAdaptive {
+			t.Fatalf("%s: engine=%q fallback_from=%v, want fast rescue from adaptive", step, resp.Engine, resp.FallbackFrom)
 		}
 		if resp.Rerouted {
 			t.Fatalf("%s: rerouted before the breaker opened", step)
@@ -102,8 +101,8 @@ func TestServeChaosSupervision(t *testing.T) {
 
 	// Open breaker: the adaptive tier is skipped, not attempted (no panic).
 	resp := run("request under open breaker")
-	if !resp.Rerouted || resp.Engine != emu.EngineFused || len(resp.FallbackFrom) != 0 {
-		t.Fatalf("open breaker: rerouted=%v engine=%q fallback_from=%v, want clean reroute to fused",
+	if !resp.Rerouted || resp.Engine != emu.EngineFast || len(resp.FallbackFrom) != 0 {
+		t.Fatalf("open breaker: rerouted=%v engine=%q fallback_from=%v, want clean reroute to fast",
 			resp.Rerouted, resp.Engine, resp.FallbackFrom)
 	}
 

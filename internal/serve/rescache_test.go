@@ -328,19 +328,19 @@ func TestServeShadowExecutes(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, ts := newTestServer(t, Config{Workers: 1, ShadowRate: 1, Metrics: reg})
 	shadowOK := reg.Counter("guard.shadow.ok")
-	if code, resp := post(t, ts.URL, &RunRequest{Workload: "sieve", Engine: "fused"}); code != 200 || resp.Engine != emu.EngineFused {
-		t.Fatalf("fused request: HTTP %d engine %q", code, resp.Engine)
+	if code, resp := post(t, ts.URL, &RunRequest{Workload: "sieve", Engine: "fast"}); code != 200 || resp.Engine != emu.EngineFast {
+		t.Fatalf("fast request: HTTP %d engine %q", code, resp.Engine)
 	}
-	waitUntil(t, "the fused request's shadow", func() bool { return shadowOK.Value() == 1 })
+	waitUntil(t, "the fast request's shadow", func() bool { return shadowOK.Value() == 1 })
 
-	fused := obs.Default.Counter("driver.engine.fused")
-	fusedBefore, hitsBefore := fused.Value(), s.results.Stats().Hits
+	fast := obs.Default.Counter("driver.engine.fast")
+	fastBefore, hitsBefore := fast.Value(), s.results.Stats().Hits
 	if code, resp := post(t, ts.URL, &RunRequest{Workload: "sieve"}); code != 200 || resp.Engine != emu.EngineAdaptive {
 		t.Fatalf("auto request: HTTP %d engine %q", code, resp.Engine)
 	}
-	waitUntil(t, "the auto request's fused shadow", func() bool { return shadowOK.Value() == 2 })
-	if n := fused.Value() - fusedBefore; n != 1 {
-		t.Errorf("driver.engine.fused advanced by %d during the shadow, want 1 real fused execution", n)
+	waitUntil(t, "the auto request's fast shadow", func() bool { return shadowOK.Value() == 2 })
+	if n := fast.Value() - fastBefore; n != 1 {
+		t.Errorf("driver.engine.fast advanced by %d during the shadow, want 1 real fast execution", n)
 	}
 	if n := s.results.Stats().Hits - hitsBefore; n != 0 {
 		t.Errorf("memo hits advanced by %d during the shadow, want 0", n)

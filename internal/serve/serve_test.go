@@ -96,9 +96,8 @@ func TestServeTable(t *testing.T) {
 				if resp.Machine != "branchreg" || resp.Engine != emu.EngineAdaptive {
 					t.Errorf("machine/engine = %q/%q", resp.Machine, resp.Engine)
 				}
-				// Sieve's hot blocks cross the default promotion threshold
-				// mid-run, so even a cold first request reports a re-fused
-				// hot region.
+				// Sieve runs past its first context poll, so even a cold
+				// first request switches to the fused form mid-run.
 				if resp.Refusion == nil || !resp.Refusion.Promoted {
 					t.Errorf("adaptive run did not promote: %+v", resp.Refusion)
 				}

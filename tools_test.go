@@ -4,10 +4,12 @@ package branchreg
 // user would (via `go run`).
 
 import (
+	"bufio"
 	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -280,14 +282,105 @@ func TestBrbenchTraceAndProfile(t *testing.T) {
 		t.Fatalf("programs = %d, want 1", len(rep.Suite.Programs))
 	}
 	p := rep.Suite.Programs[0]
-	if p.BaselineEngine != "fast" || p.BRMEngine != "fast" {
-		t.Errorf("engines = %q/%q, want fast/fast (profiled runs take the profiled fast loop)", p.BaselineEngine, p.BRMEngine)
+	if p.BaselineEngine != "instrumented" || p.BRMEngine != "instrumented" {
+		t.Errorf("engines = %q/%q, want instrumented/instrumented (profiled runs take the instrumented loop)", p.BaselineEngine, p.BRMEngine)
 	}
 	if len(p.BaselineBlocks) == 0 || len(p.BRMBlocks) == 0 {
 		t.Errorf("hot_blocks missing: baseline %d, brm %d", len(p.BaselineBlocks), len(p.BRMBlocks))
 	}
 	if rep.Pool.Gets == 0 || rep.Pool.Puts == 0 {
 		t.Errorf("pool counters empty: %+v", rep.Pool)
+	}
+}
+
+// TestExperimentsMatchBrbench holds EXPERIMENTS.md's paper sections
+// (E1–E14) to the tool that produced them: every line of every fenced
+// output block must appear, as a whole line, in `brbench -all` stdout,
+// in document order, and every measured figure of E8's ratio table must
+// be the one the "Headline ratios" lines print. A change that moves a
+// paper number fails here until EXPERIMENTS.md says so.
+func TestExperimentsMatchBrbench(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tool test")
+	}
+	raw, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command("go", "run", "./cmd/brbench", "-all").Output()
+	if err != nil {
+		t.Fatalf("brbench -all: %v", err)
+	}
+	var got []string
+	for _, l := range strings.Split(string(out), "\n") {
+		got = append(got, strings.TrimRight(l, " \t"))
+	}
+
+	paper := regexp.MustCompile(`^## E\d+`)
+	row := regexp.MustCompile(`^\|([^|]+)\|[^|]+\|([^|]+)\|`)
+	var section string
+	var block []string
+	inBlock, blocks, ratios, cursor := false, 0, 0, 0
+	sc := bufio.NewScanner(strings.NewReader(string(raw)))
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "## ") && !inBlock {
+			section = ""
+			if paper.MatchString(line) {
+				section = line
+			}
+			continue
+		}
+		if section == "" {
+			continue
+		}
+		if line == "```" {
+			if inBlock {
+				blocks++
+				for _, want := range block {
+					for cursor < len(got) && got[cursor] != want {
+						cursor++
+					}
+					if cursor == len(got) {
+						t.Fatalf("%s: line %q is not in brbench -all stdout (in order)", section, want)
+					}
+					cursor++
+				}
+				block = block[:0]
+			}
+			inBlock = !inBlock
+			continue
+		}
+		if inBlock {
+			if l := strings.TrimRight(line, " \t"); l != "" {
+				block = append(block, l)
+			}
+			continue
+		}
+		if strings.HasPrefix(section, "## E8 ") {
+			m := row.FindStringSubmatch(line)
+			if m == nil || strings.HasPrefix(m[1], "-") || strings.TrimSpace(m[1]) == "ratio" {
+				continue
+			}
+			label := strings.TrimSpace(m[1])
+			figure := strings.Trim(strings.TrimSpace(m[2]), "*")
+			found := false
+			for _, l := range got {
+				if rest, ok := strings.CutPrefix(l, label); ok {
+					_, val, _ := strings.Cut(rest, ":")
+					if f := strings.Fields(val); len(f) > 0 && f[0] == figure {
+						found = true
+					}
+				}
+			}
+			if !found {
+				t.Errorf("E8: %q measured %s, not what the Headline ratios lines print", label, figure)
+			}
+			ratios++
+		}
+	}
+	if blocks < 8 || ratios != 5 {
+		t.Errorf("checked %d fenced blocks and %d E8 ratios; EXPERIMENTS.md lost a section", blocks, ratios)
 	}
 }
 
