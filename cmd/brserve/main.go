@@ -16,8 +16,8 @@
 // GET /v1/debug/requests[/{id}], GET /healthz, GET /metrics (JSON;
 // ?format=prom for Prometheus text), GET /version, and — with -pprof —
 // /debug/pprof/.
-// SIGINT/SIGTERM starts a graceful drain: admission answers 503, queued
-// jobs finish, then the process exits.
+// SIGINT/SIGTERM starts a graceful drain: admission answers 503, admitted
+// requests finish, then the process exits.
 package main
 
 import (
@@ -38,8 +38,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8377", "listen address")
-	workers := flag.Int("workers", 0, "execution workers (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "total queued-job capacity (0 = 4x workers)")
+	workers := flag.Int("workers", 0, "requests executing at once (0 = GOMAXPROCS)")
+	queue := flag.Int("queue", 0, "requests waiting for an execution slot before 429 (0 = 4x workers)")
 	budget := flag.Int64("budget", 0, "default per-request step budget (0 = emulator default)")
 	maxBudget := flag.Int64("max-budget", 0, "step-budget cap for every tenant (0 = uncapped)")
 	tenants := flag.String("tenant-budgets", "", "per-tenant step-budget caps, name=N,name=N")

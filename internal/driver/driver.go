@@ -127,9 +127,9 @@ type Result struct {
 	Status int32
 	Stats  emu.Stats
 	// Engine names the emulator loop that actually executed the run
-	// (emu.EngineFused, emu.EngineFast, or emu.EngineInstrumented) —
-	// recorded explicitly because LoopAuto's engine selection is otherwise
-	// invisible to callers.
+	// (emu.EngineAdaptive, emu.EngineFused, emu.EngineFast, or
+	// emu.EngineInstrumented) — recorded explicitly because LoopAuto's
+	// engine selection is otherwise invisible to callers.
 	Engine string
 	// Fusion describes the block-fused engine's dynamic behavior (blocks
 	// entered, superinstructions retired, hand-offs to the fast loop).

@@ -57,12 +57,6 @@ type Config struct {
 	// classes run only once are verified too. Sampling is a deterministic
 	// counter, not a coin flip, so tests and smoke runs can predict it.
 	ShadowRate int
-	// ShadowWorkers is the number of background verification goroutines
-	// (default 1: shadow work must trickle, not compete with serving).
-	ShadowWorkers int
-	// ShadowQueue bounds the pending shadow jobs; a full queue drops the
-	// sample and counts guard.shadow.dropped (default 64).
-	ShadowQueue int
 	// ShadowTimeout bounds one shadow re-execution (default 2 minutes).
 	ShadowTimeout time.Duration
 	// IncidentCap bounds the incident ring buffer (default 256).
@@ -161,12 +155,6 @@ func New(cfg Config) *Supervisor {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 30 * time.Second
 	}
-	if cfg.ShadowWorkers <= 0 {
-		cfg.ShadowWorkers = 1
-	}
-	if cfg.ShadowQueue <= 0 {
-		cfg.ShadowQueue = 64
-	}
 	if cfg.ShadowTimeout <= 0 {
 		cfg.ShadowTimeout = 2 * time.Minute
 	}
@@ -188,7 +176,7 @@ func New(cfg Config) *Supervisor {
 		shadowN:  map[string]int64{},
 	}
 	if cfg.ShadowRate > 0 {
-		s.shadow = newShadowPool(s, cfg.ShadowWorkers, cfg.ShadowQueue)
+		s.shadow = newShadowPool(s)
 	}
 	return s
 }

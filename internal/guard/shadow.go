@@ -31,9 +31,14 @@ type shadowJob struct {
 	res   *driver.Result // the served result (read-only)
 }
 
-// shadowPool runs shadow jobs on background workers with a bounded
-// queue: verification must never block or backpressure serving, so a
-// full queue drops the sample (counted) instead of waiting.
+// shadowQueue bounds the pending shadow jobs; a full queue drops the
+// sample and counts guard.shadow.dropped.
+const shadowQueue = 64
+
+// shadowPool runs shadow jobs on one background worker — shadow work
+// must trickle, not compete with serving — with a bounded queue:
+// verification must never block or backpressure serving, so a full
+// queue drops the sample (counted) instead of waiting.
 type shadowPool struct {
 	sup     *Supervisor
 	queue   chan shadowJob
@@ -43,12 +48,10 @@ type shadowPool struct {
 	closed bool
 }
 
-func newShadowPool(sup *Supervisor, workers, depth int) *shadowPool {
-	p := &shadowPool{sup: sup, queue: make(chan shadowJob, depth)}
-	for i := 0; i < workers; i++ {
-		p.workers.Add(1)
-		go p.worker()
-	}
+func newShadowPool(sup *Supervisor) *shadowPool {
+	p := &shadowPool{sup: sup, queue: make(chan shadowJob, shadowQueue)}
+	p.workers.Add(1)
+	go p.worker()
 	return p
 }
 

@@ -77,15 +77,15 @@ func (p *Program) Digest() [sha256.Size]byte {
 
 // RetainedBytes estimates the heap the program keeps alive: its
 // functions' instruction lists and label tables, its data items, the
-// linked text with its per-instruction metadata, the symbol tables and
-// the data image. It is what a cache holding the program charges for it.
+// linked text with its per-instruction function names, the function
+// table and the data image. It is what a cache holding the program
+// charges for it.
 // Slices count by capacity; a map entry counts its key's bytes plus
 // twice its slot (key header and value), which covers the table's
 // control bytes and spare capacity at a typical load.
 func (p *Program) RetainedBytes() int64 {
 	const (
 		instrSize = int64(unsafe.Sizeof(Instr{}))
-		metaSize  = int64(unsafe.Sizeof(InstrMeta{}))
 		strSize   = int64(unsafe.Sizeof(""))
 		entrySize = 2 * (strSize + 8)
 	)
@@ -105,11 +105,8 @@ func (p *Program) RetainedBytes() int64 {
 			4*int64(cap(d.Words)) + int64(cap(d.Bytes)) + 8*int64(cap(d.Floats)) +
 			strSize*int64(cap(d.Addrs)) + int64(unsafe.Sizeof(DataReloc{}))*int64(cap(d.Relocs))
 	}
-	n += instrSize*int64(cap(p.Text)) + metaSize*int64(cap(p.TextMeta)) + strSize*int64(cap(p.FuncOfPC))
-	for name := range p.CodeSyms {
-		n += int64(len(name)) + entrySize
-	}
-	n += entrySize * int64(len(p.DataSyms)+len(p.FuncStarts))
+	n += instrSize*int64(cap(p.Text)) + strSize*int64(cap(p.FuncOfPC))
+	n += entrySize * int64(len(p.FuncStarts))
 	n += int64(cap(p.DataImage))
 	return n
 }

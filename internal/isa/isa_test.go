@@ -407,6 +407,10 @@ func TestLinkResolvesLabelsAndData(t *testing.T) {
 	g := NewFunction("helper", Baseline)
 	g.Emit(Instr{Op: OpJr, Rs1: RABase})
 	g.Emit(Instr{Op: OpNop})
+	// Full data addresses resolve into the immediate; they expose the
+	// data layout after Link.
+	g.Emit(Instr{Op: OpAdd, Rd: 1, Rs1: 0, UseImm: true, DataTarget: "tbl"})
+	g.Emit(Instr{Op: OpAdd, Rd: 1, Rs1: 0, UseImm: true, DataTarget: "pi"})
 
 	p := &Program{Kind: Baseline, Funcs: []*Function{f, g},
 		Data: []*DataItem{
@@ -426,19 +430,34 @@ func TestLinkResolvesLabelsAndData(t *testing.T) {
 	if p.Text[1].Imm != 0 {
 		t.Errorf("self-branch displacement = %d, want 0", p.Text[1].Imm)
 	}
-	if p.CodeSyms["helper"] != IndexToAddr(4) {
-		t.Errorf("helper at %#x", p.CodeSyms["helper"])
+	if p.FuncStarts["helper"] != 4 {
+		t.Errorf("helper at index %d, want 4", p.FuncStarts["helper"])
+	}
+	word := func(addr int32) int32 {
+		off := addr - DataBase
+		return int32(p.DataImage[off]) | int32(p.DataImage[off+1])<<8 |
+			int32(p.DataImage[off+2])<<16 | int32(p.DataImage[off+3])<<24
+	}
+	// tbl follows the 3-byte msg at the next word boundary.
+	tblAddr := p.Text[6].Imm
+	if tblAddr != DataBase+4 {
+		t.Errorf("tbl at %#x, want %#x", tblAddr, DataBase+4)
 	}
 	// Jump table words hold resolved code addresses.
-	tblAddr := p.DataSyms["tbl"]
-	off := tblAddr - DataBase
-	w0 := int32(p.DataImage[off]) | int32(p.DataImage[off+1])<<8 |
-		int32(p.DataImage[off+2])<<16 | int32(p.DataImage[off+3])<<24
-	if w0 != p.CodeSyms["main.L1"] {
-		t.Errorf("jump table word = %#x, want %#x", w0, p.CodeSyms["main.L1"])
+	if w0 := word(tblAddr); w0 != IndexToAddr(1) {
+		t.Errorf("jump table word 0 = %#x, want main.L1 at %#x", w0, IndexToAddr(1))
+	}
+	if w1 := word(tblAddr + 4); w1 != IndexToAddr(4) {
+		t.Errorf("jump table word 1 = %#x, want helper at %#x", w1, IndexToAddr(4))
+	}
+	// Alignment: pi must be 8-aligned even after odd-size msg and tables
+	// (buf ends at DataBase+76).
+	piAddr := p.Text[7].Imm
+	if piAddr != DataBase+80 || piAddr%8 != 0 {
+		t.Errorf("float at %#x, want 8-aligned %#x", piAddr, DataBase+80)
 	}
 	// Float image round-trips.
-	foff := p.DataSyms["pi"] - DataBase
+	foff := piAddr - DataBase
 	var bits uint64
 	for i := 0; i < 8; i++ {
 		bits |= uint64(p.DataImage[foff+int32(i)]) << (8 * i)
@@ -446,9 +465,9 @@ func TestLinkResolvesLabelsAndData(t *testing.T) {
 	if FloatFromBits(bits) != 3.25 {
 		t.Errorf("float in image = %v", FloatFromBits(bits))
 	}
-	// Alignment: pi must be 8-aligned even after odd-size msg and tables.
-	if p.DataSyms["pi"]%8 != 0 {
-		t.Errorf("float not aligned: %#x", p.DataSyms["pi"])
+	// The image ends at the first 8-aligned address after static data.
+	if len(p.DataImage) != 88 {
+		t.Errorf("data image is %d bytes, want 88", len(p.DataImage))
 	}
 }
 

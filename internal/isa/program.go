@@ -94,7 +94,7 @@ type DataItem struct {
 }
 
 // Program is a complete linked or linkable unit: functions, data, and after
-// Link, the address maps the emulator executes against.
+// Link, the flat text and data image the emulator executes.
 type Program struct {
 	Kind  Kind
 	Funcs []*Function
@@ -109,28 +109,17 @@ type Program struct {
 
 	// Populated by Link:
 	Linked     bool
-	Text       []Instr          // flat instruction memory
-	TextMeta   []InstrMeta      // per-instruction metadata
-	EntryPC    int              // index into Text of main's first instruction
-	CodeSyms   map[string]int32 // global label -> byte address in text space
-	DataSyms   map[string]int32 // data label -> byte address
-	DataImage  []byte           // initial contents of the data segment
-	DataLimit  int32            // first free byte address after static data
-	FuncStarts map[string]int   // function name -> Text index
-	FuncOfPC   []string         // Text index -> enclosing function name
+	Text       []Instr        // flat instruction memory
+	EntryPC    int            // index into Text of main's first instruction
+	DataImage  []byte         // initial contents of the data segment
+	FuncStarts map[string]int // function name -> Text index
+	FuncOfPC   []string       // Text index -> enclosing function name
 
 	// Set at most once after Link (see identity.go): the emulator's
 	// per-program state and the lazily computed content digest.
 	emuState   atomic.Pointer[any]
 	digestOnce sync.Once
 	digest     [sha256.Size]byte
-}
-
-// InstrMeta carries per-instruction linkage facts used by the emulator and
-// the experiment harness.
-type InstrMeta struct {
-	Func string
-	Addr int32 // byte address of the instruction
 }
 
 // AddrToIndex converts an instruction byte address to a Text index.
@@ -149,14 +138,15 @@ func IndexToAddr(i int) int32 { return TextBase + int32(i)*WordSize }
 // TextBase, lays out data at DataBase, resolves all symbolic targets to
 // immediates, and builds the data image (including jump tables of code
 // addresses). Function-local labels are qualified as "func.label" in the
-// global symbol table; bare function names resolve to their entry.
+// global symbol table; bare function names resolve to their entry. The
+// symbol tables live only for the duration of Link.
 func (p *Program) Link() error {
 	nsyms := len(p.Funcs)
 	for _, f := range p.Funcs {
 		nsyms += len(f.Labels)
 	}
-	p.CodeSyms = make(map[string]int32, nsyms)
-	p.DataSyms = make(map[string]int32, len(p.Data))
+	codeSyms := make(map[string]int32, nsyms) // global label -> byte address in text space
+	dataSyms := make(map[string]int32, len(p.Data))
 	p.FuncStarts = make(map[string]int, len(p.Funcs))
 
 	// Pass 1: assign addresses.
@@ -166,7 +156,7 @@ func (p *Program) Link() error {
 		if f.Kind != p.Kind {
 			return fmt.Errorf("isa: function %s targets %v, program is %v", f.Name, f.Kind, p.Kind)
 		}
-		if _, dup := p.CodeSyms[f.Name]; dup {
+		if _, dup := codeSyms[f.Name]; dup {
 			return fmt.Errorf("isa: duplicate function %s", f.Name)
 		}
 		if p.AlignWords > 1 {
@@ -176,12 +166,12 @@ func (p *Program) Link() error {
 			}
 		}
 		p.FuncStarts[f.Name] = idx
-		p.CodeSyms[f.Name] = IndexToAddr(idx)
+		codeSyms[f.Name] = IndexToAddr(idx)
 		for l, li := range f.Labels {
 			if li > len(f.Code) {
 				return fmt.Errorf("isa: label %s.%s out of range", f.Name, l)
 			}
-			p.CodeSyms[f.Name+"."+l] = IndexToAddr(idx + li)
+			codeSyms[f.Name+"."+l] = IndexToAddr(idx + li)
 		}
 		idx += len(f.Code)
 	}
@@ -207,16 +197,16 @@ func (p *Program) Link() error {
 			}
 		}
 		addr = align(addr, al)
-		if _, dup := p.DataSyms[d.Label]; dup {
+		if _, dup := dataSyms[d.Label]; dup {
 			return fmt.Errorf("isa: duplicate data symbol %s", d.Label)
 		}
-		p.DataSyms[d.Label] = addr
+		dataSyms[d.Label] = addr
 		addr += int32(d.byteSize())
 	}
-	p.DataLimit = align(addr, 8)
+	dataLimit := align(addr, 8) // first free byte address after static data
 
 	// Build data image.
-	img := make([]byte, p.DataLimit-DataBase)
+	img := make([]byte, dataLimit-DataBase)
 	put32 := func(off int32, v int32) {
 		img[off] = byte(v)
 		img[off+1] = byte(v >> 8)
@@ -224,14 +214,14 @@ func (p *Program) Link() error {
 		img[off+3] = byte(v >> 24)
 	}
 	for _, d := range p.Data {
-		off := p.DataSyms[d.Label] - DataBase
+		off := dataSyms[d.Label] - DataBase
 		switch d.Kind {
 		case DataWords:
 			for i, w := range d.Words {
 				put32(off+int32(i*4), w)
 			}
 			for _, rl := range d.Relocs {
-				sa, ok := p.DataSyms[rl.Sym]
+				sa, ok := dataSyms[rl.Sym]
 				if !ok {
 					return fmt.Errorf("isa: data item %s: unknown reloc symbol %s", d.Label, rl.Sym)
 				}
@@ -249,7 +239,7 @@ func (p *Program) Link() error {
 			// already zero
 		case DataAddrs:
 			for i, lbl := range d.Addrs {
-				a, ok := p.CodeSyms[lbl]
+				a, ok := codeSyms[lbl]
 				if !ok {
 					return fmt.Errorf("isa: jump table %s: unknown code label %s", d.Label, lbl)
 				}
@@ -262,13 +252,10 @@ func (p *Program) Link() error {
 	// Pass 2: resolve instruction targets and flatten into slices pass 1
 	// sized (idx counts every instruction and padding noop).
 	p.Text = make([]Instr, 0, idx)
-	p.TextMeta = make([]InstrMeta, 0, idx)
 	p.FuncOfPC = make([]string, 0, idx)
 	for _, f := range p.Funcs {
 		for i := 0; i < pad[f.Name]; i++ {
-			here := IndexToAddr(len(p.Text))
 			p.Text = append(p.Text, Instr{Op: OpNop, Comment: "alignment pad"})
-			p.TextMeta = append(p.TextMeta, InstrMeta{Func: "", Addr: here})
 			p.FuncOfPC = append(p.FuncOfPC, "")
 		}
 		start := p.FuncStarts[f.Name]
@@ -276,7 +263,7 @@ func (p *Program) Link() error {
 			in := f.Code[i] // copy
 			here := IndexToAddr(start + i)
 			if in.Target != "" {
-				taddr, ok := p.resolveCode(f, in.Target)
+				taddr, ok := resolveCode(codeSyms, f, in.Target)
 				if !ok {
 					return fmt.Errorf("isa: %s: unresolved code label %q", f.Name, in.Target)
 				}
@@ -301,7 +288,7 @@ func (p *Program) Link() error {
 				in.Target = ""
 			}
 			if in.DataTarget != "" {
-				daddr, ok := p.DataSyms[in.DataTarget]
+				daddr, ok := dataSyms[in.DataTarget]
 				if !ok {
 					return fmt.Errorf("isa: %s: unresolved data label %q", f.Name, in.DataTarget)
 				}
@@ -321,7 +308,6 @@ func (p *Program) Link() error {
 				in.Lo = false
 			}
 			p.Text = append(p.Text, in)
-			p.TextMeta = append(p.TextMeta, InstrMeta{Func: f.Name, Addr: here})
 			p.FuncOfPC = append(p.FuncOfPC, f.Name)
 		}
 	}
@@ -337,11 +323,11 @@ func (p *Program) Link() error {
 
 // resolveCode resolves a code label, preferring f-local labels, then global
 // function names, then any qualified label.
-func (p *Program) resolveCode(f *Function, label string) (int32, bool) {
-	if a, ok := p.CodeSyms[f.Name+"."+label]; ok {
+func resolveCode(codeSyms map[string]int32, f *Function, label string) (int32, bool) {
+	if a, ok := codeSyms[f.Name+"."+label]; ok {
 		return a, true
 	}
-	if a, ok := p.CodeSyms[label]; ok {
+	if a, ok := codeSyms[label]; ok {
 		return a, true
 	}
 	return 0, false

@@ -2,11 +2,37 @@ package mc
 
 import "fmt"
 
+// maxNesting bounds how deeply a source may nest. One level is each
+// statement inside another statement or block, each initializer
+// brace, each assignment-level expression (a parenthesized expression,
+// an index, a call argument, an assignment's right-hand side, a
+// ternary branch), each unary operator, cast or operand, and each
+// operator of a left-deep binary or postfix chain (a+b+c…, a[i][j]…),
+// which the parser builds in a loop but check and irgen walk
+// recursively. A deeper source is a compile error at the token where
+// the limit is crossed, not a stack overflow, which Go cannot recover
+// from. The suite, the fuzz generator and perfbench's generators reach
+// at most 29 levels, and their longest chain has 5 operators.
+const maxNesting = 1000
+
 // Parser builds an AST from tokens.
 type Parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // nesting levels entered; see maxNesting
 }
+
+// enter counts one nesting level and fails past maxNesting. The level
+// stays counted until leave; on an error the parse ends anyway.
+func (p *Parser) enter() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return p.errHere("nesting exceeds %d levels", maxNesting)
+	}
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // Parse parses a complete MC translation unit.
 func Parse(src string) (*Unit, error) {
@@ -170,6 +196,10 @@ func (p *Parser) parseArraySuffix(typ *Type) (*Type, error) {
 }
 
 func (p *Parser) parseInitializer() (*Initializer, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	if p.accept(TokPunct, "{") {
 		init := &Initializer{pos: t.pos()}
@@ -266,6 +296,10 @@ func (p *Parser) parseBlock() (*Block, error) {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case p.atPunct("{"):
@@ -530,6 +564,10 @@ var assignOps = map[string]bool{
 }
 
 func (p *Parser) parseAssign() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	l, err := p.parseTernary()
 	if err != nil {
 		return nil, err
@@ -553,6 +591,10 @@ func (p *Parser) parseTernary() (Expr, error) {
 	}
 	t := p.cur()
 	if p.accept(TokPunct, "?") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		tv, err := p.parseAssign()
 		if err != nil {
 			return nil, err
@@ -610,11 +652,15 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func(depth int) { p.depth = depth }(p.depth)
 	for {
 		t := &p.toks[p.pos]
 		prec := binPrec(t)
 		if prec < minPrec {
 			return l, nil
+		}
+		if err := p.enter(); err != nil {
+			return nil, err
 		}
 		p.pos++
 		r, err := p.parseBinary(prec + 1)
@@ -626,6 +672,10 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	if t.Kind == TokPunct {
 		switch t.Text {
@@ -674,8 +724,14 @@ func (p *Parser) parsePostfix() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func(depth int) { p.depth = depth }(p.depth)
 	for {
 		t := p.cur()
+		if t.Kind == TokPunct && (t.Text == "[" || t.Text == "(" || t.Text == "++" || t.Text == "--") {
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
+		}
 		switch {
 		case p.accept(TokPunct, "["):
 			i, err := p.parseExpr()

@@ -1,7 +1,10 @@
 package mc
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -282,6 +285,54 @@ func TestParseCompoundAssign(t *testing.T) {
 		a := s.(*ExprStmt).X.(*Assign)
 		if a.Op != ops[i] {
 			t.Errorf("stmt %d op = %s, want %s", i, a.Op, ops[i])
+		}
+	}
+}
+
+// TestNestingLimit compiles sources at brserve's 1 MiB source limit
+// that nest far past maxNesting. Without the limit the first two end
+// the process in a stack overflow and the chain recurses 300k deep in
+// check. Each must instead fail with the nesting error at its position,
+// within an allocation bound.
+func TestNestingLimit(t *testing.T) {
+	cases := []struct {
+		name      string
+		src       string
+		line, col int
+	}{
+		{"500k nested parentheses",
+			"int main(void) { return " + strings.Repeat("(", 500_000) + "1" + strings.Repeat(")", 500_000) + "; }", 1, 524},
+		{"500k nested blocks",
+			"int main(void) " + strings.Repeat("{", 500_000) + strings.Repeat("}", 500_000), 1, 1017},
+		{"300k-term chain",
+			"int main(void) { int s = 1; return s" + strings.Repeat("+s", 300_000) + "; }", 1, 2032},
+	}
+	for _, c := range cases {
+		if len(c.src) > 1<<20 {
+			t.Fatalf("%s: %d bytes, over the 1 MiB source limit", c.name, len(c.src))
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := Compile(c.src)
+		runtime.ReadMemStats(&after)
+		var e *Error
+		if !errors.As(err, &e) || e.Msg != "nesting exceeds 1000 levels" {
+			t.Errorf("%s: err = %v, want the nesting error", c.name, err)
+			continue
+		}
+		if e.Line != c.line || e.Col != c.col {
+			t.Errorf("%s: error at %d:%d, want %d:%d", c.name, e.Line, e.Col, c.line, c.col)
+		}
+		// Measured 39, 1,031 and 2,029 allocations: the AST stops at the
+		// limit. The bytes are the token slice: a million 64-byte tokens,
+		// grown by append, allocate 361 MiB for the first two sources and
+		// 183 MiB for the chain.
+		if n := after.Mallocs - before.Mallocs; n > 4000 {
+			t.Errorf("%s: %d allocations, bound 4000", c.name, n)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 400<<20 {
+			t.Errorf("%s: %d bytes allocated, bound 400 MiB", c.name, b)
 		}
 	}
 }

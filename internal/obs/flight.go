@@ -76,17 +76,28 @@ func NewFlightRecorder(capN int, slowNS int64, sampleEvery int) *FlightRecorder 
 	return &FlightRecorder{capN: capN, slowNS: slowNS, sampleEvery: int64(sampleEvery), ring: make([]RequestRecord, 0, capN)}
 }
 
-// reasons classifies why a record is worth retaining (nil = drop).
-// The offered count n drives deterministic sampling.
-func (f *FlightRecorder) reasons(rec *RequestRecord, n int64) []string {
+// Keep counts one finished request and returns why the recorder
+// retains it (nil: drop it): its HTTP status, whether a fallback or
+// reroute annotated it, its total wall clock, and the offered count,
+// which drives deterministic sampling. It needs no record, so a caller
+// builds one, span tree included, only for a request Keep retains and
+// hands it to Add with these reasons.
+func (f *FlightRecorder) Keep(status int, fallback bool, totalNS int64) []string {
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	f.offered++
+	n := f.offered
+	f.mu.Unlock()
 	var out []string
-	if rec.Status >= 500 || rec.Status == 408 {
+	if status >= 500 || status == 408 {
 		out = append(out, "error")
 	}
-	if len(rec.FallbackFrom) > 0 || rec.Rerouted {
+	if fallback {
 		out = append(out, "fallback")
 	}
-	if f.slowNS > 0 && rec.Phases["total_ns"] >= f.slowNS {
+	if f.slowNS > 0 && totalNS >= f.slowNS {
 		out = append(out, "slow")
 	}
 	if f.sampleEvery > 0 && n%f.sampleEvery == 0 {
@@ -95,29 +106,22 @@ func (f *FlightRecorder) reasons(rec *RequestRecord, n int64) []string {
 	return out
 }
 
-// Offer records the request if it meets a retention criterion,
-// evicting the oldest retained record when the ring is full. It
-// reports whether the record was retained.
-func (f *FlightRecorder) Offer(rec RequestRecord) bool {
+// Add retains a record Keep retained (rec.Reasons holds Keep's
+// reasons), evicting the oldest retained record when the ring is full.
+func (f *FlightRecorder) Add(rec RequestRecord) {
 	if f == nil {
-		return false
+		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.offered++
-	rec.Reasons = f.reasons(&rec, f.offered)
-	if len(rec.Reasons) == 0 {
-		return false
-	}
 	f.retained++
 	if len(f.ring) < cap(f.ring) {
 		f.ring = append(f.ring, rec)
 		f.next = len(f.ring) % cap(f.ring)
-		return true
+		return
 	}
 	f.ring[f.next] = rec
 	f.next = (f.next + 1) % cap(f.ring)
-	return true
 }
 
 // Snapshot returns the retained records newest-first (spans included),

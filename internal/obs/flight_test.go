@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// offer hands rec to the recorder as brserve does: Keep decides, and
+// only a kept record is built into the ring.
+func offer(f *FlightRecorder, rec RequestRecord) bool {
+	rec.Reasons = f.Keep(rec.Status, len(rec.FallbackFrom) > 0 || rec.Rerouted, rec.Phases["total_ns"])
+	if rec.Reasons == nil {
+		return false
+	}
+	f.Add(rec)
+	return true
+}
+
 func TestFlightRecorderRetentionReasons(t *testing.T) {
 	f := NewFlightRecorder(8, 1000, 0) // slow ≥ 1µs, sampling off
 	cases := []struct {
@@ -21,9 +32,9 @@ func TestFlightRecorderRetentionReasons(t *testing.T) {
 		{RequestRecord{ID: "422", Status: 422, Phases: map[string]int64{"total_ns": 10}}, nil},
 	}
 	for _, c := range cases {
-		kept := f.Offer(c.rec)
+		kept := offer(f, c.rec)
 		if kept != (len(c.want) > 0) {
-			t.Errorf("Offer(%s): kept=%v, want %v", c.rec.ID, kept, len(c.want) > 0)
+			t.Errorf("offer(%s): kept=%v, want %v", c.rec.ID, kept, len(c.want) > 0)
 			continue
 		}
 		if !kept {
@@ -43,7 +54,7 @@ func TestFlightRecorderRetentionReasons(t *testing.T) {
 func TestFlightRecorderSampling(t *testing.T) {
 	f := NewFlightRecorder(64, 0, 4) // every 4th offered request retained
 	for i := 1; i <= 16; i++ {
-		f.Offer(RequestRecord{ID: fmt.Sprintf("r%d", i), Status: 200})
+		offer(f, RequestRecord{ID: fmt.Sprintf("r%d", i), Status: 200})
 	}
 	recs, retained, offered := f.Snapshot()
 	if offered != 16 || retained != 4 || len(recs) != 4 {
@@ -60,7 +71,7 @@ func TestFlightRecorderSampling(t *testing.T) {
 func TestFlightRecorderEviction(t *testing.T) {
 	f := NewFlightRecorder(4, 0, 1) // retain everything, tiny ring
 	for i := 1; i <= 10; i++ {
-		f.Offer(RequestRecord{ID: fmt.Sprintf("r%d", i), Status: 200})
+		offer(f, RequestRecord{ID: fmt.Sprintf("r%d", i), Status: 200})
 	}
 	recs, retained, offered := f.Snapshot()
 	if retained != 10 || offered != 10 {
@@ -84,8 +95,8 @@ func TestFlightRecorderEviction(t *testing.T) {
 
 func TestFlightRecorderDuplicateIDNewestWins(t *testing.T) {
 	f := NewFlightRecorder(8, 0, 1)
-	f.Offer(RequestRecord{ID: "dup", Status: 200, Engine: "old"})
-	f.Offer(RequestRecord{ID: "dup", Status: 200, Engine: "new"})
+	offer(f, RequestRecord{ID: "dup", Status: 200, Engine: "old"})
+	offer(f, RequestRecord{ID: "dup", Status: 200, Engine: "new"})
 	got, ok := f.Get("dup")
 	if !ok || got.Engine != "new" {
 		t.Fatalf("Get(dup) = %+v ok=%v, want newest (engine new)", got, ok)
@@ -102,7 +113,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				f.Offer(RequestRecord{
+				offer(f, RequestRecord{
 					ID:     fmt.Sprintf("g%d-%d", g, i),
 					Status: 200,
 					Spans:  []SpanRecord{{ID: 1, Name: "request"}},
@@ -143,9 +154,10 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 
 func TestFlightRecorderNil(t *testing.T) {
 	var f *FlightRecorder
-	if f.Offer(RequestRecord{ID: "x", Status: 500}) {
+	if offer(f, RequestRecord{ID: "x", Status: 500}) {
 		t.Errorf("nil recorder retained a record")
 	}
+	f.Add(RequestRecord{ID: "x", Status: 500, Reasons: []string{"error"}})
 	if recs, retained, offered := f.Snapshot(); recs != nil || retained != 0 || offered != 0 {
 		t.Errorf("nil recorder snapshot = %v/%d/%d", recs, retained, offered)
 	}

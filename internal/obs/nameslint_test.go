@@ -11,7 +11,7 @@ import (
 
 // The repo-wide metric-name lint: every registration site in the tree —
 // r.Counter("..."), .Gauge(...), .Histogram(...), including the
-// fmt.Sprintf variants that build shard- and class-keyed names, plus
+// fmt.Sprintf variants that build class-keyed names, plus
 // the scrape-time synthetics injected into a Snapshot's maps — must use
 // a dotted.lowercase name, and the '.'→'_' Prometheus mapping must stay
 // lossless (no two distinct dotted names may collide after mapping).
@@ -71,7 +71,7 @@ func TestMetricNamesRepoWide(t *testing.T) {
 	if len(names) < 20 {
 		t.Fatalf("scanner found only %d registration sites — the lint regex no longer matches the codebase", len(names))
 	}
-	for _, known := range []string{"serve.requests", "serve.queue.depth.total", "serve.queue.depth.%d"} {
+	for _, known := range []string{"serve.requests", "serve.queue.depth.total", "serve.latency.total.%s.%s"} {
 		if _, ok := names[known]; !ok {
 			t.Errorf("scanner missed known registration %q", known)
 		}

@@ -26,9 +26,10 @@ import (
 
 // ValidMetricName reports whether a registry name follows the
 // dotted.lowercase convention: one or more '.'-separated segments of
-// [a-z0-9_]+, starting with a letter. Printf verbs ("serve.queue.depth.%d")
-// are allowed as whole-segment placeholders, since registration sites
-// build shard- and class-keyed names with fmt.Sprintf.
+// [a-z0-9_]+, starting with a letter. The Printf verb %s
+// ("serve.latency.total.%s.%s") is allowed as a whole-segment
+// placeholder, since registration sites build class-keyed names with
+// fmt.Sprintf.
 func ValidMetricName(name string) bool {
 	if name == "" || name[0] < 'a' || name[0] > 'z' {
 		return false
@@ -37,7 +38,7 @@ func ValidMetricName(name string) bool {
 		if seg == "" {
 			return false
 		}
-		if seg == "%d" || seg == "%s" {
+		if seg == "%s" {
 			continue
 		}
 		for _, c := range seg {

@@ -7,7 +7,7 @@ import (
 
 func TestValidMetricName(t *testing.T) {
 	valid := []string{
-		"serve.requests", "serve.queue_wait_ns", "serve.queue.depth.%d",
+		"serve.requests", "serve.queue_wait_ns", "serve.latency.total.%s.%s",
 		"guard.breaker.open_now", "emu.trap.%s", "serve.latency.total.2xx.fused",
 		"x",
 	}
@@ -18,7 +18,7 @@ func TestValidMetricName(t *testing.T) {
 	}
 	invalid := []string{
 		"", "Serve.requests", "serve..requests", ".serve", "serve.",
-		"serve.Queue", "serve-requests", "serve.re quests", "2serve.x",
+		"serve.Queue", "serve-requests", "serve.re quests", "2serve.x", "serve.queue.depth.%d",
 	}
 	for _, n := range invalid {
 		if ValidMetricName(n) {

@@ -15,7 +15,7 @@ import (
 )
 
 // Allocation budgets for the serve hot paths. These are ceilings, not
-// aspirations: the cache-hit path answers without queueing, executing,
+// aspirations: the cache-hit path answers without waiting, executing,
 // or re-encoding through fresh buffers, the miss path executes once
 // behind one memo lookup, and the budgets pin the pooled
 // pieces (body read buffer, JSON encoder, latency-histogram handles)
@@ -74,13 +74,13 @@ func TestServeCacheHitAllocs(t *testing.T) {
 	hit() // absorb one-time pool and histogram-set population
 
 	avg := testing.AllocsPerRun(200, hit)
-	// Measured 39 allocs/hit: JSON decode of the request, the
-	// fingerprint, the request trace and its spans, the response
-	// struct, and the flight-record offer. The ceiling leaves room for
-	// stdlib drift but fails on anything structural: an unpooled
-	// encoder, a per-response fmt name, or a per-request rebuild of the
-	// workload table each cost 10+.
-	const budget = 60
+	// Measured 33 allocs/hit: JSON decode of the request, the
+	// fingerprint, the request trace and its spans, and the response
+	// struct; the flight recorder builds no record for a request it
+	// drops. The ceiling leaves room for stdlib drift but fails on
+	// anything structural: an unpooled encoder, a per-response fmt name,
+	// or a per-request rebuild of the workload table each cost 10+.
+	const budget = 54
 	if avg > budget {
 		t.Errorf("cache-hit path allocates %.1f objects per request, budget %d", avg, budget)
 	}
@@ -129,12 +129,12 @@ func TestServeExecAllocs(t *testing.T) {
 	if n := reg.Counter("serve.ok").Value(); n != execRequests+1 {
 		t.Fatalf("%d of %d requests answered 200", n, execRequests+1)
 	}
-	// Measured 82 allocs/request: JSON decode of the request, one
-	// fingerprint, the memo slot and the job, the supervised execution
-	// with its trace spans, the kept result, the response, and the
-	// flight-record offer. The ceiling is that plus 10: one more
-	// Fingerprint call per request (11 allocs here) fails the gate.
-	const budget = 92
+	// Measured 74 allocs/request: JSON decode of the request, one
+	// fingerprint, the memo slot, the supervised execution with its
+	// trace spans, the kept result and the response. The ceiling is
+	// that plus 10: one more Fingerprint call per request (11 allocs
+	// here) fails the gate.
+	const budget = 84
 	if avg > budget {
 		t.Errorf("miss path allocates %.1f objects per request, budget %d", avg, budget)
 	}

@@ -6,13 +6,15 @@
 // trap, and where the request's wall clock went (queue, compile, run).
 //
 // The server adds what a long-running service needs on top of driver.Exec:
-// worker-sharded admission with bounded queues and 429 backpressure, one
-// memo keyed on driver.Request.Fingerprint (driver.ResultCache) that
-// answers repeats from kept results and lets identical in-flight
-// requests share one execution, per-tenant step budgets enforced through
-// the emulator's TrapStepBudget machinery, /metrics and /healthz backed by
-// internal/obs, and graceful drain for SIGTERM handling. loadgen.go holds
-// the load-generator core shared by cmd/brload and benchrecord -serve.
+// admission through a counting semaphore of execution slots, with a
+// bounded number of waiting requests and 429 backpressure (each request
+// executes on the goroutine that received it), one memo keyed on
+// driver.Request.Fingerprint (driver.ResultCache) that answers repeats
+// from kept results and lets identical in-flight requests share one
+// execution, per-tenant step budgets enforced through the emulator's
+// TrapStepBudget machinery, /metrics and /healthz backed by internal/obs,
+// and graceful drain for SIGTERM handling. loadgen.go holds the
+// load-generator core of cmd/brload.
 package serve
 
 import (

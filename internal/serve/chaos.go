@@ -16,7 +16,7 @@ import (
 
 // ChaosPlan is the serve-layer analogue of emu.FaultPlan: a
 // deterministic, seeded schedule of service-level failures — engine
-// panics, added latency, worker stalls — injected into a running
+// panics, added latency, execution stalls — injected into a running
 // server so the supervision layer (fallback, breakers, shadow
 // verification) can be exercised under test and under `brload -chaos`
 // instead of waiting for a real engine bug. Every decision is a
@@ -42,9 +42,9 @@ type ChaosPlan struct {
 	// LatencyEvery adds Latency before every Nth execution (0 = never).
 	LatencyEvery int           `json:"latency_every,omitempty"`
 	Latency      time.Duration `json:"latency,omitempty"`
-	// StallEvery makes a worker sleep Stall before processing every Nth
-	// dequeued job (0 = never), backing up the queue so 429 behavior
-	// under slowdown is exercised.
+	// StallEvery makes every Nth leader sleep Stall after taking its
+	// execution slot and before it executes (0 = never), backing up the
+	// waiting requests so 429 behavior under slowdown is exercised.
 	StallEvery int           `json:"stall_every,omitempty"`
 	Stall      time.Duration `json:"stall,omitempty"`
 }
@@ -100,7 +100,7 @@ type chaos struct {
 
 	headN  atomic.Int64 // targeted adaptive-tier executions seen
 	latN   atomic.Int64 // executions seen by the latency injector
-	stallN atomic.Int64 // jobs seen by the stall injector
+	stallN atomic.Int64 // leaders seen by the stall injector
 	fired  atomic.Int64 // panics injected so far
 
 	mPanics  *obs.Counter
@@ -153,7 +153,7 @@ func (c *chaos) wrap(next guard.ExecFunc) guard.ExecFunc {
 	}
 }
 
-// maybeStall sleeps a worker before it processes a dequeued job, when due.
+// maybeStall sleeps a leader that holds an execution slot, when due.
 func (c *chaos) maybeStall() {
 	if c.due(c.stallN.Add(1), c.plan.StallEvery) && c.plan.Stall > 0 {
 		c.mStalls.Inc()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,7 +14,9 @@ import (
 
 	"branchreg/internal/driver"
 	"branchreg/internal/emu"
+	"branchreg/internal/isa"
 	"branchreg/internal/obs"
+	"branchreg/internal/workloads"
 )
 
 // The serve-layer memo contract: admission looks each request up once;
@@ -38,10 +41,10 @@ func waitUntil(t *testing.T, desc string, cond func() bool) {
 	}
 }
 
-// gateWorkers makes every worker wait before executing a job until
-// release is called. Cleanup releases too, so a failed wait cannot
-// wedge the server's teardown on requests parked at the gate.
-func gateWorkers(t *testing.T, s *Server) (release func()) {
+// gateLeaders makes every leader wait before executing until release
+// is called. Cleanup releases too, so a failed wait cannot wedge the
+// server's teardown on requests parked at the gate.
+func gateLeaders(t *testing.T, s *Server) (release func()) {
 	s.gate = make(chan struct{})
 	release = sync.OnceFunc(func() { close(s.gate) })
 	t.Cleanup(release)
@@ -112,8 +115,8 @@ func TestServeResultCacheHit(t *testing.T) {
 		t.Errorf("cache hit reports per-phase work it did not do: %+v", warm.Timing)
 	}
 
-	// The hit bypassed the queue and the workers: its flight record has
-	// a cache-hit span and no queue span.
+	// The hit bypassed the queue and execution: its flight record has a
+	// cache-hit span and no queue span.
 	var rec obs.RequestRecord
 	hr, err := http.Get(ts.URL + "/v1/debug/requests/rc-warm")
 	if err != nil {
@@ -131,7 +134,7 @@ func TestServeResultCacheHit(t *testing.T) {
 		t.Errorf("hit's span tree lacks cache-hit: %+v", rec.Spans)
 	}
 	if spans["queue"] || spans["exec"] {
-		t.Errorf("cache hit went through the queue/worker path: %+v", rec.Spans)
+		t.Errorf("cache hit went through the queue/exec path: %+v", rec.Spans)
 	}
 
 	// Shadow verification observes real executions only: the hit must
@@ -352,8 +355,8 @@ func TestServeShadowExecutes(t *testing.T) {
 func TestServeCoalescesErrors(t *testing.T) {
 	reg := obs.NewRegistry()
 	cache := driver.NewCache()
-	s, ts := newTestServer(t, Config{Workers: 1, Shards: 1, Cache: cache, Metrics: reg})
-	release := gateWorkers(t, s)
+	s, ts := newTestServer(t, Config{Workers: 1, Cache: cache, Metrics: reg})
+	release := gateLeaders(t, s)
 	rr := &RunRequest{Workload: "sieve", StepBudget: 1000}
 
 	first := postAsync(t, ts.URL, rr)
@@ -384,29 +387,25 @@ func TestServeCoalescesErrors(t *testing.T) {
 }
 
 // TestServeRefusalReachesWaiters: a request that joined a leader whose
-// enqueue failed gets the leader's 429, Retry-After included.
+// admission failed gets the leader's 429, Retry-After included.
 func TestServeRefusalReachesWaiters(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, ts := newTestServer(t, Config{Workers: 1, Shards: 1, QueueDepth: 1, Metrics: reg})
-	openGate := gateWorkers(t, s)
-	sh := s.shards[0]
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Metrics: reg})
+	openGate := gateLeaders(t, s)
 
-	// Occupy the gated worker (see TestServeQueueFull for the depth
-	// sentinel) and the one queue slot.
-	sh.depth.Set(-1)
+	// Occupy the gated execution slot and the one waiting place.
 	busy := postAsync(t, ts.URL, &RunRequest{Workload: "sieve"})
-	waitUntil(t, "the worker to take the first job", func() bool {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.depth.Value() == 0 && len(sh.queue) == 0
+	waitUntil(t, "the first leader to take the slot", func() bool {
+		return len(s.slots) == 1 && s.waiting.Load() == 0
 	})
 	queued := postAsync(t, ts.URL, &RunRequest{Workload: "wc"})
-	waitUntil(t, "the second job to queue", func() bool { return len(sh.queue) == 1 })
+	waitUntil(t, "the second leader to wait", func() bool { return s.waiting.Load() == 1 })
 
-	// Holding the shard lock parks the next leader between taking its
-	// memo slot and finding the queue full, so its twin joins the slot.
-	sh.mu.Lock()
-	unlock := sync.OnceFunc(sh.mu.Unlock) // a failed wait must not wedge Drain
+	// Holding the admission lock parks the next leader between taking
+	// its memo slot and finding the queue full, so its twin joins the
+	// slot.
+	s.admitMu.Lock()
+	unlock := sync.OnceFunc(s.admitMu.Unlock) // a failed wait must not wedge Drain
 	defer unlock()
 	leader := postAsync(t, ts.URL, &RunRequest{Workload: "grep"})
 	waitUntil(t, "the leader's slot", func() bool { return s.results.Stats().InFlight == 3 })
@@ -435,8 +434,8 @@ func TestServeRefusalReachesWaiters(t *testing.T) {
 func TestServeNoCacheTwinsRunAlone(t *testing.T) {
 	reg := obs.NewRegistry()
 	cache := driver.NewCache()
-	s, ts := newTestServer(t, Config{Workers: 1, Shards: 1, Cache: cache, Metrics: reg})
-	release := gateWorkers(t, s)
+	s, ts := newTestServer(t, Config{Workers: 1, Cache: cache, Metrics: reg})
+	release := gateLeaders(t, s)
 	rr := &RunRequest{Workload: "wc", NoCache: true}
 
 	a, b := postAsync(t, ts.URL, rr), postAsync(t, ts.URL, rr)
@@ -452,5 +451,66 @@ func TestServeNoCacheTwinsRunAlone(t *testing.T) {
 	}
 	if st := s.results.Stats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
 		t.Errorf("no_cache twins touched the memo: %+v", st)
+	}
+}
+
+// TestServeDisconnectedLeaderStillPublishes: a leader waiting for an
+// execution slot keeps its place when its client goes away. It still
+// executes, the request that joined it gets the output, and the memo
+// keeps the result for the next identical request.
+func TestServeDisconnectedLeaderStillPublishes(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, ts := newTestServer(t, Config{Workers: 1, Metrics: reg})
+	release := gateLeaders(t, s)
+	w, _ := workloads.ByName("wc")
+	want, err := driver.Exec(context.Background(), driver.Request{
+		Source: w.FullSource(), Kind: isa.BranchReg, Input: w.Input, Options: driver.DefaultOptions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := &RunRequest{Workload: "wc"}
+
+	busy := postAsync(t, ts.URL, &RunRequest{Workload: "sieve"})
+	waitUntil(t, "the first leader's memo slot", func() bool { return s.results.Stats().InFlight == 1 })
+	body, err := json.Marshal(rr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := make(chan error, 1)
+	go func() {
+		hr, err := http.DefaultClient.Do(hreq)
+		if err == nil {
+			hr.Body.Close()
+		}
+		gone <- err
+	}()
+	waitUntil(t, "the second leader to wait", func() bool {
+		return s.results.Stats().InFlight == 2 && reg.Gauge("serve.queue.depth.total").Value() == 1
+	})
+	follower := postAsync(t, ts.URL, rr)
+	waitUntil(t, "the follower to join", func() bool { return reg.Counter("serve.coalesced").Value() == 1 })
+	cancel()
+	if err := <-gone; err == nil {
+		t.Fatal("the disconnected client got a response")
+	}
+	release()
+
+	if r := <-follower; r.code != 200 || !r.resp.Coalesced || r.resp.Output != want.Output {
+		t.Errorf("follower: HTTP %d coalesced=%v output %q, want a coalesced 200 with %q",
+			r.code, r.resp.Coalesced, r.resp.Output, want.Output)
+	}
+	if code, later := post(t, ts.URL, rr); code != 200 || !later.Cached || later.Output != want.Output {
+		t.Errorf("later request: HTTP %d cached=%v output %q, want a cached 200 with %q",
+			code, later.Cached, later.Output, want.Output)
+	}
+	if r := <-busy; r.code != 200 {
+		t.Errorf("first leader: HTTP %d: %+v", r.code, r.resp)
 	}
 }

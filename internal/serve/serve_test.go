@@ -133,6 +133,12 @@ func TestServeTable(t *testing.T) {
 			errLike: "undeclared",
 		},
 		{
+			name:    "nesting-limit",
+			req:     RunRequest{Source: "int main(void) { return " + strings.Repeat("(", 2000) + "1" + strings.Repeat(")", 2000) + "; }"},
+			code:    400,
+			errLike: "1:524: nesting exceeds 1000 levels",
+		},
+		{
 			name:    "empty-request",
 			req:     RunRequest{},
 			code:    400,
@@ -225,14 +231,13 @@ func TestServeTable(t *testing.T) {
 func intp(v int) *int { return &v }
 
 // TestServeQueueFull pins down the backpressure contract: with one
-// gated worker and a one-slot queue, the third distinct request gets a
-// 429 with Retry-After, and the first two still finish once the worker
-// is released.
+// gated execution slot and room for one waiting leader, the third
+// distinct request gets a 429 with Retry-After, and the first two still
+// finish once the slot is released.
 func TestServeQueueFull(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, ts := newTestServer(t, Config{Workers: 1, Shards: 1, QueueDepth: 1, Metrics: reg})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Metrics: reg})
 	s.gate = make(chan struct{})
-	sh := s.shards[0]
 
 	type reply struct {
 		code int
@@ -265,26 +270,17 @@ func TestServeQueueFull(t *testing.T) {
 		}
 	}
 
-	// First request: dequeued by the worker, which then blocks on the
-	// gate; the queue is empty again but the worker is busy. The leader
-	// holds its memo slot before it enqueues, so the depth gauge starts
-	// at -1 to tell "not yet enqueued" from "already dequeued".
-	sh.depth.Set(-1)
+	// First request: takes the one execution slot, then blocks on the
+	// gate; nobody waits, but the slot is busy.
 	fire("sieve")
-	waitFor("worker to pick up the first job", func() bool {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return s.results.Stats().InFlight == 1 && sh.depth.Value() == 0 && len(sh.queue) == 0
+	waitFor("the first leader to take the slot", func() bool {
+		return s.results.Stats().InFlight == 1 && len(s.slots) == 1 && s.waiting.Load() == 0
 	})
-	// Second request fills the one-slot queue.
+	// Second request waits for the slot, filling the queue.
 	fire("wc")
-	waitFor("second job to queue", func() bool {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return len(sh.queue) == 1
-	})
-	if n := reg.Gauge("serve.queue.depth.0").Value(); n != 1 {
-		t.Errorf("serve.queue.depth.0 = %d with one queued job, want 1", n)
+	waitFor("the second leader to wait", func() bool { return s.waiting.Load() == 1 })
+	if n := reg.Gauge("serve.queue.depth.total").Value(); n != 1 {
+		t.Errorf("serve.queue.depth.total = %d with one waiting leader, want 1", n)
 	}
 	// Third distinct request finds the queue full.
 	code, resp := post(t, ts.URL, &RunRequest{Workload: "grep"})
@@ -295,7 +291,7 @@ func TestServeQueueFull(t *testing.T) {
 		t.Errorf("queue-full counter = %d, want 1", n)
 	}
 
-	// Release the worker: both admitted jobs must complete cleanly.
+	// Release the slot: both admitted leaders must complete cleanly.
 	close(s.gate)
 	for i := 0; i < 2; i++ {
 		r := <-replies
@@ -305,16 +301,16 @@ func TestServeQueueFull(t *testing.T) {
 	}
 }
 
-// TestRetryAfterHint pins the load-scaled backpressure hint: depth ×
-// EWMA job duration across the shard's workers, clamped to [1, 30]
-// whole seconds, with the constant 1 before any sample exists.
+// TestRetryAfterHint pins the load-scaled backpressure hint: waiting
+// leaders × EWMA job duration across the Workers slots, clamped to
+// [1, 30] whole seconds, with the constant 1 before any sample exists.
 func TestRetryAfterHint(t *testing.T) {
-	s := &Server{workersPerShard: 2}
+	s := &Server{cfg: Config{Workers: 2}}
 	if got := s.retryAfterHint(8); got != "1" {
 		t.Errorf("hint with no samples = %q, want 1", got)
 	}
 	s.ewmaNS.Store(int64(500 * time.Millisecond))
-	// 8 queued × 0.5s / 2 workers = 2s to drain.
+	// 8 waiting × 0.5s / 2 slots = 2s to drain.
 	if got := s.retryAfterHint(8); got != "2" {
 		t.Errorf("hint(depth 8, ewma 500ms, 2 workers) = %q, want 2", got)
 	}
@@ -349,7 +345,7 @@ func TestObserveJobDuration(t *testing.T) {
 func TestServeCoalescing(t *testing.T) {
 	reg := obs.NewRegistry()
 	cache := driver.NewCache()
-	s, ts := newTestServer(t, Config{Workers: 2, Shards: 1, QueueDepth: 8, Cache: cache, Metrics: reg})
+	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8, Cache: cache, Metrics: reg})
 	s.gate = make(chan struct{})
 
 	var wg sync.WaitGroup
@@ -419,7 +415,7 @@ func TestServeCoalescing(t *testing.T) {
 // contract on Request.Fingerprint, exercised through the server).
 func TestServeFingerprintSeparation(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, ts := newTestServer(t, Config{Workers: 1, Shards: 1, QueueDepth: 8, Metrics: reg})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8, Metrics: reg})
 	s.gate = make(chan struct{})
 
 	var wg sync.WaitGroup
@@ -474,7 +470,7 @@ func TestServeFingerprintSeparation(t *testing.T) {
 }
 
 // TestServeDrain: draining flips /healthz to 503, rejects new runs with
-// 503, and Drain returns once queued work is done.
+// 503, and Drain returns once admitted work is done.
 func TestServeDrain(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Config{Workers: 2, Metrics: reg})
@@ -512,6 +508,49 @@ func TestServeDrain(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != 503 {
 		t.Fatalf("post-drain healthz: HTTP %d, want 503", hr.StatusCode)
+	}
+}
+
+// TestServeDrainFinishesAdmittedLeaders: Drain refuses new requests at
+// once but returns only after every admitted leader, the executing one
+// and the one waiting for its slot, has answered.
+func TestServeDrainFinishesAdmittedLeaders(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Workers: 1, Metrics: reg})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close) // after gateLeaders' release, which runs first
+	release := gateLeaders(t, s)
+
+	executing := postAsync(t, ts.URL, &RunRequest{Workload: "sieve"})
+	waitUntil(t, "the first leader's memo slot", func() bool { return s.results.Stats().InFlight == 1 })
+	waiting := postAsync(t, ts.URL, &RunRequest{Workload: "wc"})
+	waitUntil(t, "the second leader to wait", func() bool {
+		return s.results.Stats().InFlight == 2 && reg.Gauge("serve.queue.depth.total").Value() == 1
+	})
+
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drained <- s.Drain(ctx)
+	}()
+	waitUntil(t, "the drain to start", s.draining.Load)
+	if code, resp := post(t, ts.URL, &RunRequest{Workload: "grep"}); code != 503 {
+		t.Errorf("request after Drain started: HTTP %d (%+v), want 503", code, resp)
+	}
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned (%v) before its admitted leaders answered", err)
+	default:
+	}
+	release()
+	for name, r := range map[string]reply{"executing": <-executing, "waiting": <-waiting} {
+		if r.code != 200 || r.resp.Output == "" {
+			t.Errorf("%s leader: HTTP %d output %q, want a 200 with output", name, r.code, r.resp.Output)
+		}
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }
 

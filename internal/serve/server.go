@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
@@ -30,14 +29,11 @@ import (
 // Config sizes and scopes a Server. The zero value is usable: New fills
 // every unset field with the documented default.
 type Config struct {
-	// Workers is the number of execution goroutines across all shards
-	// (default: GOMAXPROCS).
+	// Workers is how many requests execute at once, each on the
+	// goroutine that received it (default: GOMAXPROCS).
 	Workers int
-	// Shards is the number of admission shards; requests hash to a shard
-	// by fingerprint (default: min(Workers, 4), at least 1).
-	Shards int
-	// QueueDepth is the total queued-job capacity across shards
-	// (default: 4 × Workers). A full shard queue answers 429.
+	// QueueDepth bounds the requests waiting, in arrival order, for an
+	// execution slot (default: 4 × Workers); one more answers 429.
 	QueueDepth int
 	// MaxSourceBytes rejects larger programs with 413 (default: 1 MiB;
 	// negative disables the limit).
@@ -67,7 +63,7 @@ type Config struct {
 	// memo still shares one execution among identical requests in
 	// flight); the compile cache then keeps its default half. Admission
 	// looks every request up in the memo once, so repeat requests are
-	// answered without touching a worker shard; see driver.ResultCache
+	// answered without taking an execution slot; see driver.ResultCache
 	// for what is kept. A supplied Cache that already has a byte budget
 	// or a ResultCache keeps them, and the matching half here is ignored.
 	CacheMB int
@@ -90,7 +86,7 @@ type Config struct {
 	// (default 256).
 	IncidentCap int
 	// Chaos, when non-nil, arms the deterministic chaos plan — injected
-	// engine panics, latency, and worker stalls for supervision testing.
+	// engine panics, latency, and execution stalls for supervision testing.
 	// Never set it on a production server.
 	Chaos *ChaosPlan
 
@@ -144,9 +140,7 @@ type serveMetrics struct {
 	inflight  *obs.Gauge
 	queueWait *obs.Histogram
 	totalNS   *obs.Histogram
-	// queueTotal aggregates the per-shard serve.queue.depth.%d gauges:
-	// one number for "how much is queued right now" without a consumer
-	// having to know the shard count.
+	// queueTotal is the number of requests waiting for an execution slot.
 	queueTotal *obs.Gauge
 }
 
@@ -169,37 +163,6 @@ func newServeMetrics(r *obs.Registry) serveMetrics {
 	}
 }
 
-// job is one admitted execution: a leader's memo slot on its way to a
-// worker, which executes the request and publishes the outcome to the
-// slot for the leader and every request that joined it.
-type job struct {
-	req     driver.Request
-	class   string
-	slot    *driver.ResultSlot
-	enq     time.Time
-	queueNS int64 // written by the worker before it publishes
-
-	// The admitting request's trace rides with the job: the worker
-	// attaches it to the execution context so driver/guard spans land in
-	// it. Coalesced followers keep their own traces; only the leader's
-	// trace sees the execution.
-	trace     *obs.ReqTrace
-	rootID    obs.SpanID
-	queueSpan *obs.Span
-}
-
-// shard is one admission lane: a bounded queue of jobs. Hashing
-// fingerprints across shards keeps queue-lock contention bounded as
-// workers scale.
-type shard struct {
-	mu     sync.Mutex
-	closed bool
-	queue  chan *job
-	// depth exports the queue's occupancy as serve.queue.depth.<i>, so
-	// /metrics shows where admission pressure concentrates.
-	depth *obs.Gauge
-}
-
 // Server is the compile-and-run service. Create with New, expose via
 // ServeHTTP (it is an http.Handler), stop with Drain.
 type Server struct {
@@ -210,8 +173,6 @@ type Server struct {
 	chaos    *chaos
 	m        serveMetrics
 	mux      *http.ServeMux
-	shards   []*shard
-	workers  sync.WaitGroup
 	draining atomic.Bool
 	running  atomic.Int64
 	start    time.Time
@@ -225,9 +186,8 @@ type Server struct {
 	latSets map[latKey]*latencySet
 
 	// ewmaNS tracks recent job wall clocks (EWMA, α=1/8) so the 429
-	// Retry-After hint reflects how fast the queue actually drains.
-	ewmaNS          atomic.Int64
-	workersPerShard int
+	// Retry-After hint reflects how fast waiting requests actually drain.
+	ewmaNS atomic.Int64
 
 	flight *obs.FlightRecorder
 	logger *slog.Logger
@@ -237,22 +197,24 @@ type Server struct {
 	reqN     atomic.Int64
 	// logN counts responses for -log-sample's every-Nth selection.
 	logN atomic.Int64
-	// queueLen tracks total queued jobs across shards for the
-	// serve.queue.depth.total gauge.
-	queueLen atomic.Int64
 
-	// gate, when non-nil, is received from before each job executes —
+	// slots holds a token per executing leader (blocked senders take
+	// freed slots in arrival order). admitMu orders admission against
+	// Drain; pending counts admitted leaders until they publish.
+	slots   chan struct{}
+	admitMu sync.Mutex
+	waiting atomic.Int64 // admitted leaders without a slot yet
+	pending sync.WaitGroup
+
+	// gate, when non-nil, is received from before each leader executes —
 	// a test hook that makes queue-full behavior deterministic.
 	gate chan struct{}
 }
 
-// New builds a Server and starts its worker pool.
+// New builds a Server; each request executes on the goroutine that receives it.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = min(cfg.Workers, 4)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.Workers
@@ -307,6 +269,7 @@ func New(cfg Config) *Server {
 		logger:    cfg.Logger,
 		idPrefix:  hex.EncodeToString(seed[:]),
 		latSets:   map[latKey]*latencySet{},
+		slots:     make(chan struct{}, cfg.Workers),
 	}
 	half := cacheHalf(cfg.CacheMB)
 	if s.cache.MemStats().MaxBytes == 0 {
@@ -321,8 +284,8 @@ func New(cfg Config) *Server {
 	}
 	s.results = s.cache.ResultCache()
 	// The execution stack, bottom-up: the compile cache's Exec, the chaos
-	// injector (tests and smoke runs only), and the guard supervisor the
-	// workers actually call.
+	// injector (tests and smoke runs only), and the guard supervisor
+	// leaders actually call.
 	exec := guard.ExecFunc(func(ctx context.Context, class string, req driver.Request) (*driver.Result, error) {
 		return s.cache.Exec(ctx, req)
 	})
@@ -346,19 +309,6 @@ func New(cfg Config) *Server {
 			s.results.Invalidate(class, tier)
 		},
 	})
-	s.workersPerShard = max(1, cfg.Workers/cfg.Shards)
-	perShard := max(1, cfg.QueueDepth/cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, &shard{
-			queue: make(chan *job, perShard),
-			depth: cfg.Metrics.Gauge(fmt.Sprintf("serve.queue.depth.%d", i)),
-		})
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		sh := s.shards[i%len(s.shards)]
-		s.workers.Add(1)
-		go s.worker(sh)
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
@@ -381,22 +331,19 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Drain stops admission (new runs answer 503), lets queued jobs finish,
-// and waits for the workers — or for ctx, whichever comes first.
+// Drain stops admission (new runs answer 503), waits for every admitted
+// leader to publish and closes the guard, or returns when ctx ends.
 func (s *Server) Drain(ctx context.Context) error {
-	if s.draining.Swap(true) {
+	s.admitMu.Lock()
+	again := s.draining.Swap(true)
+	s.admitMu.Unlock()
+	if again {
 		return nil // second drain is a no-op
-	}
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.closed = true
-		close(sh.queue)
-		sh.mu.Unlock()
 	}
 	done := make(chan struct{})
 	go func() {
-		s.workers.Wait()
-		// Only after the last worker exits can no new shadow samples
+		s.pending.Wait()
+		// Only after the last leader publishes can no new shadow samples
 		// arrive; close the supervisor's shadow pool and let queued
 		// verifications finish.
 		s.sup.Close()
@@ -410,14 +357,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// shardFor hashes a fingerprint to its admission shard.
-func (s *Server) shardFor(fp string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(fp))
-	return s.shards[h.Sum32()%uint32(len(s.shards))]
-}
-
-// errInternal marks a worker panic: the only path to a 500.
+// errInternal marks a panic that execJob recovered.
 var errInternal = errors.New("internal error")
 
 // observeJobDuration folds one job's execution wall clock into the
@@ -437,43 +377,79 @@ func (s *Server) observeJobDuration(ns int64) {
 }
 
 // retryAfterHint scales a 429's Retry-After by observed load instead
-// of a constant: the refusing shard's queue depth times the EWMA job
-// duration, spread across the shard's workers, is the expected time
-// until a slot frees — clamped to [1, 30] whole seconds (RFC 9110
-// Retry-After is integral). Before any job has completed the hint
-// stays at the old constant 1.
+// of a constant: the waiting leaders times the EWMA job duration,
+// spread across the Workers slots, is the expected time until a slot
+// frees — clamped to [1, 30] whole seconds (RFC 9110 Retry-After is
+// integral). Before any job has completed the hint stays at the old
+// constant 1.
 func (s *Server) retryAfterHint(depth int) string {
 	ewma := s.ewmaNS.Load()
 	if ewma <= 0 || depth <= 0 {
 		return "1"
 	}
-	denom := int64(s.workersPerShard) * int64(time.Second)
+	denom := int64(s.cfg.Workers) * int64(time.Second)
 	secs := (int64(depth)*ewma + denom - 1) / denom
 	return strconv.FormatInt(min(max(secs, 1), 30), 10)
 }
 
-// worker executes jobs from one shard's queue until Drain closes it.
-func (s *Server) worker(sh *shard) {
-	defer s.workers.Done()
-	for j := range sh.queue {
-		sh.depth.Set(int64(len(sh.queue)))
-		s.m.queueTotal.Set(s.queueLen.Add(-1))
-		if s.gate != nil {
-			<-s.gate
-		}
-		if s.chaos != nil {
-			s.chaos.maybeStall()
-		}
-		j.queueNS = time.Since(j.enq).Nanoseconds()
-		j.queueSpan.End()
-		s.m.queueWait.Observe(j.queueNS)
-		s.m.inflight.Set(s.running.Add(1))
-		runStart := time.Now()
-		res, err := s.execJob(j)
-		s.observeJobDuration(time.Since(runStart).Nanoseconds())
-		s.m.inflight.Set(s.running.Add(-1))
-		s.results.Publish(j.slot, res, err)
+// admit takes an execution slot, behind the leaders already waiting when
+// every slot is busy. It refuses a leader while the server drains (503)
+// or while QueueDepth leaders wait (429).
+func (s *Server) admit() error {
+	s.admitMu.Lock()
+	if s.draining.Load() {
+		s.admitMu.Unlock()
+		return &httpError{code: 503, msg: "server is draining"}
 	}
+	wait := false
+	select {
+	case s.slots <- struct{}{}:
+	default:
+		if n := s.waiting.Load(); n >= int64(s.cfg.QueueDepth) {
+			s.admitMu.Unlock()
+			return &httpError{code: 429, msg: "queue full, retry later", retryAfter: s.retryAfterHint(int(n))}
+		}
+		s.m.queueTotal.Set(s.waiting.Add(1))
+		wait = true
+	}
+	s.pending.Add(1)
+	s.admitMu.Unlock()
+	if wait {
+		s.slots <- struct{}{}
+		s.m.queueTotal.Set(s.waiting.Add(-1))
+	}
+	return nil
+}
+
+// lead executes a leader and publishes the outcome to its memo slot for
+// every request that joined it (a refused leader publishes its 429 or
+// 503). It returns the leader's wait for a slot and the outcome.
+func (s *Server) lead(slot *driver.ResultSlot, req driver.Request, class string, rc *reqCtx) (int64, *driver.Result, error) {
+	enq := time.Now()
+	queueSpan := rc.rt.Begin("queue", "serve", rc.root.ID())
+	if err := s.admit(); err != nil {
+		queueSpan.End()
+		s.results.Publish(slot, nil, err)
+		return 0, nil, err
+	}
+	defer s.pending.Done()
+	defer func() { <-s.slots }()
+	if s.gate != nil {
+		<-s.gate
+	}
+	if s.chaos != nil {
+		s.chaos.maybeStall()
+	}
+	queueNS := time.Since(enq).Nanoseconds()
+	queueSpan.End()
+	s.m.queueWait.Observe(queueNS)
+	s.m.inflight.Set(s.running.Add(1))
+	runStart := time.Now()
+	res, err := s.execJob(req, class, rc)
+	s.observeJobDuration(time.Since(runStart).Nanoseconds())
+	s.m.inflight.Set(s.running.Add(-1))
+	s.results.Publish(slot, res, err)
+	return queueNS, res, err
 }
 
 // execJob runs one job through the guard supervisor under the
@@ -482,7 +458,7 @@ func (s *Server) worker(sh *shard) {
 // any tier attempt (or one that exhausted every tier and re-escaped),
 // converting it into errInternal so a bug costs one 500, not the
 // process.
-func (s *Server) execJob(j *job) (out *driver.Result, err error) {
+func (s *Server) execJob(req driver.Request, class string, rc *reqCtx) (out *driver.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			out, err = nil, fmt.Errorf("%w: panic: %v", errInternal, p)
@@ -494,13 +470,13 @@ func (s *Server) execJob(j *job) (out *driver.Result, err error) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
 		defer cancel()
 	}
-	// Attach the admitting request's trace so driver and guard spans land
-	// in it; the exec span's deferred End survives the panic path above.
-	ctx = obs.ContextWithReqTrace(ctx, j.trace)
-	ctx = obs.ContextWithSpan(ctx, j.rootID)
+	// Attach the leader's trace so driver and guard spans land in it;
+	// the exec span's deferred End survives the panic path above.
+	ctx = obs.ContextWithReqTrace(ctx, rc.rt)
+	ctx = obs.ContextWithSpan(ctx, rc.root.ID())
 	sp, ctx := obs.StartSpan(ctx, "exec", "serve")
 	defer sp.End()
-	return s.sup.Exec(ctx, j.class, j.req)
+	return s.sup.Exec(ctx, class, req)
 }
 
 // reqCtx carries one request's observability state from admission to
@@ -562,8 +538,8 @@ func statusClass(code int) string {
 }
 
 // handleRun is POST /v1/run: decode, look up the memo once (hit / join /
-// lead), wait for the slot, respond. A leader enqueues its job, or
-// publishes its 429/503 to the slot when it cannot. Every response path
+// lead), respond. A leader executes on this goroutine and responds from
+// its own outcome; a follower waits for the memo slot. Every response path
 // runs through emit, so every request — including rejections — carries
 // X-Request-Id, lands in the latency histograms, and is offered to the
 // flight recorder.
@@ -612,18 +588,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	} else {
 		slot, lead = s.results.Acquire(fp, class)
 	}
-	var j *job
+	if lead {
+		queueNS, res, err := s.lead(slot, req, class, rc)
+		s.respond(w, &req, res, err, queueNS, rc)
+		return
+	}
 	var waitSpan *obs.Span
-	switch {
-	case lead:
-		j = s.enqueue(s.shardFor(fp), slot, req, class, rc)
-	case slot.Kept():
-		// A hit never touches a shard queue — no queueing, no worker, no
-		// 429 pressure; the span makes the shortcut visible in the flight
+	if slot.Kept() {
+		// A hit never takes an execution slot — no queueing, no 429
+		// pressure; the span makes the shortcut visible in the flight
 		// recorder.
 		rc.cached = true
 		rc.rt.Begin("cache-hit", "serve", rc.root.ID()).End()
-	default:
+	} else {
 		// A coalesced follower never executes: its trace records only the
 		// wait for the leader's execution to publish.
 		s.m.coalesced.Inc()
@@ -634,7 +611,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	case <-slot.Done():
 		waitSpan.End()
 	case <-r.Context().Done():
-		// The client went away; the job keeps running for any coalesced
+		// The client went away; the leader keeps running for the other
 		// followers and for the memo's benefit. Nothing to emit — there
 		// is no one left to respond to.
 		waitSpan.End()
@@ -642,43 +619,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		rc.root.End()
 		return
 	}
-	var queueNS int64
-	if j != nil {
-		queueNS = j.queueNS
-	}
 	res, err := slot.Outcome()
-	s.respond(w, &req, res, err, queueNS, rc)
-}
-
-// enqueue hands a leader's slot to its shard as a job. When the shard
-// refuses it — queue full (429) or draining (503) — the refusal is
-// published to the slot instead, so requests that joined it in the
-// meantime get the same answer, Retry-After included.
-func (s *Server) enqueue(sh *shard, slot *driver.ResultSlot, req driver.Request, class string, rc *reqCtx) *job {
-	j := &job{req: req, class: class, slot: slot, enq: time.Now(), trace: rc.rt, rootID: rc.root.ID()}
-	var refusal *httpError
-	sh.mu.Lock()
-	if sh.closed {
-		refusal = &httpError{code: 503, msg: "server is draining"}
-	} else {
-		// The queue span must be attached before the channel send
-		// publishes the job to a worker (which ends it at dequeue).
-		j.queueSpan = rc.rt.Begin("queue", "serve", rc.root.ID())
-		select {
-		case sh.queue <- j:
-			sh.depth.Set(int64(len(sh.queue)))
-			s.m.queueTotal.Set(s.queueLen.Add(1))
-		default:
-			j.queueSpan.End()
-			refusal = &httpError{code: 429, msg: "queue full, retry later",
-				retryAfter: s.retryAfterHint(len(sh.queue))}
-		}
-	}
-	sh.mu.Unlock()
-	if refusal != nil {
-		s.results.Publish(slot, nil, refusal)
-	}
-	return j
+	s.respond(w, &req, res, err, 0, rc)
 }
 
 // bodyBufPool recycles request-body read buffers across requests: the
@@ -717,9 +659,9 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, rr *RunReque
 // clean run and non-budget runtime traps are 200 (the service worked;
 // the trap is the program's outcome, reported as data), a step-budget
 // trap is 422 (the tenant exceeded its allowance), compile and
-// validation failures are 400, a timed-out job is 408, a worker panic is
-// the only 500, and a leader's refusal is its 429 or 503. queueNS is the
-// leader's queue wait; hits and followers did not queue.
+// validation failures are 400, a timed-out job is 408, a panic is the
+// only 500, and a leader's refusal is its 429 or 503. queueNS is the
+// leader's wait for an execution slot; hits and followers did not wait.
 func (s *Server) respond(w http.ResponseWriter, req *driver.Request, res *driver.Result, err error, queueNS int64, rc *reqCtx) {
 	resp := &RunResponse{
 		Machine:   req.Kind.String(),
@@ -774,7 +716,7 @@ func (s *Server) respond(w http.ResponseWriter, req *driver.Request, res *driver
 		s.m.traps.Inc()
 		s.emit(w, rc, 200, resp)
 	case errors.Is(err, errInternal), errors.As(err, &pe), errors.Is(err, driver.ErrCompilePanic):
-		// A worker panic, an engine panic that exhausted every fallback
+		// A panic in execJob, an engine panic that exhausted every fallback
 		// tier, or a compiler panic cached as an error: the service's
 		// bug, never the client's — the only 500s.
 		s.m.internal.Inc()
@@ -852,13 +794,9 @@ func (s *Server) emit(w http.ResponseWriter, rc *reqCtx, code int, resp *RunResp
 		engine = "none"
 	}
 	ls := s.latencyFor(statusClass(code), engine)
-	phases := map[string]int64{"total_ns": totalNS}
 	ls.total.Observe(totalNS)
 	if t := resp.Timing; t != nil {
 		s.m.totalNS.Observe(t.TotalNS)
-		phases["queue_ns"] = t.QueueNS
-		phases["compile_ns"] = t.CompileNS
-		phases["run_ns"] = t.RunNS
 		ls.queue.Observe(t.QueueNS)
 		ls.compile.Observe(t.CompileNS)
 		ls.run.Observe(t.RunNS)
@@ -868,19 +806,33 @@ func (s *Server) emit(w http.ResponseWriter, rc *reqCtx, code int, resp *RunResp
 		rc.root.SetArg("engine", resp.Engine)
 	}
 	rc.root.End()
+	if reasons := s.flight.Keep(code, len(resp.FallbackFrom) > 0 || resp.Rerouted, totalNS); reasons != nil {
+		s.flight.Add(flightRecord(rc, code, resp, totalNS, reasons))
+	}
+	s.logRequest(rc, code, resp, totalNS)
+	writeJSON(w, code, resp)
+}
+
+// flightRecord builds the flight-recorder record of a response the
+// recorder keeps: its summary, phase times and span tree.
+func flightRecord(rc *reqCtx, code int, resp *RunResponse, totalNS int64, reasons []string) obs.RequestRecord {
+	phases := map[string]int64{"total_ns": totalNS}
+	if t := resp.Timing; t != nil {
+		phases["queue_ns"] = t.QueueNS
+		phases["compile_ns"] = t.CompileNS
+		phases["run_ns"] = t.RunNS
+	}
 	var trap string
 	if resp.Trap != nil {
 		trap = resp.Trap.Kind.String()
 	}
-	s.flight.Offer(obs.RequestRecord{
+	return obs.RequestRecord{
 		ID: rc.id, Time: rc.start, Class: rc.class, Tenant: rc.tenant,
 		Status: code, Engine: resp.Engine,
 		FallbackFrom: resp.FallbackFrom, Rerouted: resp.Rerouted,
 		Coalesced: rc.coalesced, Trap: trap, Error: resp.Error,
-		Phases: phases, Spans: rc.rt.Spans(),
-	})
-	s.logRequest(rc, code, resp, totalNS)
-	writeJSON(w, code, resp)
+		Phases: phases, Reasons: reasons, Spans: rc.rt.Spans(),
+	}
 }
 
 // logRequest writes one slog line per logged response. Server errors,
@@ -1037,14 +989,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // MetricsReply is the GET /metrics body: the obs registry snapshot
 // (with metricsSnapshot's synthetics: compile-cache memory and Go
 // runtime state) plus the compile cache's counters, the server's start
-// time and uptime, and the build version. UptimeSeconds predates
-// UptimeMS and stays for existing consumers (chaoscheck, benchrecord).
+// time and uptime, and the build version.
 type MetricsReply struct {
-	Started       string            `json:"started"`
-	UptimeSeconds float64           `json:"uptime_s"`
-	UptimeMS      int64             `json:"uptime_ms"`
-	Version       string            `json:"version"`
-	Cache         driver.CacheStats `json:"cache"`
+	Started  string            `json:"started"`
+	UptimeMS int64             `json:"uptime_ms"`
+	Version  string            `json:"version"`
+	Cache    driver.CacheStats `json:"cache"`
 	// ResultCache reports the admission memo: hit/miss/eviction traffic,
 	// byte occupancy and in-flight slots.
 	ResultCache *driver.ResultCacheStats `json:"result_cache,omitempty"`
@@ -1074,13 +1024,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	rs := s.results.Stats()
 	writeJSON(w, 200, &MetricsReply{
-		Started:       s.start.UTC().Format(time.RFC3339),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		UptimeMS:      time.Since(s.start).Milliseconds(),
-		Version:       serverVersion(),
-		Cache:         s.cache.Stats(),
-		ResultCache:   &rs,
-		Metrics:       snap,
+		Started:     s.start.UTC().Format(time.RFC3339),
+		UptimeMS:    time.Since(s.start).Milliseconds(),
+		Version:     serverVersion(),
+		Cache:       s.cache.Stats(),
+		ResultCache: &rs,
+		Metrics:     snap,
 	})
 }
 
