@@ -2,6 +2,9 @@ package driver
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -103,6 +106,49 @@ func TestEnginesWorkloadDifferential(t *testing.T) {
 				runAllEngines(t, p, w.Input)
 			})
 		}
+	}
+}
+
+// fusionStatsGolden is one SHA-256 over the FusionStats (Blocks, Fused,
+// Bails) of a LoopFused request for every suite workload on both
+// machines, as TestFusionStatsPinned computes it. The counters are a
+// function of the program's fused form and its input alone, so a rewrite
+// of the fused loop that keeps the form may not move it.
+const fusionStatsGolden = "fcfe39aac48bd40c8b9209ae0945b1d50ef54bd651a70facb75a2611c2707d4c"
+
+// TestFusionStatsPinned pins the fused engine's counters over the 19
+// suite workloads on both machines: every block entered, every dispatch
+// saved by a superinstruction or a fused companion, and every hand-off
+// to the fast loop must count exactly as it did when the constant was
+// generated.
+func TestFusionStatsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("full-suite fusion digest is slow under -race")
+	}
+	ctx := context.Background()
+	o := DefaultOptions()
+	h := sha256.New()
+	var word [8]byte
+	for _, w := range workloads.All() {
+		for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
+			p, err := Compile(ctx, w.FullSource(), kind, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Exec(ctx, Request{Program: p, Input: w.Input, Loop: emu.LoopFused})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", w.Name, kind, err)
+			}
+			fs := res.Fusion
+			t.Logf("%s/%v: blocks %d fused %d bails %d", w.Name, kind, fs.Blocks, fs.Fused, fs.Bails)
+			for _, v := range []int64{fs.Blocks, fs.Fused, fs.Bails} {
+				binary.LittleEndian.PutUint64(word[:], uint64(v))
+				h.Write(word[:])
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != fusionStatsGolden {
+		t.Errorf("combined fusion-stats digest is %s, golden %s (run with -v for the per-workload counters)", got, fusionStatsGolden)
 	}
 }
 

@@ -31,10 +31,12 @@ import (
 
 // FusionStats counts the fused engine's dynamic behavior for one run.
 // Blocks is the number of basic blocks entered; Fused the number of
-// original instructions retired as the second or third component of a
-// superinstruction (dispatches saved by fusion); Bails the number of
-// hand-offs to the per-instruction fast loop (irregular block, step
-// budget within reach of the block, or a transfer landing inside a
+// dispatches saved by fusion: original instructions retired as the second
+// or third component of a superinstruction, plus fused companions retired
+// with their terminator (the baseline's cmp/fcmp before a conditional
+// branch, the BRM's cmpbr/fcmpbr or brcalc before its transfer); Bails the
+// number of hand-offs to the per-instruction fast loop (irregular block,
+// step budget within reach of the block, or a transfer landing inside a
 // block).
 type FusionStats struct {
 	Blocks int64 `json:"blocks"`
@@ -45,6 +47,10 @@ type FusionStats struct {
 // termKind classifies how a basic block ends.
 type termKind uint8
 
+// The order is part of the engine: the fused loops test for the
+// transfer-free kinds with one compare (term <= ftExit) and for a fused
+// BRM companion with another (term >= ftBrmCmpBr), so ftFall and ftExit
+// stay below every transfer and the two companion kinds stay last.
 const (
 	ftBail      termKind = iota // irregular block: delegate to the fast loop
 	ftFall                      // no transfer: fall into the next block
@@ -56,10 +62,10 @@ const (
 	ftJalr                      // baseline jalr + delay slot
 	ftJr                        // baseline jr + delay slot
 	ftBrm                       // BRM transfer-annotated micro-op
-	ftBrmCmpBr                  // fused cmpbr/fcmpbr + transfer-annotated op
-	ftBrmCalcBr                 // fused static brcalc + transfer-annotated op
 	ftBrmSJmp                   // BRM transfer whose breg value is statically known
 	ftBrmSCond                  // BRM transfer through a statically-resolved conditional breg
+	ftBrmCmpBr                  // fused cmpbr/fcmpbr + transfer-annotated op
+	ftBrmCalcBr                 // fused static brcalc + transfer-annotated op
 )
 
 // fuop is one micro-op of a block body. It embeds the predecoded uop (so
@@ -81,7 +87,8 @@ type fuop struct {
 	rs32 uint8
 }
 
-// Successor sentinels for fblock.taken / fblock.fall.
+// Successor sentinels for fblock.taken / fblock.fall, and pc2block's mark
+// for a Text index that starts no block.
 const (
 	succHalt  = -1 // transfer to the halt address
 	succTrap  = -2 // target index outside the text: pc-out-of-range trap
@@ -120,9 +127,25 @@ type fblock struct {
 type fprog struct {
 	ops      []fuop
 	blocks   []fblock
-	pc2block []int32 // Text index -> block index if a block starts there, else -1
+	pc2block []int32 // Text index -> block index if a block starts there, else succInner
 	dec      []uop   // flat predecoded form, shared with the delegation path
-	fused    int     // statically fused-away dispatches (bodies + terminators)
+}
+
+// succ resolves a transfer's target Text index to its successor through
+// pc2block: the block starting there, succInner for an index inside a
+// block, succHalt for the halt target (-1) and succTrap for any other
+// index outside the text. The fused loops call it for computed targets
+// (jr, jalr, a BRM transfer through a breg loaded at run time) and decode
+// calls it for static ones. It takes the table rather than the fprog to
+// stay under the inliner's budget for calls from the big fused loops.
+func succ(pc2block []int32, idx int) int32 {
+	if uint(idx) < uint(len(pc2block)) {
+		return pc2block[idx]
+	}
+	if idx == -1 {
+		return succHalt
+	}
+	return succTrap
 }
 
 // fusedLeaders marks every Text index that can begin a basic block: the
@@ -180,7 +203,8 @@ func baselineBailKind(k uopKind) bool {
 
 // writesBReg reports whether a micro-op writes any branch register, which
 // disqualifies it from riding between a fused compare/brcalc and its
-// transfer.
+// transfer. The fused BRM loop relies on this: a taken fused compare
+// re-reads its source breg after the transfer op instead of keeping a copy.
 func writesBReg(k uopKind) bool {
 	switch k {
 	case uBrCalcAbs, uBrCalcReg, uBrLd, uCmpBrImm, uCmpBrReg, uFCmpBr, uMovBr, uMovBR:
@@ -214,7 +238,7 @@ func buildFprog(p *isa.Program, dec []uop, fuse bool) *fprog {
 	n := len(dec)
 	fp := &fprog{dec: dec, pc2block: make([]int32, n)}
 	for i := range fp.pc2block {
-		fp.pc2block[i] = -1
+		fp.pc2block[i] = succInner
 	}
 	leader := fusedLeaders(p, dec)
 	funcEntry := make([]bool, n)
@@ -304,7 +328,6 @@ func buildFprog(p *isa.Program, dec []uop, fuse bool) *fprog {
 				fp.ops = fp.ops[:int(b.off)+len(out)]
 				b.n = int32(len(out))
 			}
-			fp.fused += int(orig - b.n)
 			b.cost = orig + termCost
 			return b, next
 		}
@@ -349,7 +372,6 @@ func buildFprog(p *isa.Program, dec []uop, fuse bool) *fprog {
 							case uCmpImm, uCmpReg, uFcmp:
 								b.cob = last.uop
 								fp.ops = fp.ops[:len(fp.ops)-1]
-								fp.fused++
 								return seal(ftCmpBCond, 3, j+2)
 							}
 						}
@@ -377,7 +399,6 @@ func buildFprog(p *isa.Program, dec []uop, fuse bool) *fprog {
 						// transfer through b[7].
 						b.cob = last.uop
 						fp.ops = fp.ops[:len(fp.ops)-1]
-						fp.fused++
 						b.lite = brmLiteSafe(u.kind)
 						return seal(ftBrmCmpBr, 2, j+1)
 					case last.kind == uBrCalcAbs && u.br == last.rd && last.imm != seq:
@@ -386,7 +407,6 @@ func buildFprog(p *isa.Program, dec []uop, fuse bool) *fprog {
 						// distance (always 1) are known at decode time.
 						b.cob = last.uop
 						fp.ops = fp.ops[:len(fp.ops)-1]
-						fp.fused++
 						b.tgt = int32(addrToIndex(last.imm))
 						switch t := addrToIndex(last.imm); {
 						case t == -1:
@@ -451,26 +471,13 @@ func buildFprog(p *isa.Program, dec []uop, fuse bool) *fprog {
 	// Resolve successor block indices.
 	for bi := range fp.blocks {
 		b := &fp.blocks[bi]
-		resolve := func(idx int32) int32 {
-			if idx < 0 || int(idx) >= n {
-				return succTrap
-			}
-			if t := fp.pc2block[idx]; t >= 0 {
-				return t
-			}
-			return succInner
-		}
 		switch b.term {
 		case ftFall, ftBCond, ftCmpBCond, ftBrm, ftBrmCmpBr, ftBrmSCond:
-			b.fall = resolve(b.fallIdx)
+			b.fall = succ(fp.pc2block, int(b.fallIdx))
 		}
 		switch b.term {
 		case ftJump, ftBCond, ftCmpBCond, ftCall, ftBrmCalcBr, ftBrmSJmp, ftBrmSCond:
-			if b.tgt == -1 {
-				b.taken = succHalt
-			} else {
-				b.taken = resolve(b.tgt)
-			}
+			b.taken = succ(fp.pc2block, int(b.tgt))
 		}
 	}
 	return fp

@@ -122,11 +122,10 @@ type Machine struct {
 	Stats Stats
 	Hooks Hooks
 
-	R   [32]int32
-	F   [32]float64
-	B   [8]breg
-	CC  int32 // baseline condition code: sign of (a - b), with 0 = equal
-	ccF bool  // last compare was floating point (informational)
+	R  [32]int32
+	F  [32]float64
+	B  [8]breg
+	CC int32 // baseline condition code: sign of (a - b), with 0 = equal
 
 	Mem   []byte
 	input []byte

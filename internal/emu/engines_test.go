@@ -102,8 +102,8 @@ func diffMachines(t *testing.T, name string, fm *Machine, ferr error, im *Machin
 	if fm.pending != im.pending {
 		t.Errorf("pending divergence: %s=%d inst=%d", name, fm.pending, im.pending)
 	}
-	if fm.CC != im.CC || fm.ccF != im.ccF {
-		t.Errorf("cc divergence: %s=(%d,%v) inst=(%d,%v)", name, fm.CC, fm.ccF, im.CC, im.ccF)
+	if fm.CC != im.CC {
+		t.Errorf("cc divergence: %s=%d inst=%d", name, fm.CC, im.CC)
 	}
 	if fm.R != im.R {
 		t.Errorf("register divergence:\n %s: %v\n inst: %v", name, fm.R, im.R)
@@ -262,7 +262,8 @@ func TestEnginesDifferentialBRM(t *testing.T) {
 }
 
 func TestEnginesDifferentialTraps(t *testing.T) {
-	// Every trap kind must carry identical diagnostics from both engines.
+	// Every trap kind must carry identical diagnostics from every engine,
+	// in a block body and at every terminator site.
 	base := func(emit func(f *isa.Function)) *isa.Program {
 		f := isa.NewFunction("main", isa.Baseline)
 		emit(f)
@@ -280,6 +281,43 @@ func TestEnginesDifferentialTraps(t *testing.T) {
 			t.Fatal(err)
 		}
 		return p
+	}
+	oob := isa.Instr{Op: isa.OpLw, Rd: 1, Rs1: 0, UseImm: true, Imm: -4}
+	oobVia := func(br int) isa.Instr {
+		in := oob
+		in.BR = br
+		return in
+	}
+	exit := isa.Instr{Op: isa.OpTrap, UseImm: true, Imm: isa.TrapExit}
+	// term builds a program whose entry block must decode to terminator
+	// kind want, so the table keeps reaching every terminator site if the
+	// decoder changes. The transfer targets label t or function g.
+	term := func(kind isa.Kind, want termKind, emit func(f *isa.Function), data ...*isa.DataItem) *isa.Program {
+		f := isa.NewFunction("main", kind)
+		emit(f)
+		f.Bind("t")
+		f.Emit(exit)
+		g := isa.NewFunction("g", kind)
+		g.Emit(exit)
+		p := &isa.Program{Kind: kind, Funcs: []*isa.Function{f, g}, Data: data}
+		if err := p.Link(); err != nil {
+			t.Fatal(err)
+		}
+		fp := buildFprog(p, predecode(p), true)
+		b := &fp.blocks[fp.pc2block[p.EntryPC]]
+		if b.term != want {
+			t.Fatalf("entry block decodes to terminator kind %d, want %d", b.term, want)
+		}
+		if want == ftBrmCmpBr && b.lite {
+			t.Fatal("cmpbr block is lite: the intermediate b[7] would not be exposed")
+		}
+		return p
+	}
+	fnptr := &isa.DataItem{Label: "fnptr", Kind: isa.DataAddrs, Addrs: []string{"g"}}
+	loadFnptr := func(f *isa.Function) {
+		f.Emit(isa.Instr{Op: isa.OpSethi, Rd: 20, DataTarget: "fnptr"})
+		f.Emit(isa.Instr{Op: isa.OpAdd, Rd: 20, Rs1: 20, DataTarget: "fnptr", Lo: true})
+		f.Emit(isa.Instr{Op: isa.OpLw, Rd: 20, Rs1: 20, UseImm: true, Imm: 0})
 	}
 	cases := []struct {
 		name string
@@ -351,6 +389,67 @@ func TestEnginesDifferentialTraps(t *testing.T) {
 		})},
 		{"brm/fall-off-end", brm(func(f *isa.Function) {
 			f.Emit(isa.Instr{Op: isa.OpNop})
+		})},
+		// A trap in the op a block's terminator executes: the baseline's
+		// delay slot, with the transfer armed so m.pending is exposed, and
+		// the BRM's transfer-annotated op under every terminator kind.
+		{"base/jump-slot", term(isa.Baseline, ftJump, func(f *isa.Function) {
+			f.Emit(isa.Instr{Op: isa.OpB, Cond: isa.CondAlways, Target: "t"})
+			f.Emit(oob)
+		})},
+		{"base/cond-taken-slot", term(isa.Baseline, ftBCond, func(f *isa.Function) {
+			f.Emit(isa.Instr{Op: isa.OpB, Cond: isa.CondEQ, Target: "t"}) // CC starts at 0
+			f.Emit(oob)
+		})},
+		{"base/cond-untaken-slot", term(isa.Baseline, ftBCond, func(f *isa.Function) {
+			f.Emit(isa.Instr{Op: isa.OpB, Cond: isa.CondNE, Target: "t"})
+			f.Emit(oob)
+		})},
+		{"base/cmp-cond-slot", term(isa.Baseline, ftCmpBCond, func(f *isa.Function) {
+			f.Emit(isa.Instr{Op: isa.OpCmp, Rs1: 0, UseImm: true, Imm: 1})
+			f.Emit(isa.Instr{Op: isa.OpB, Cond: isa.CondLT, Target: "t"})
+			f.Emit(oob)
+		})},
+		{"base/call-slot", term(isa.Baseline, ftCall, func(f *isa.Function) {
+			f.Emit(isa.Instr{Op: isa.OpCall, Target: "g"})
+			f.Emit(oob)
+		})},
+		{"base/jalr-slot", term(isa.Baseline, ftJalr, func(f *isa.Function) {
+			loadFnptr(f)
+			f.Emit(isa.Instr{Op: isa.OpJalr, Rs1: 20})
+			f.Emit(oob)
+		}, fnptr)},
+		{"base/jr-slot", term(isa.Baseline, ftJr, func(f *isa.Function) {
+			loadFnptr(f)
+			f.Emit(isa.Instr{Op: isa.OpJr, Rs1: 20})
+			f.Emit(oob)
+		}, fnptr)},
+		{"brm/transfer-op", term(isa.BranchReg, ftBrm, func(f *isa.Function) {
+			f.Emit(isa.Instr{Op: isa.OpMovBR, Rd: 3, Rs1: 0})
+			f.Emit(oobVia(3))
+		})},
+		{"brm/sjmp-op", term(isa.BranchReg, ftBrmSJmp, func(f *isa.Function) {
+			f.Emit(isa.Instr{Op: isa.OpBrCalc, Rd: 1, Rs1: -1, Target: "t"})
+			f.Emit(isa.Instr{Op: isa.OpAdd, Rd: 2, Rs1: 0, UseImm: true, Imm: 1})
+			f.Emit(oobVia(1))
+		})},
+		{"brm/scond-op", term(isa.BranchReg, ftBrmSCond, func(f *isa.Function) {
+			f.Emit(isa.Instr{Op: isa.OpBrCalc, Rd: 1, Rs1: -1, Target: "t"})
+			f.Emit(isa.Instr{Op: isa.OpCmpBr, Cond: isa.CondEQ, Rs1: 0, UseImm: true, Imm: 0, BSrc: 1})
+			f.Emit(isa.Instr{Op: isa.OpAdd, Rd: 2, Rs1: 0, UseImm: true, Imm: 1})
+			f.Emit(oobVia(isa.RABr))
+		})},
+		{"brm/cmpbr-op", term(isa.BranchReg, ftBrmCmpBr, func(f *isa.Function) {
+			// A trapping op makes the block non-lite: the trap exposes the
+			// intermediate b[7] the fused compare wrote.
+			f.Emit(isa.Instr{Op: isa.OpBrCalc, Rd: 1, Rs1: -1, Target: "t"})
+			f.Emit(isa.Instr{Op: isa.OpAdd, Rd: 2, Rs1: 0, UseImm: true, Imm: 1})
+			f.Emit(isa.Instr{Op: isa.OpCmpBr, Cond: isa.CondEQ, Rs1: 0, UseImm: true, Imm: 0, BSrc: 1})
+			f.Emit(oobVia(isa.RABr))
+		})},
+		{"brm/calcbr-op", term(isa.BranchReg, ftBrmCalcBr, func(f *isa.Function) {
+			f.Emit(isa.Instr{Op: isa.OpBrCalc, Rd: 1, Rs1: -1, Target: "t"})
+			f.Emit(oobVia(1))
 		})},
 	}
 	for _, tc := range cases {

@@ -337,7 +337,6 @@ func (m *Machine) runFastBaseline(ctx context.Context) (int32, error) {
 				b = R[u.rs2]
 			}
 			m.CC = signOf(R[u.rs1], b)
-			m.ccF = false
 		case uFcmp:
 			a, b := F[u.rs1], F[u.rs2]
 			switch {
@@ -348,7 +347,6 @@ func (m *Machine) runFastBaseline(ctx context.Context) (int32, error) {
 			default:
 				m.CC = 0
 			}
-			m.ccF = true
 		case uJump:
 			st.UncondJumps++
 			pending = int(u.tgt)

@@ -11,6 +11,14 @@ package emu
 // per-instruction fast loop, which reproduces the instrumented engine's
 // accounting to the byte. See blockdecode.go for the block construction
 // rules and DESIGN §10 for the design.
+//
+// A block's terminator executes its op at one site per machine. On the
+// baseline a switch on the terminator kind arms the transfer (its
+// counts, the target the delay slot sees as m.pending, and the
+// successor); then the one delay-slot switch and the one successor step
+// run. On the BRM a fused companion (cmpbr or brcalc) retires first, then
+// the one transfer-op switch, then a switch on the terminator kind
+// applies the transfer before the same successor step.
 
 import (
 	"context"
@@ -303,7 +311,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 					b = R[u.rs2]
 				}
 				m.CC = signOf(R[u.rs1], b)
-				m.ccF = false
 			case uFcmp:
 				a, b := F[u.rs1], F[u.rs2]
 				switch {
@@ -314,7 +321,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 				default:
 					m.CC = 0
 				}
-				m.ccF = true
 
 			case fConstAddi:
 				if u.rd != 0 {
@@ -419,7 +425,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 				}
 				insts++
 				m.CC = signOf(R[u.rs21], u.imm2)
-				m.ccF = false
 				m.Fusion.Fused += 1
 			case fLwiCmp:
 				st.Loads++
@@ -437,7 +442,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 				}
 				insts++
 				m.CC = signOf(R[u.rs21], R[u.rs22])
-				m.ccF = false
 				m.Fusion.Fused += 1
 			case fAddLfi:
 				if u.rd != 0 {
@@ -513,7 +517,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 				}
 				insts++
 				m.CC = signOf(R[u.rs21], u.imm2)
-				m.ccF = false
 				m.Fusion.Fused += 1
 			case fAddLbi:
 				if u.rd != 0 {
@@ -866,7 +869,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 				}
 				insts++
 				m.CC = signOf(R[u.rs31], u.imm3)
-				m.ccF = false
 				m.Fusion.Fused += 2
 			case fSlliAddSlli:
 				if u.rd != 0 {
@@ -972,7 +974,6 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 				}
 				insts++
 				m.CC = signOf(R[u.rs31], u.imm3)
-				m.ccF = false
 				m.Fusion.Fused += 2
 
 			default: // uIllegal and any BRM-only op
@@ -981,9 +982,15 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 			}
 		}
 
-		switch b.term {
-		case ftFall:
-
+		if b.term <= ftExit {
+			if b.term == ftExit {
+				insts++
+				m.halted = true
+				m.status = R[1]
+				m.pc = int(b.termPC)
+				st.Instructions = insts
+				return m.status, nil
+			}
 			bi = b.fall
 			if bi < 0 {
 				if bi == succTrap {
@@ -995,315 +1002,48 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 				m.Fusion.Bails++
 				return m.runFastBaseline(ctx)
 			}
+			continue
+		}
 
-		case ftExit:
-			insts++
-			m.halted = true
-			m.status = R[1]
-			m.pc = int(b.termPC)
-			st.Instructions = insts
-			return m.status, nil
+		// A delayed transfer. Arm it: its counts, the target index the
+		// delay slot sees as m.pending, and the successor (a block index
+		// or a succ* sentinel; jr and jalr resolve theirs here, before the
+		// slot, which is exact because pc2block and the text are static).
+		insts++
+		pend := int(b.tgt)
+		next := b.taken
+		untaken := false
+		switch b.term {
 		case ftJump:
-			insts++
 			st.UncondJumps++
-			pend := int(b.tgt)
-
-			insts++
-			{
-				u := &b.dob
-				dpc := int(b.dpc)
-				switch u.kind {
-
-				case uNop:
-					st.Noops++
-				case uAddImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + u.imm
-					}
-				case uAddReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + R[u.rs2]
-					}
-				case uSubImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - u.imm
-					}
-				case uSubReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - R[u.rs2]
-					}
-				case uMulImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * u.imm
-					}
-				case uMulReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * R[u.rs2]
-					}
-				case uDivImm, uDivReg:
-					d := u.imm
-					if u.kind == uDivReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapArithmetic, "division by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] / d
-					}
-				case uRemImm, uRemReg:
-					d := u.imm
-					if u.kind == uRemReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapArithmetic, "modulo by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] % d
-					}
-				case uAndImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & u.imm
-					}
-				case uAndReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & R[u.rs2]
-					}
-				case uOrImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | u.imm
-					}
-				case uOrReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | R[u.rs2]
-					}
-				case uXorImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ u.imm
-					}
-				case uXorReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ R[u.rs2]
-					}
-				case uSllImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-					}
-				case uSllReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
-					}
-				case uSrlImm:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
-					}
-				case uSrlReg:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
-					}
-				case uSraImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
-					}
-				case uSraReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
-					}
-				case uConst:
-					if u.rd != 0 {
-						R[u.rd] = u.imm
-					}
-				case uSetImm, uSetReg:
-					b := u.imm
-					if u.kind == uSetReg {
-						b = R[u.rs2]
-					}
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-				case uFSet:
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-
-				case uLwImm, uLwReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				case uLbImm, uLbReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				case uSwImm, uSwReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				case uSbImm, uSbReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				case uLfImm, uLfReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				case uSfImm, uSfReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
-
-				case uFadd:
-					F[u.rd] = F[u.rs1] + F[u.rs2]
-				case uFsub:
-					F[u.rd] = F[u.rs1] - F[u.rs2]
-				case uFmul:
-					F[u.rd] = F[u.rs1] * F[u.rs2]
-				case uFdiv:
-					F[u.rd] = F[u.rs1] / F[u.rs2]
-				case uFneg:
-					F[u.rd] = -F[u.rs1]
-				case uFmov:
-					F[u.rd] = F[u.rs1]
-				case uCvtif:
-					F[u.rd] = float64(R[u.rs1])
-				case uCvtfi:
-					if u.rd != 0 {
-						R[u.rd] = int32(F[u.rs1])
-					}
-				case uTrapGetc:
-					if m.inPos >= len(m.input) {
-						R[1] = -1
-					} else {
-						R[1] = int32(m.input[m.inPos])
-						m.inPos++
-					}
-				case uTrapPutc:
-					m.out.WriteByte(byte(R[1]))
-				case uTrapPutf:
-					m.putFloat(F[1])
-				case uTrapBad:
-					m.pending = pend
-					return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
-
-				case uCmpImm, uCmpReg:
-					b := u.imm
-					if u.kind == uCmpReg {
-						b = R[u.rs2]
-					}
-					m.CC = signOf(R[u.rs1], b)
-					m.ccF = false
-				case uFcmp:
-					a, b := F[u.rs1], F[u.rs2]
-					switch {
-					case a < b:
-						m.CC = -1
-					case a > b:
-						m.CC = 1
-					default:
-						m.CC = 0
-					}
-					m.ccF = true
-
-				default: // uIllegal and any BRM-only op
-					m.pending = pend
-					return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "baseline cannot execute %v", isa.Op(u.imm))
-
+		case ftCall:
+			st.Calls++
+			R[isa.RABase] = b.tob.imm
+		case ftJalr:
+			st.Calls++
+			target := R[b.tob.rs1]
+			R[isa.RABase] = b.tob.imm
+			pend = addrToIndex(target)
+			next = succ(fp.pc2block, pend)
+		case ftJr:
+			pend = addrToIndex(R[b.tob.rs1])
+			if pend != -1 {
+				if b.tob.kind == uJrRet {
+					st.Returns++
+				} else {
+					st.UncondJumps++
 				}
 			}
-
-			switch {
-			case b.taken == succHalt:
-				m.halted = true
-				m.status = R[1]
-				m.pc = int(b.dpc)
-				st.Instructions = insts
-				return m.status, nil
-			case b.taken == succTrap:
-				return 0, m.fastTrap(int(b.dpc), insts, TrapPCOutOfRange, "jump out of text: index %d", pend)
-			case b.taken == succInner:
-				m.pc = pend
-				st.Instructions = insts
-				m.Fusion.Bails++
-				return m.runFastBaseline(ctx)
-			default:
-				bi = b.taken
-			}
-
-		case ftBCond, ftCmpBCond:
+			next = succ(fp.pc2block, pend)
+		default: // ftBCond, ftCmpBCond
 			if b.term == ftCmpBCond {
 				insts++
 				u := &b.cob
 				switch u.kind {
 				case uCmpImm:
 					m.CC = signOf(R[u.rs1], u.imm)
-					m.ccF = false
 				case uCmpReg:
 					m.CC = signOf(R[u.rs1], R[u.rs2])
-					m.ccF = false
 				default: // uFcmp
 					a, c := F[u.rs1], F[u.rs2]
 					switch {
@@ -1314,1201 +1054,311 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 					default:
 						m.CC = 0
 					}
-					m.ccF = true
 				}
 				m.Fusion.Fused++
 			}
-			insts++
 			st.CondBranches++
-			pend := -2
 			if isa.Cond(b.tob.cond).HoldsInt(m.CC, 0) {
 				st.CondTaken++
-				pend = int(b.tgt)
-			}
-
-			insts++
-			{
-				u := &b.dob
-				dpc := int(b.dpc)
-				switch u.kind {
-
-				case uNop:
-					st.Noops++
-				case uAddImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + u.imm
-					}
-				case uAddReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + R[u.rs2]
-					}
-				case uSubImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - u.imm
-					}
-				case uSubReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - R[u.rs2]
-					}
-				case uMulImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * u.imm
-					}
-				case uMulReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * R[u.rs2]
-					}
-				case uDivImm, uDivReg:
-					d := u.imm
-					if u.kind == uDivReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapArithmetic, "division by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] / d
-					}
-				case uRemImm, uRemReg:
-					d := u.imm
-					if u.kind == uRemReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapArithmetic, "modulo by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] % d
-					}
-				case uAndImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & u.imm
-					}
-				case uAndReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & R[u.rs2]
-					}
-				case uOrImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | u.imm
-					}
-				case uOrReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | R[u.rs2]
-					}
-				case uXorImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ u.imm
-					}
-				case uXorReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ R[u.rs2]
-					}
-				case uSllImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-					}
-				case uSllReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
-					}
-				case uSrlImm:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
-					}
-				case uSrlReg:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
-					}
-				case uSraImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
-					}
-				case uSraReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
-					}
-				case uConst:
-					if u.rd != 0 {
-						R[u.rd] = u.imm
-					}
-				case uSetImm, uSetReg:
-					b := u.imm
-					if u.kind == uSetReg {
-						b = R[u.rs2]
-					}
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-				case uFSet:
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-
-				case uLwImm, uLwReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				case uLbImm, uLbReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				case uSwImm, uSwReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				case uSbImm, uSbReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				case uLfImm, uLfReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				case uSfImm, uSfReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
-
-				case uFadd:
-					F[u.rd] = F[u.rs1] + F[u.rs2]
-				case uFsub:
-					F[u.rd] = F[u.rs1] - F[u.rs2]
-				case uFmul:
-					F[u.rd] = F[u.rs1] * F[u.rs2]
-				case uFdiv:
-					F[u.rd] = F[u.rs1] / F[u.rs2]
-				case uFneg:
-					F[u.rd] = -F[u.rs1]
-				case uFmov:
-					F[u.rd] = F[u.rs1]
-				case uCvtif:
-					F[u.rd] = float64(R[u.rs1])
-				case uCvtfi:
-					if u.rd != 0 {
-						R[u.rd] = int32(F[u.rs1])
-					}
-				case uTrapGetc:
-					if m.inPos >= len(m.input) {
-						R[1] = -1
-					} else {
-						R[1] = int32(m.input[m.inPos])
-						m.inPos++
-					}
-				case uTrapPutc:
-					m.out.WriteByte(byte(R[1]))
-				case uTrapPutf:
-					m.putFloat(F[1])
-				case uTrapBad:
-					m.pending = pend
-					return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
-
-				case uCmpImm, uCmpReg:
-					b := u.imm
-					if u.kind == uCmpReg {
-						b = R[u.rs2]
-					}
-					m.CC = signOf(R[u.rs1], b)
-					m.ccF = false
-				case uFcmp:
-					a, b := F[u.rs1], F[u.rs2]
-					switch {
-					case a < b:
-						m.CC = -1
-					case a > b:
-						m.CC = 1
-					default:
-						m.CC = 0
-					}
-					m.ccF = true
-
-				default: // uIllegal and any BRM-only op
-					m.pending = pend
-					return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "baseline cannot execute %v", isa.Op(u.imm))
-
-				}
-			}
-
-			if pend == -2 {
-
-				bi = b.fall
-				if bi < 0 {
-					if bi == succTrap {
-						return 0, m.fastTrap(int(b.fallIdx), insts, TrapPCOutOfRange,
-							"pc index %d outside text [0,%d)", int(b.fallIdx), n)
-					}
-					m.pc = int(b.fallIdx)
-					st.Instructions = insts
-					m.Fusion.Bails++
-					return m.runFastBaseline(ctx)
-				}
-
 			} else {
+				pend, next, untaken = -2, b.fall, true
+			}
+		}
 
+		// The delay slot, with the transfer armed. An unfilled slot (a
+		// nop) is the common case and skips the dispatch.
+		insts++
+		if u := &b.dob; u.kind == uNop {
+			st.Noops++
+		} else {
+			dpc := int(b.dpc)
+			switch u.kind {
+
+			case uNop:
+				st.Noops++
+			case uAddImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] + u.imm
+				}
+			case uAddReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] + R[u.rs2]
+				}
+			case uSubImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] - u.imm
+				}
+			case uSubReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] - R[u.rs2]
+				}
+			case uMulImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] * u.imm
+				}
+			case uMulReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] * R[u.rs2]
+				}
+			case uDivImm, uDivReg:
+				d := u.imm
+				if u.kind == uDivReg {
+					d = R[u.rs2]
+				}
+				if d == 0 {
+					m.pending = pend
+					return 0, m.fastTrap(dpc, insts, TrapArithmetic, "division by zero")
+				}
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] / d
+				}
+			case uRemImm, uRemReg:
+				d := u.imm
+				if u.kind == uRemReg {
+					d = R[u.rs2]
+				}
+				if d == 0 {
+					m.pending = pend
+					return 0, m.fastTrap(dpc, insts, TrapArithmetic, "modulo by zero")
+				}
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] % d
+				}
+			case uAndImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] & u.imm
+				}
+			case uAndReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] & R[u.rs2]
+				}
+			case uOrImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] | u.imm
+				}
+			case uOrReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] | R[u.rs2]
+				}
+			case uXorImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] ^ u.imm
+				}
+			case uXorReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] ^ R[u.rs2]
+				}
+			case uSllImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
+				}
+			case uSllReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
+				}
+			case uSrlImm:
+				if u.rd != 0 {
+					R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
+				}
+			case uSrlReg:
+				if u.rd != 0 {
+					R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
+				}
+			case uSraImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
+				}
+			case uSraReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
+				}
+			case uConst:
+				if u.rd != 0 {
+					R[u.rd] = u.imm
+				}
+			case uSetImm, uSetReg:
+				b := u.imm
+				if u.kind == uSetReg {
+					b = R[u.rs2]
+				}
+				v := int32(0)
+				if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
+					v = 1
+				}
+				if u.rd != 0 {
+					R[u.rd] = v
+				}
+			case uFSet:
+				v := int32(0)
+				if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
+					v = 1
+				}
+				if u.rd != 0 {
+					R[u.rd] = v
+				}
+
+			case uLwImm, uLwReg:
+				st.Loads++
+				a := R[u.rs1] + u.imm
+				if u.kind == uLwReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a)+4 > len(mem) {
+					m.pending = pend
+					return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
+				}
+				if a%isa.WordSize != 0 {
+					m.pending = pend
+					return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
+				}
+				if u.rd != 0 {
+					R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
+				}
+			case uLbImm, uLbReg:
+				st.Loads++
+				a := R[u.rs1] + u.imm
+				if u.kind == uLbReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a) >= len(mem) {
+					m.pending = pend
+					return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
+				}
+				if u.rd != 0 {
+					R[u.rd] = int32(int8(mem[a]))
+				}
+			case uSwImm, uSwReg:
+				st.Stores++
+				a := R[u.rs1] + u.imm
+				if u.kind == uSwReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a)+4 > len(mem) {
+					m.pending = pend
+					return 0, m.fastTrap(dpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
+				}
+				if a%isa.WordSize != 0 {
+					m.pending = pend
+					return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
+				}
+				binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
+			case uSbImm, uSbReg:
+				st.Stores++
+				a := R[u.rs1] + u.imm
+				if u.kind == uSbReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a) >= len(mem) {
+					m.pending = pend
+					return 0, m.fastTrap(dpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
+				}
+				mem[a] = byte(R[u.rd])
+			case uLfImm, uLfReg:
+				st.Loads++
+				a := R[u.rs1] + u.imm
+				if u.kind == uLfReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a)+8 > len(mem) {
+					m.pending = pend
+					return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
+				}
+				F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
+			case uSfImm, uSfReg:
+				st.Stores++
+				a := R[u.rs1] + u.imm
+				if u.kind == uSfReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a)+8 > len(mem) {
+					m.pending = pend
+					return 0, m.fastTrap(dpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
+				}
+				binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
+
+			case uFadd:
+				F[u.rd] = F[u.rs1] + F[u.rs2]
+			case uFsub:
+				F[u.rd] = F[u.rs1] - F[u.rs2]
+			case uFmul:
+				F[u.rd] = F[u.rs1] * F[u.rs2]
+			case uFdiv:
+				F[u.rd] = F[u.rs1] / F[u.rs2]
+			case uFneg:
+				F[u.rd] = -F[u.rs1]
+			case uFmov:
+				F[u.rd] = F[u.rs1]
+			case uCvtif:
+				F[u.rd] = float64(R[u.rs1])
+			case uCvtfi:
+				if u.rd != 0 {
+					R[u.rd] = int32(F[u.rs1])
+				}
+			case uTrapGetc:
+				if m.inPos >= len(m.input) {
+					R[1] = -1
+				} else {
+					R[1] = int32(m.input[m.inPos])
+					m.inPos++
+				}
+			case uTrapPutc:
+				m.out.WriteByte(byte(R[1]))
+			case uTrapPutf:
+				m.putFloat(F[1])
+			case uTrapBad:
+				m.pending = pend
+				return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
+
+			case uCmpImm, uCmpReg:
+				b := u.imm
+				if u.kind == uCmpReg {
+					b = R[u.rs2]
+				}
+				m.CC = signOf(R[u.rs1], b)
+			case uFcmp:
+				a, b := F[u.rs1], F[u.rs2]
 				switch {
-				case b.taken == succHalt:
-					m.halted = true
-					m.status = R[1]
-					m.pc = int(b.dpc)
-					st.Instructions = insts
-					return m.status, nil
-				case b.taken == succTrap:
-					return 0, m.fastTrap(int(b.dpc), insts, TrapPCOutOfRange, "jump out of text: index %d", pend)
-				case b.taken == succInner:
-					m.pc = pend
-					st.Instructions = insts
-					m.Fusion.Bails++
-					return m.runFastBaseline(ctx)
+				case a < b:
+					m.CC = -1
+				case a > b:
+					m.CC = 1
 				default:
-					bi = b.taken
+					m.CC = 0
 				}
 
+			default: // uIllegal and any BRM-only op
+				m.pending = pend
+				return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "baseline cannot execute %v", isa.Op(u.imm))
+
 			}
-		case ftCall:
-			insts++
-			st.Calls++
-			R[isa.RABase] = b.tob.imm
-			pend := int(b.tgt)
-
-			insts++
-			{
-				u := &b.dob
-				dpc := int(b.dpc)
-				switch u.kind {
-
-				case uNop:
-					st.Noops++
-				case uAddImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + u.imm
-					}
-				case uAddReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + R[u.rs2]
-					}
-				case uSubImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - u.imm
-					}
-				case uSubReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - R[u.rs2]
-					}
-				case uMulImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * u.imm
-					}
-				case uMulReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * R[u.rs2]
-					}
-				case uDivImm, uDivReg:
-					d := u.imm
-					if u.kind == uDivReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapArithmetic, "division by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] / d
-					}
-				case uRemImm, uRemReg:
-					d := u.imm
-					if u.kind == uRemReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapArithmetic, "modulo by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] % d
-					}
-				case uAndImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & u.imm
-					}
-				case uAndReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & R[u.rs2]
-					}
-				case uOrImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | u.imm
-					}
-				case uOrReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | R[u.rs2]
-					}
-				case uXorImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ u.imm
-					}
-				case uXorReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ R[u.rs2]
-					}
-				case uSllImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-					}
-				case uSllReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
-					}
-				case uSrlImm:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
-					}
-				case uSrlReg:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
-					}
-				case uSraImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
-					}
-				case uSraReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
-					}
-				case uConst:
-					if u.rd != 0 {
-						R[u.rd] = u.imm
-					}
-				case uSetImm, uSetReg:
-					b := u.imm
-					if u.kind == uSetReg {
-						b = R[u.rs2]
-					}
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-				case uFSet:
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-
-				case uLwImm, uLwReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				case uLbImm, uLbReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				case uSwImm, uSwReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				case uSbImm, uSbReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				case uLfImm, uLfReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				case uSfImm, uSfReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
-
-				case uFadd:
-					F[u.rd] = F[u.rs1] + F[u.rs2]
-				case uFsub:
-					F[u.rd] = F[u.rs1] - F[u.rs2]
-				case uFmul:
-					F[u.rd] = F[u.rs1] * F[u.rs2]
-				case uFdiv:
-					F[u.rd] = F[u.rs1] / F[u.rs2]
-				case uFneg:
-					F[u.rd] = -F[u.rs1]
-				case uFmov:
-					F[u.rd] = F[u.rs1]
-				case uCvtif:
-					F[u.rd] = float64(R[u.rs1])
-				case uCvtfi:
-					if u.rd != 0 {
-						R[u.rd] = int32(F[u.rs1])
-					}
-				case uTrapGetc:
-					if m.inPos >= len(m.input) {
-						R[1] = -1
-					} else {
-						R[1] = int32(m.input[m.inPos])
-						m.inPos++
-					}
-				case uTrapPutc:
-					m.out.WriteByte(byte(R[1]))
-				case uTrapPutf:
-					m.putFloat(F[1])
-				case uTrapBad:
-					m.pending = pend
-					return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
-
-				case uCmpImm, uCmpReg:
-					b := u.imm
-					if u.kind == uCmpReg {
-						b = R[u.rs2]
-					}
-					m.CC = signOf(R[u.rs1], b)
-					m.ccF = false
-				case uFcmp:
-					a, b := F[u.rs1], F[u.rs2]
-					switch {
-					case a < b:
-						m.CC = -1
-					case a > b:
-						m.CC = 1
-					default:
-						m.CC = 0
-					}
-					m.ccF = true
-
-				default: // uIllegal and any BRM-only op
-					m.pending = pend
-					return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "baseline cannot execute %v", isa.Op(u.imm))
-
+		}
+		bi = next
+		if bi < 0 {
+			if untaken {
+				if bi == succTrap {
+					return 0, m.fastTrap(int(b.fallIdx), insts, TrapPCOutOfRange,
+						"pc index %d outside text [0,%d)", int(b.fallIdx), n)
 				}
+				m.pc = int(b.fallIdx)
+				st.Instructions = insts
+				m.Fusion.Bails++
+				return m.runFastBaseline(ctx)
 			}
-
-			switch {
-			case b.taken == succHalt:
+			switch bi {
+			case succHalt:
 				m.halted = true
 				m.status = R[1]
 				m.pc = int(b.dpc)
 				st.Instructions = insts
 				return m.status, nil
-			case b.taken == succTrap:
+			case succTrap:
 				return 0, m.fastTrap(int(b.dpc), insts, TrapPCOutOfRange, "jump out of text: index %d", pend)
-			case b.taken == succInner:
+			default: // succInner
 				m.pc = pend
 				st.Instructions = insts
 				m.Fusion.Bails++
 				return m.runFastBaseline(ctx)
-			default:
-				bi = b.taken
 			}
-
-		case ftJalr:
-			insts++
-			st.Calls++
-			target := R[b.tob.rs1]
-			R[isa.RABase] = b.tob.imm
-			pend := addrToIndex(target)
-
-			insts++
-			{
-				u := &b.dob
-				dpc := int(b.dpc)
-				switch u.kind {
-
-				case uNop:
-					st.Noops++
-				case uAddImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + u.imm
-					}
-				case uAddReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + R[u.rs2]
-					}
-				case uSubImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - u.imm
-					}
-				case uSubReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - R[u.rs2]
-					}
-				case uMulImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * u.imm
-					}
-				case uMulReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * R[u.rs2]
-					}
-				case uDivImm, uDivReg:
-					d := u.imm
-					if u.kind == uDivReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapArithmetic, "division by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] / d
-					}
-				case uRemImm, uRemReg:
-					d := u.imm
-					if u.kind == uRemReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapArithmetic, "modulo by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] % d
-					}
-				case uAndImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & u.imm
-					}
-				case uAndReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & R[u.rs2]
-					}
-				case uOrImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | u.imm
-					}
-				case uOrReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | R[u.rs2]
-					}
-				case uXorImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ u.imm
-					}
-				case uXorReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ R[u.rs2]
-					}
-				case uSllImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-					}
-				case uSllReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
-					}
-				case uSrlImm:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
-					}
-				case uSrlReg:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
-					}
-				case uSraImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
-					}
-				case uSraReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
-					}
-				case uConst:
-					if u.rd != 0 {
-						R[u.rd] = u.imm
-					}
-				case uSetImm, uSetReg:
-					b := u.imm
-					if u.kind == uSetReg {
-						b = R[u.rs2]
-					}
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-				case uFSet:
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-
-				case uLwImm, uLwReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				case uLbImm, uLbReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				case uSwImm, uSwReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				case uSbImm, uSbReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				case uLfImm, uLfReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				case uSfImm, uSfReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
-
-				case uFadd:
-					F[u.rd] = F[u.rs1] + F[u.rs2]
-				case uFsub:
-					F[u.rd] = F[u.rs1] - F[u.rs2]
-				case uFmul:
-					F[u.rd] = F[u.rs1] * F[u.rs2]
-				case uFdiv:
-					F[u.rd] = F[u.rs1] / F[u.rs2]
-				case uFneg:
-					F[u.rd] = -F[u.rs1]
-				case uFmov:
-					F[u.rd] = F[u.rs1]
-				case uCvtif:
-					F[u.rd] = float64(R[u.rs1])
-				case uCvtfi:
-					if u.rd != 0 {
-						R[u.rd] = int32(F[u.rs1])
-					}
-				case uTrapGetc:
-					if m.inPos >= len(m.input) {
-						R[1] = -1
-					} else {
-						R[1] = int32(m.input[m.inPos])
-						m.inPos++
-					}
-				case uTrapPutc:
-					m.out.WriteByte(byte(R[1]))
-				case uTrapPutf:
-					m.putFloat(F[1])
-				case uTrapBad:
-					m.pending = pend
-					return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
-
-				case uCmpImm, uCmpReg:
-					b := u.imm
-					if u.kind == uCmpReg {
-						b = R[u.rs2]
-					}
-					m.CC = signOf(R[u.rs1], b)
-					m.ccF = false
-				case uFcmp:
-					a, b := F[u.rs1], F[u.rs2]
-					switch {
-					case a < b:
-						m.CC = -1
-					case a > b:
-						m.CC = 1
-					default:
-						m.CC = 0
-					}
-					m.ccF = true
-
-				default: // uIllegal and any BRM-only op
-					m.pending = pend
-					return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "baseline cannot execute %v", isa.Op(u.imm))
-
-				}
-			}
-
-			switch {
-			case pend == -1:
-				m.halted = true
-				m.status = R[1]
-				m.pc = int(b.dpc)
-				st.Instructions = insts
-				return m.status, nil
-			case pend < 0 || pend >= n:
-				return 0, m.fastTrap(int(b.dpc), insts, TrapPCOutOfRange, "jump out of text: index %d", pend)
-			default:
-				bi = fp.pc2block[pend]
-				if bi < 0 {
-					m.pc = pend
-					st.Instructions = insts
-					m.Fusion.Bails++
-					return m.runFastBaseline(ctx)
-				}
-			}
-
-		default: // ftJr
-			insts++
-			pend := addrToIndex(R[b.tob.rs1])
-			if pend != -1 {
-				if b.tob.kind == uJrRet {
-					st.Returns++
-				} else {
-					st.UncondJumps++
-				}
-			}
-
-			insts++
-			{
-				u := &b.dob
-				dpc := int(b.dpc)
-				switch u.kind {
-
-				case uNop:
-					st.Noops++
-				case uAddImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + u.imm
-					}
-				case uAddReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + R[u.rs2]
-					}
-				case uSubImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - u.imm
-					}
-				case uSubReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - R[u.rs2]
-					}
-				case uMulImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * u.imm
-					}
-				case uMulReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * R[u.rs2]
-					}
-				case uDivImm, uDivReg:
-					d := u.imm
-					if u.kind == uDivReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapArithmetic, "division by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] / d
-					}
-				case uRemImm, uRemReg:
-					d := u.imm
-					if u.kind == uRemReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapArithmetic, "modulo by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] % d
-					}
-				case uAndImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & u.imm
-					}
-				case uAndReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & R[u.rs2]
-					}
-				case uOrImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | u.imm
-					}
-				case uOrReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | R[u.rs2]
-					}
-				case uXorImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ u.imm
-					}
-				case uXorReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ R[u.rs2]
-					}
-				case uSllImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-					}
-				case uSllReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
-					}
-				case uSrlImm:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
-					}
-				case uSrlReg:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
-					}
-				case uSraImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
-					}
-				case uSraReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
-					}
-				case uConst:
-					if u.rd != 0 {
-						R[u.rd] = u.imm
-					}
-				case uSetImm, uSetReg:
-					b := u.imm
-					if u.kind == uSetReg {
-						b = R[u.rs2]
-					}
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-				case uFSet:
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-
-				case uLwImm, uLwReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				case uLbImm, uLbReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				case uSwImm, uSwReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				case uSbImm, uSbReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				case uLfImm, uLfReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				case uSfImm, uSfReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						m.pending = pend
-						return 0, m.fastTrap(dpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
-
-				case uFadd:
-					F[u.rd] = F[u.rs1] + F[u.rs2]
-				case uFsub:
-					F[u.rd] = F[u.rs1] - F[u.rs2]
-				case uFmul:
-					F[u.rd] = F[u.rs1] * F[u.rs2]
-				case uFdiv:
-					F[u.rd] = F[u.rs1] / F[u.rs2]
-				case uFneg:
-					F[u.rd] = -F[u.rs1]
-				case uFmov:
-					F[u.rd] = F[u.rs1]
-				case uCvtif:
-					F[u.rd] = float64(R[u.rs1])
-				case uCvtfi:
-					if u.rd != 0 {
-						R[u.rd] = int32(F[u.rs1])
-					}
-				case uTrapGetc:
-					if m.inPos >= len(m.input) {
-						R[1] = -1
-					} else {
-						R[1] = int32(m.input[m.inPos])
-						m.inPos++
-					}
-				case uTrapPutc:
-					m.out.WriteByte(byte(R[1]))
-				case uTrapPutf:
-					m.putFloat(F[1])
-				case uTrapBad:
-					m.pending = pend
-					return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
-
-				case uCmpImm, uCmpReg:
-					b := u.imm
-					if u.kind == uCmpReg {
-						b = R[u.rs2]
-					}
-					m.CC = signOf(R[u.rs1], b)
-					m.ccF = false
-				case uFcmp:
-					a, b := F[u.rs1], F[u.rs2]
-					switch {
-					case a < b:
-						m.CC = -1
-					case a > b:
-						m.CC = 1
-					default:
-						m.CC = 0
-					}
-					m.ccF = true
-
-				default: // uIllegal and any BRM-only op
-					m.pending = pend
-					return 0, m.fastTrap(dpc, insts, TrapIllegalInstr, "baseline cannot execute %v", isa.Op(u.imm))
-
-				}
-			}
-
-			switch {
-			case pend == -1:
-				m.halted = true
-				m.status = R[1]
-				m.pc = int(b.dpc)
-				st.Instructions = insts
-				return m.status, nil
-			case pend < 0 || pend >= n:
-				return 0, m.fastTrap(int(b.dpc), insts, TrapPCOutOfRange, "jump out of text: index %d", pend)
-			default:
-				bi = fp.pc2block[pend]
-				if bi < 0 {
-					m.pc = pend
-					st.Instructions = insts
-					m.Fusion.Bails++
-					return m.runFastBaseline(ctx)
-				}
-			}
-
 		}
 	}
 }
@@ -3580,9 +2430,15 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 			}
 		}
 
-		switch b.term {
-		case ftFall:
-
+		if b.term <= ftExit {
+			if b.term == ftExit {
+				insts++
+				m.halted = true
+				m.status = R[1]
+				m.pc = int(b.termPC)
+				st.Instructions = insts
+				return m.status, nil
+			}
 			bi = b.fall
 			if bi < 0 {
 				if bi == succTrap {
@@ -3594,1699 +2450,459 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				m.Fusion.Bails++
 				return m.runFastBRM(ctx)
 			}
+			continue
+		}
 
-		case ftExit:
+		// A fused companion retires first: a compare that assigns b[7]
+		// for the transfer through it (cmpbr/fcmpbr), or a static brcalc
+		// of the transfer's own breg.
+		cmpTaken := false
+		if b.term >= ftBrmCmpBr {
 			insts++
-			m.halted = true
-			m.status = R[1]
-			m.pc = int(b.termPC)
-			st.Instructions = insts
-			return m.status, nil
-		case ftBrm:
-			insts++
-			now := insts
-			{
-				u := &b.tob
-				tpc := int(b.termPC)
-				_ = tpc
+			u := &b.cob
+			if b.term == ftBrmCmpBr {
 				switch u.kind {
-
-				case uNop:
-					st.Noops++
-				case uAddImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + u.imm
-					}
-				case uAddReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + R[u.rs2]
-					}
-				case uSubImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - u.imm
-					}
-				case uSubReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - R[u.rs2]
-					}
-				case uMulImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * u.imm
-					}
-				case uMulReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * R[u.rs2]
-					}
-				case uDivImm, uDivReg:
-					d := u.imm
-					if u.kind == uDivReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						return 0, m.fastTrap(tpc, insts, TrapArithmetic, "division by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] / d
-					}
-				case uRemImm, uRemReg:
-					d := u.imm
-					if u.kind == uRemReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						return 0, m.fastTrap(tpc, insts, TrapArithmetic, "modulo by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] % d
-					}
-				case uAndImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & u.imm
-					}
-				case uAndReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & R[u.rs2]
-					}
-				case uOrImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | u.imm
-					}
-				case uOrReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | R[u.rs2]
-					}
-				case uXorImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ u.imm
-					}
-				case uXorReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ R[u.rs2]
-					}
-				case uSllImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-					}
-				case uSllReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
-					}
-				case uSrlImm:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
-					}
-				case uSrlReg:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
-					}
-				case uSraImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
-					}
-				case uSraReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
-					}
-				case uConst:
-					if u.rd != 0 {
-						R[u.rd] = u.imm
-					}
-				case uSetImm, uSetReg:
-					b := u.imm
-					if u.kind == uSetReg {
-						b = R[u.rs2]
-					}
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-				case uFSet:
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-
-				case uLwImm, uLwReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				case uLbImm, uLbReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				case uSwImm, uSwReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				case uSbImm, uSbReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				case uLfImm, uLfReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				case uSfImm, uSfReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
-
-				case uFadd:
-					F[u.rd] = F[u.rs1] + F[u.rs2]
-				case uFsub:
-					F[u.rd] = F[u.rs1] - F[u.rs2]
-				case uFmul:
-					F[u.rd] = F[u.rs1] * F[u.rs2]
-				case uFdiv:
-					F[u.rd] = F[u.rs1] / F[u.rs2]
-				case uFneg:
-					F[u.rd] = -F[u.rs1]
-				case uFmov:
-					F[u.rd] = F[u.rs1]
-				case uCvtif:
-					F[u.rd] = float64(R[u.rs1])
-				case uCvtfi:
-					if u.rd != 0 {
-						R[u.rd] = int32(F[u.rs1])
-					}
-				case uTrapGetc:
-					if m.inPos >= len(m.input) {
-						R[1] = -1
-					} else {
-						R[1] = int32(m.input[m.inPos])
-						m.inPos++
-					}
-				case uTrapPutc:
-					m.out.WriteByte(byte(R[1]))
-				case uTrapPutf:
-					m.putFloat(F[1])
-				case uTrapBad:
-					return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
-
-				case uBrCalcAbs:
-					st.BrCalcs++
-					m.B[u.rd] = breg{addr: u.imm, calcTime: now, valid: true}
-				case uBrCalcReg:
-					st.BrCalcs++
-					m.B[u.rd] = breg{addr: R[u.rs1] + u.imm, calcTime: now, valid: true}
-				case uBrLd:
-					st.BrCalcs++
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					v := int32(binary.LittleEndian.Uint32(mem[a:]))
-					m.B[u.rd] = breg{addr: v, calcTime: now, valid: true}
-				case uCmpBrImm, uCmpBrReg:
-					b := u.imm
-					if u.kind == uCmpBrReg {
-						b = R[u.rs2]
-					}
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						src := m.B[u.bsrc]
-						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-					} else {
-						m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-					}
-				case uFCmpBr:
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						src := m.B[u.bsrc]
-						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-					} else {
-						m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-					}
-				case uMovBr:
-					st.BrMoves++
-					m.B[u.rd] = m.B[u.bsrc]
-				case uMovRB:
-					st.BrMoves++
-					if u.rd != 0 {
-						R[u.rd] = m.B[u.bsrc].addr
-					}
-				case uMovBR:
-					st.BrMoves++
-					m.B[u.rd] = breg{addr: R[u.rs1], calcTime: now, isRA: true, valid: true}
-
-				default: // uIllegal and any baseline-only op
-					return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "BRM cannot execute %v", isa.Op(u.imm))
-
+				case uCmpBrImm:
+					cmpTaken = isa.Cond(u.cond).HoldsInt(R[u.rs1], u.imm)
+				case uCmpBrReg:
+					cmpTaken = isa.Cond(u.cond).HoldsInt(R[u.rs1], R[u.rs2])
+				default: // uFCmpBr
+					cmpTaken = isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2])
 				}
+				if !b.lite {
+					// The transfer op could observe (or a trap in it could
+					// expose) the intermediate b[7]; for lite blocks the
+					// compare result is dead until the transfer and the
+					// store is elided.
+					if cmpTaken {
+						src := m.B[u.bsrc]
+						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
+					} else {
+						m.B[isa.RABr] = breg{addr: seq, calcTime: insts, viaCmp: true, valid: true}
+					}
+				}
+			} else {
+				st.BrCalcs++
+				m.B[u.rd] = breg{addr: u.imm, calcTime: insts, valid: true}
 			}
+			m.Fusion.Fused++
+		}
+
+		// The transfer-annotated op. A nop (no instruction could be moved
+		// into the transfer) is the common case and skips the dispatch.
+		insts++
+		now := insts
+		if u := &b.tob; u.kind == uNop {
+			st.Noops++
+		} else {
+			tpc := int(b.termPC)
+			_ = tpc
+			switch u.kind {
+
+			case uNop:
+				st.Noops++
+			case uAddImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] + u.imm
+				}
+			case uAddReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] + R[u.rs2]
+				}
+			case uSubImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] - u.imm
+				}
+			case uSubReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] - R[u.rs2]
+				}
+			case uMulImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] * u.imm
+				}
+			case uMulReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] * R[u.rs2]
+				}
+			case uDivImm, uDivReg:
+				d := u.imm
+				if u.kind == uDivReg {
+					d = R[u.rs2]
+				}
+				if d == 0 {
+					return 0, m.fastTrap(tpc, insts, TrapArithmetic, "division by zero")
+				}
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] / d
+				}
+			case uRemImm, uRemReg:
+				d := u.imm
+				if u.kind == uRemReg {
+					d = R[u.rs2]
+				}
+				if d == 0 {
+					return 0, m.fastTrap(tpc, insts, TrapArithmetic, "modulo by zero")
+				}
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] % d
+				}
+			case uAndImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] & u.imm
+				}
+			case uAndReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] & R[u.rs2]
+				}
+			case uOrImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] | u.imm
+				}
+			case uOrReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] | R[u.rs2]
+				}
+			case uXorImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] ^ u.imm
+				}
+			case uXorReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] ^ R[u.rs2]
+				}
+			case uSllImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
+				}
+			case uSllReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
+				}
+			case uSrlImm:
+				if u.rd != 0 {
+					R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
+				}
+			case uSrlReg:
+				if u.rd != 0 {
+					R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
+				}
+			case uSraImm:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
+				}
+			case uSraReg:
+				if u.rd != 0 {
+					R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
+				}
+			case uConst:
+				if u.rd != 0 {
+					R[u.rd] = u.imm
+				}
+			case uSetImm, uSetReg:
+				b := u.imm
+				if u.kind == uSetReg {
+					b = R[u.rs2]
+				}
+				v := int32(0)
+				if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
+					v = 1
+				}
+				if u.rd != 0 {
+					R[u.rd] = v
+				}
+			case uFSet:
+				v := int32(0)
+				if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
+					v = 1
+				}
+				if u.rd != 0 {
+					R[u.rd] = v
+				}
+
+			case uLwImm, uLwReg:
+				st.Loads++
+				a := R[u.rs1] + u.imm
+				if u.kind == uLwReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a)+4 > len(mem) {
+					return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
+				}
+				if a%isa.WordSize != 0 {
+					return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
+				}
+				if u.rd != 0 {
+					R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
+				}
+			case uLbImm, uLbReg:
+				st.Loads++
+				a := R[u.rs1] + u.imm
+				if u.kind == uLbReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a) >= len(mem) {
+					return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
+				}
+				if u.rd != 0 {
+					R[u.rd] = int32(int8(mem[a]))
+				}
+			case uSwImm, uSwReg:
+				st.Stores++
+				a := R[u.rs1] + u.imm
+				if u.kind == uSwReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a)+4 > len(mem) {
+					return 0, m.fastTrap(tpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
+				}
+				if a%isa.WordSize != 0 {
+					return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
+				}
+				binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
+			case uSbImm, uSbReg:
+				st.Stores++
+				a := R[u.rs1] + u.imm
+				if u.kind == uSbReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a) >= len(mem) {
+					return 0, m.fastTrap(tpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
+				}
+				mem[a] = byte(R[u.rd])
+			case uLfImm, uLfReg:
+				st.Loads++
+				a := R[u.rs1] + u.imm
+				if u.kind == uLfReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a)+8 > len(mem) {
+					return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
+				}
+				F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
+			case uSfImm, uSfReg:
+				st.Stores++
+				a := R[u.rs1] + u.imm
+				if u.kind == uSfReg {
+					a = R[u.rs1] + R[u.rs2]
+				}
+				if a < 0 || int(a)+8 > len(mem) {
+					return 0, m.fastTrap(tpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
+				}
+				binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
+
+			case uFadd:
+				F[u.rd] = F[u.rs1] + F[u.rs2]
+			case uFsub:
+				F[u.rd] = F[u.rs1] - F[u.rs2]
+			case uFmul:
+				F[u.rd] = F[u.rs1] * F[u.rs2]
+			case uFdiv:
+				F[u.rd] = F[u.rs1] / F[u.rs2]
+			case uFneg:
+				F[u.rd] = -F[u.rs1]
+			case uFmov:
+				F[u.rd] = F[u.rs1]
+			case uCvtif:
+				F[u.rd] = float64(R[u.rs1])
+			case uCvtfi:
+				if u.rd != 0 {
+					R[u.rd] = int32(F[u.rs1])
+				}
+			case uTrapGetc:
+				if m.inPos >= len(m.input) {
+					R[1] = -1
+				} else {
+					R[1] = int32(m.input[m.inPos])
+					m.inPos++
+				}
+			case uTrapPutc:
+				m.out.WriteByte(byte(R[1]))
+			case uTrapPutf:
+				m.putFloat(F[1])
+			case uTrapBad:
+				return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
+
+			case uBrCalcAbs:
+				st.BrCalcs++
+				m.B[u.rd] = breg{addr: u.imm, calcTime: now, valid: true}
+			case uBrCalcReg:
+				st.BrCalcs++
+				m.B[u.rd] = breg{addr: R[u.rs1] + u.imm, calcTime: now, valid: true}
+			case uBrLd:
+				st.BrCalcs++
+				st.Loads++
+				a := R[u.rs1] + u.imm
+				if a < 0 || int(a)+4 > len(mem) {
+					return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
+				}
+				if a%isa.WordSize != 0 {
+					return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
+				}
+				v := int32(binary.LittleEndian.Uint32(mem[a:]))
+				m.B[u.rd] = breg{addr: v, calcTime: now, valid: true}
+			case uCmpBrImm, uCmpBrReg:
+				b := u.imm
+				if u.kind == uCmpBrReg {
+					b = R[u.rs2]
+				}
+				if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
+					src := m.B[u.bsrc]
+					m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
+				} else {
+					m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
+				}
+			case uFCmpBr:
+				if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
+					src := m.B[u.bsrc]
+					m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
+				} else {
+					m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
+				}
+			case uMovBr:
+				st.BrMoves++
+				m.B[u.rd] = m.B[u.bsrc]
+			case uMovRB:
+				st.BrMoves++
+				if u.rd != 0 {
+					R[u.rd] = m.B[u.bsrc].addr
+				}
+			case uMovBR:
+				st.BrMoves++
+				m.B[u.rd] = breg{addr: R[u.rs1], calcTime: now, isRA: true, valid: true}
+
+			default: // uIllegal and any baseline-only op
+				return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "BRM cannot execute %v", isa.Op(u.imm))
+
+			}
+		}
+
+		// Apply the transfer: its counts and the successor. The return
+		// side effect lands in b[7] after the breg is read.
+		pend := int(b.tgt)
+		next := b.taken
+		untaken := false
+		switch b.term {
+		case ftBrm:
 			bv := m.B[b.tob.br]
 			if !bv.valid {
 				return 0, m.fastTrap(int(b.termPC), insts, TrapUninitBranchReg,
 					"transfer through uninitialized b[%d]", b.tob.br)
 			}
-			ret := breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
 			if bv.addr == seq {
 				// Untaken conditional (or a movbr that copied the
 				// sentinel): fall through.
 				if bv.viaCmp {
 					st.CondBranches++
 				}
-				m.B[isa.RABr] = ret
-
-				bi = b.fall
-				if bi < 0 {
-					if bi == succTrap {
-						return 0, m.fastTrap(int(b.fallIdx), insts, TrapPCOutOfRange,
-							"pc index %d outside text [0,%d)", int(b.fallIdx), n)
-					}
-					m.pc = int(b.fallIdx)
-					st.Instructions = insts
-					m.Fusion.Bails++
-					return m.runFastBRM(ctx)
-				}
-
-			} else {
-				idx := addrToIndex(bv.addr)
-				switch {
-				case bv.viaCmp:
-					st.CondBranches++
-				case idx == -1:
-					// exit to the halt address: not a workload transfer
-				case m.isFuncEntry(idx):
-					st.Calls++
-				case bv.isRA:
-					st.Returns++
-				default:
-					st.UncondJumps++
-				}
-
-				st.CondTaken += b2i(bv.viaCmp)
-				if idx != -1 {
-					dist := now - bv.calcTime
-					if dist > DistHistMax {
-						st.DistHist[DistHistMax]++
-					} else if dist >= 0 {
-						st.DistHist[dist]++
-					}
-					if dist >= MinPrefetchDist {
-						st.PrefetchHit++
-					} else {
-						st.PrefetchMiss++
-					}
-				}
-				m.B[isa.RABr] = ret
-				switch {
-				case idx == -1:
-					m.halted = true
-					m.status = R[1]
-					m.pc = int(b.termPC)
-					st.Instructions = insts
-					return m.status, nil
-				case idx < 0 || idx >= n:
-					return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", idx)
-				default:
-					bi = fp.pc2block[idx]
-					if bi < 0 {
-						m.pc = idx
-						st.Instructions = insts
-						m.Fusion.Bails++
-						return m.runFastBRM(ctx)
-					}
-				}
-
+				next, untaken = b.fall, true
+				break
 			}
-		case ftBrmSJmp:
-			// Transfer through a breg the block itself loaded with a
-			// static target: no breg read, classification or PC→index
-			// lookup at runtime — target block, stat class and prefetch
-			// distance were all resolved at decode time.
-			insts++
-			now := insts
-			{
-				u := &b.tob
-				tpc := int(b.termPC)
-				_ = tpc
-				switch u.kind {
-
-				case uNop:
-					st.Noops++
-				case uAddImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + u.imm
-					}
-				case uAddReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + R[u.rs2]
-					}
-				case uSubImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - u.imm
-					}
-				case uSubReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - R[u.rs2]
-					}
-				case uMulImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * u.imm
-					}
-				case uMulReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * R[u.rs2]
-					}
-				case uDivImm, uDivReg:
-					d := u.imm
-					if u.kind == uDivReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						return 0, m.fastTrap(tpc, insts, TrapArithmetic, "division by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] / d
-					}
-				case uRemImm, uRemReg:
-					d := u.imm
-					if u.kind == uRemReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						return 0, m.fastTrap(tpc, insts, TrapArithmetic, "modulo by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] % d
-					}
-				case uAndImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & u.imm
-					}
-				case uAndReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & R[u.rs2]
-					}
-				case uOrImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | u.imm
-					}
-				case uOrReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | R[u.rs2]
-					}
-				case uXorImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ u.imm
-					}
-				case uXorReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ R[u.rs2]
-					}
-				case uSllImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-					}
-				case uSllReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
-					}
-				case uSrlImm:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
-					}
-				case uSrlReg:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
-					}
-				case uSraImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
-					}
-				case uSraReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
-					}
-				case uConst:
-					if u.rd != 0 {
-						R[u.rd] = u.imm
-					}
-				case uSetImm, uSetReg:
-					b := u.imm
-					if u.kind == uSetReg {
-						b = R[u.rs2]
-					}
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-				case uFSet:
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-
-				case uLwImm, uLwReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				case uLbImm, uLbReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				case uSwImm, uSwReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				case uSbImm, uSbReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				case uLfImm, uLfReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				case uSfImm, uSfReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
-
-				case uFadd:
-					F[u.rd] = F[u.rs1] + F[u.rs2]
-				case uFsub:
-					F[u.rd] = F[u.rs1] - F[u.rs2]
-				case uFmul:
-					F[u.rd] = F[u.rs1] * F[u.rs2]
-				case uFdiv:
-					F[u.rd] = F[u.rs1] / F[u.rs2]
-				case uFneg:
-					F[u.rd] = -F[u.rs1]
-				case uFmov:
-					F[u.rd] = F[u.rs1]
-				case uCvtif:
-					F[u.rd] = float64(R[u.rs1])
-				case uCvtfi:
-					if u.rd != 0 {
-						R[u.rd] = int32(F[u.rs1])
-					}
-				case uTrapGetc:
-					if m.inPos >= len(m.input) {
-						R[1] = -1
-					} else {
-						R[1] = int32(m.input[m.inPos])
-						m.inPos++
-					}
-				case uTrapPutc:
-					m.out.WriteByte(byte(R[1]))
-				case uTrapPutf:
-					m.putFloat(F[1])
-				case uTrapBad:
-					return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
-
-				case uBrCalcAbs:
-					st.BrCalcs++
-					m.B[u.rd] = breg{addr: u.imm, calcTime: now, valid: true}
-				case uBrCalcReg:
-					st.BrCalcs++
-					m.B[u.rd] = breg{addr: R[u.rs1] + u.imm, calcTime: now, valid: true}
-				case uBrLd:
-					st.BrCalcs++
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					v := int32(binary.LittleEndian.Uint32(mem[a:]))
-					m.B[u.rd] = breg{addr: v, calcTime: now, valid: true}
-				case uCmpBrImm, uCmpBrReg:
-					b := u.imm
-					if u.kind == uCmpBrReg {
-						b = R[u.rs2]
-					}
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						src := m.B[u.bsrc]
-						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-					} else {
-						m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-					}
-				case uFCmpBr:
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						src := m.B[u.bsrc]
-						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-					} else {
-						m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-					}
-				case uMovBr:
-					st.BrMoves++
-					m.B[u.rd] = m.B[u.bsrc]
-				case uMovRB:
-					st.BrMoves++
-					if u.rd != 0 {
-						R[u.rd] = m.B[u.bsrc].addr
-					}
-				case uMovBR:
-					st.BrMoves++
-					m.B[u.rd] = breg{addr: R[u.rs1], calcTime: now, isRA: true, valid: true}
-
-				default: // uIllegal and any baseline-only op
-					return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "BRM cannot execute %v", isa.Op(u.imm))
-
-				}
-			}
-			m.B[isa.RABr] = breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
-			if b.taken == succHalt {
-				m.halted = true
-				m.status = R[1]
-				m.pc = int(b.termPC)
-				st.Instructions = insts
-				return m.status, nil
-			}
-			if b.statK == 1 {
+			pend = addrToIndex(bv.addr)
+			switch {
+			case bv.viaCmp:
+				st.CondBranches++
+			case pend == -1:
+				// exit to the halt address: not a workload transfer
+			case m.isFuncEntry(pend):
 				st.Calls++
-			} else {
+			case bv.isRA:
+				st.Returns++
+			default:
 				st.UncondJumps++
 			}
-			if b.distK > DistHistMax {
-				st.DistHist[DistHistMax]++
-			} else {
-				st.DistHist[b.distK]++
-			}
-			if b.distK >= MinPrefetchDist {
-				st.PrefetchHit++
-			} else {
-				st.PrefetchMiss++
-			}
-			bi = b.taken
-			if bi < 0 {
-				if bi == succTrap {
-					return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", int(b.tgt))
-				}
-				m.pc = int(b.tgt)
-				st.Instructions = insts
-				m.Fusion.Bails++
-				return m.runFastBRM(ctx)
-			}
-		case ftBrmSCond:
-			// Transfer through a compare whose source breg the block
-			// loaded statically: the breg read degenerates to a
-			// taken/untaken test and both arms are fully resolved.
-			insts++
-			now := insts
-			{
-				u := &b.tob
-				tpc := int(b.termPC)
-				_ = tpc
-				switch u.kind {
-
-				case uNop:
-					st.Noops++
-				case uAddImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + u.imm
-					}
-				case uAddReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + R[u.rs2]
-					}
-				case uSubImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - u.imm
-					}
-				case uSubReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - R[u.rs2]
-					}
-				case uMulImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * u.imm
-					}
-				case uMulReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * R[u.rs2]
-					}
-				case uDivImm, uDivReg:
-					d := u.imm
-					if u.kind == uDivReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						return 0, m.fastTrap(tpc, insts, TrapArithmetic, "division by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] / d
-					}
-				case uRemImm, uRemReg:
-					d := u.imm
-					if u.kind == uRemReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						return 0, m.fastTrap(tpc, insts, TrapArithmetic, "modulo by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] % d
-					}
-				case uAndImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & u.imm
-					}
-				case uAndReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & R[u.rs2]
-					}
-				case uOrImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | u.imm
-					}
-				case uOrReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | R[u.rs2]
-					}
-				case uXorImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ u.imm
-					}
-				case uXorReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ R[u.rs2]
-					}
-				case uSllImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-					}
-				case uSllReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
-					}
-				case uSrlImm:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
-					}
-				case uSrlReg:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
-					}
-				case uSraImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
-					}
-				case uSraReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
-					}
-				case uConst:
-					if u.rd != 0 {
-						R[u.rd] = u.imm
-					}
-				case uSetImm, uSetReg:
-					b := u.imm
-					if u.kind == uSetReg {
-						b = R[u.rs2]
-					}
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-				case uFSet:
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-
-				case uLwImm, uLwReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				case uLbImm, uLbReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				case uSwImm, uSwReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				case uSbImm, uSbReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				case uLfImm, uLfReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				case uSfImm, uSfReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
-
-				case uFadd:
-					F[u.rd] = F[u.rs1] + F[u.rs2]
-				case uFsub:
-					F[u.rd] = F[u.rs1] - F[u.rs2]
-				case uFmul:
-					F[u.rd] = F[u.rs1] * F[u.rs2]
-				case uFdiv:
-					F[u.rd] = F[u.rs1] / F[u.rs2]
-				case uFneg:
-					F[u.rd] = -F[u.rs1]
-				case uFmov:
-					F[u.rd] = F[u.rs1]
-				case uCvtif:
-					F[u.rd] = float64(R[u.rs1])
-				case uCvtfi:
-					if u.rd != 0 {
-						R[u.rd] = int32(F[u.rs1])
-					}
-				case uTrapGetc:
-					if m.inPos >= len(m.input) {
-						R[1] = -1
-					} else {
-						R[1] = int32(m.input[m.inPos])
-						m.inPos++
-					}
-				case uTrapPutc:
-					m.out.WriteByte(byte(R[1]))
-				case uTrapPutf:
-					m.putFloat(F[1])
-				case uTrapBad:
-					return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
-
-				case uBrCalcAbs:
-					st.BrCalcs++
-					m.B[u.rd] = breg{addr: u.imm, calcTime: now, valid: true}
-				case uBrCalcReg:
-					st.BrCalcs++
-					m.B[u.rd] = breg{addr: R[u.rs1] + u.imm, calcTime: now, valid: true}
-				case uBrLd:
-					st.BrCalcs++
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					v := int32(binary.LittleEndian.Uint32(mem[a:]))
-					m.B[u.rd] = breg{addr: v, calcTime: now, valid: true}
-				case uCmpBrImm, uCmpBrReg:
-					b := u.imm
-					if u.kind == uCmpBrReg {
-						b = R[u.rs2]
-					}
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						src := m.B[u.bsrc]
-						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-					} else {
-						m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-					}
-				case uFCmpBr:
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						src := m.B[u.bsrc]
-						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-					} else {
-						m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-					}
-				case uMovBr:
-					st.BrMoves++
-					m.B[u.rd] = m.B[u.bsrc]
-				case uMovRB:
-					st.BrMoves++
-					if u.rd != 0 {
-						R[u.rd] = m.B[u.bsrc].addr
-					}
-				case uMovBR:
-					st.BrMoves++
-					m.B[u.rd] = breg{addr: R[u.rs1], calcTime: now, isRA: true, valid: true}
-
-				default: // uIllegal and any baseline-only op
-					return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "BRM cannot execute %v", isa.Op(u.imm))
-
-				}
-			}
-			st.CondBranches++
-			ret := breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
-			if m.B[b.tob.br].addr == seq {
-				m.B[isa.RABr] = ret
-
-				bi = b.fall
-				if bi < 0 {
-					if bi == succTrap {
-						return 0, m.fastTrap(int(b.fallIdx), insts, TrapPCOutOfRange,
-							"pc index %d outside text [0,%d)", int(b.fallIdx), n)
-					}
-					m.pc = int(b.fallIdx)
-					st.Instructions = insts
-					m.Fusion.Bails++
-					return m.runFastBRM(ctx)
-				}
-
-			} else {
-				st.CondTaken++
-				m.B[isa.RABr] = ret
-				if b.taken == succHalt {
-					m.halted = true
-					m.status = R[1]
-					m.pc = int(b.termPC)
-					st.Instructions = insts
-					return m.status, nil
-				}
-				if b.distK > DistHistMax {
+			st.CondTaken += b2i(bv.viaCmp)
+			if pend != -1 {
+				dist := now - bv.calcTime
+				if dist > DistHistMax {
 					st.DistHist[DistHistMax]++
-				} else {
-					st.DistHist[b.distK]++
+				} else if dist >= 0 {
+					st.DistHist[dist]++
 				}
-				if b.distK >= MinPrefetchDist {
+				if dist >= MinPrefetchDist {
 					st.PrefetchHit++
 				} else {
 					st.PrefetchMiss++
 				}
-				bi = b.taken
-				if bi < 0 {
-					if bi == succTrap {
-						return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", int(b.tgt))
-					}
-					m.pc = int(b.tgt)
-					st.Instructions = insts
-					m.Fusion.Bails++
-					return m.runFastBRM(ctx)
+			}
+			next = succ(fp.pc2block, pend)
+		case ftBrmSJmp:
+			// Transfer through a breg the block itself loaded with a
+			// static target: stat class and prefetch distance were
+			// resolved at decode time.
+			if next != succHalt {
+				if b.statK == 1 {
+					st.Calls++
+				} else {
+					st.UncondJumps++
+				}
+				dist := int64(b.distK)
+				if dist > DistHistMax {
+					st.DistHist[DistHistMax]++
+				} else if dist >= 0 {
+					st.DistHist[dist]++
+				}
+				if dist >= MinPrefetchDist {
+					st.PrefetchHit++
+				} else {
+					st.PrefetchMiss++
+				}
+			}
+		case ftBrmSCond:
+			// Transfer through a compare whose source breg the block
+			// loaded statically: the breg read degenerates to a
+			// taken/untaken test.
+			st.CondBranches++
+			if m.B[b.tob.br].addr == seq {
+				next, untaken = b.fall, true
+				break
+			}
+			st.CondTaken++
+			if next != succHalt {
+				dist := int64(b.distK)
+				if dist > DistHistMax {
+					st.DistHist[DistHistMax]++
+				} else if dist >= 0 {
+					st.DistHist[dist]++
+				}
+				if dist >= MinPrefetchDist {
+					st.PrefetchHit++
+				} else {
+					st.PrefetchMiss++
 				}
 			}
 		case ftBrmCmpBr:
-			insts++
-			now := insts
-			var bv breg
-			{
-				u := &b.cob
-				taken := false
-				switch u.kind {
-				case uCmpBrImm:
-					taken = isa.Cond(u.cond).HoldsInt(R[u.rs1], u.imm)
-				case uCmpBrReg:
-					taken = isa.Cond(u.cond).HoldsInt(R[u.rs1], R[u.rs2])
-				default: // uFCmpBr
-					taken = isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2])
-				}
-				if taken {
-					src := m.B[u.bsrc]
-					bv = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-				} else {
-					bv = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-				}
-				if !b.lite {
-					// The companion op could observe (or a trap in it could
-					// expose) the intermediate b[7] value; for lite blocks
-					// the compare result is dead until the transfer and the
-					// store is elided.
-					m.B[isa.RABr] = bv
-				}
-			}
-			m.Fusion.Fused++
-			insts++
-			now = insts
-			{
-				u := &b.tob
-				tpc := int(b.termPC)
-				_ = tpc
-				switch u.kind {
-
-				case uNop:
-					st.Noops++
-				case uAddImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + u.imm
-					}
-				case uAddReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + R[u.rs2]
-					}
-				case uSubImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - u.imm
-					}
-				case uSubReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - R[u.rs2]
-					}
-				case uMulImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * u.imm
-					}
-				case uMulReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * R[u.rs2]
-					}
-				case uDivImm, uDivReg:
-					d := u.imm
-					if u.kind == uDivReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						return 0, m.fastTrap(tpc, insts, TrapArithmetic, "division by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] / d
-					}
-				case uRemImm, uRemReg:
-					d := u.imm
-					if u.kind == uRemReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						return 0, m.fastTrap(tpc, insts, TrapArithmetic, "modulo by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] % d
-					}
-				case uAndImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & u.imm
-					}
-				case uAndReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & R[u.rs2]
-					}
-				case uOrImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | u.imm
-					}
-				case uOrReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | R[u.rs2]
-					}
-				case uXorImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ u.imm
-					}
-				case uXorReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ R[u.rs2]
-					}
-				case uSllImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-					}
-				case uSllReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
-					}
-				case uSrlImm:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
-					}
-				case uSrlReg:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
-					}
-				case uSraImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
-					}
-				case uSraReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
-					}
-				case uConst:
-					if u.rd != 0 {
-						R[u.rd] = u.imm
-					}
-				case uSetImm, uSetReg:
-					b := u.imm
-					if u.kind == uSetReg {
-						b = R[u.rs2]
-					}
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-				case uFSet:
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-
-				case uLwImm, uLwReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				case uLbImm, uLbReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				case uSwImm, uSwReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				case uSbImm, uSbReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				case uLfImm, uLfReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				case uSfImm, uSfReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
-
-				case uFadd:
-					F[u.rd] = F[u.rs1] + F[u.rs2]
-				case uFsub:
-					F[u.rd] = F[u.rs1] - F[u.rs2]
-				case uFmul:
-					F[u.rd] = F[u.rs1] * F[u.rs2]
-				case uFdiv:
-					F[u.rd] = F[u.rs1] / F[u.rs2]
-				case uFneg:
-					F[u.rd] = -F[u.rs1]
-				case uFmov:
-					F[u.rd] = F[u.rs1]
-				case uCvtif:
-					F[u.rd] = float64(R[u.rs1])
-				case uCvtfi:
-					if u.rd != 0 {
-						R[u.rd] = int32(F[u.rs1])
-					}
-				case uTrapGetc:
-					if m.inPos >= len(m.input) {
-						R[1] = -1
-					} else {
-						R[1] = int32(m.input[m.inPos])
-						m.inPos++
-					}
-				case uTrapPutc:
-					m.out.WriteByte(byte(R[1]))
-				case uTrapPutf:
-					m.putFloat(F[1])
-				case uTrapBad:
-					return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
-
-				case uBrCalcAbs:
-					st.BrCalcs++
-					m.B[u.rd] = breg{addr: u.imm, calcTime: now, valid: true}
-				case uBrCalcReg:
-					st.BrCalcs++
-					m.B[u.rd] = breg{addr: R[u.rs1] + u.imm, calcTime: now, valid: true}
-				case uBrLd:
-					st.BrCalcs++
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					v := int32(binary.LittleEndian.Uint32(mem[a:]))
-					m.B[u.rd] = breg{addr: v, calcTime: now, valid: true}
-				case uCmpBrImm, uCmpBrReg:
-					b := u.imm
-					if u.kind == uCmpBrReg {
-						b = R[u.rs2]
-					}
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						src := m.B[u.bsrc]
-						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-					} else {
-						m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-					}
-				case uFCmpBr:
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						src := m.B[u.bsrc]
-						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-					} else {
-						m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-					}
-				case uMovBr:
-					st.BrMoves++
-					m.B[u.rd] = m.B[u.bsrc]
-				case uMovRB:
-					st.BrMoves++
-					if u.rd != 0 {
-						R[u.rd] = m.B[u.bsrc].addr
-					}
-				case uMovBR:
-					st.BrMoves++
-					m.B[u.rd] = breg{addr: R[u.rs1], calcTime: now, isRA: true, valid: true}
-
-				default: // uIllegal and any baseline-only op
-					return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "BRM cannot execute %v", isa.Op(u.imm))
-
-				}
-			}
-			// The transfer reads b[7] as the compare left it: the fused
-			// companion never writes a branch register (blockdecode).
+			// The transfer reads b[7] as the fused compare left it. A
+			// taken compare copied b[bsrc], which reads the same after
+			// the op: blockdecode never fuses a companion with an op that
+			// writes a branch register (writesBReg).
 			st.CondBranches++
-			ret := breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
-			if bv.addr == seq {
-				m.B[isa.RABr] = ret
-
-				bi = b.fall
-				if bi < 0 {
-					if bi == succTrap {
-						return 0, m.fastTrap(int(b.fallIdx), insts, TrapPCOutOfRange,
-							"pc index %d outside text [0,%d)", int(b.fallIdx), n)
-					}
-					m.pc = int(b.fallIdx)
-					st.Instructions = insts
-					m.Fusion.Bails++
-					return m.runFastBRM(ctx)
-				}
-
-			} else {
-				idx := addrToIndex(bv.addr)
-
-				st.CondTaken += b2i(bv.viaCmp)
-				if idx != -1 {
-					dist := now - bv.calcTime
-					if dist > DistHistMax {
-						st.DistHist[DistHistMax]++
-					} else if dist >= 0 {
-						st.DistHist[dist]++
-					}
-					if dist >= MinPrefetchDist {
-						st.PrefetchHit++
-					} else {
-						st.PrefetchMiss++
-					}
-				}
-				m.B[isa.RABr] = ret
-				switch {
-				case idx == -1:
-					m.halted = true
-					m.status = R[1]
-					m.pc = int(b.termPC)
-					st.Instructions = insts
-					return m.status, nil
-				case idx < 0 || idx >= n:
-					return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", idx)
-				default:
-					bi = fp.pc2block[idx]
-					if bi < 0 {
-						m.pc = idx
-						st.Instructions = insts
-						m.Fusion.Bails++
-						return m.runFastBRM(ctx)
-					}
-				}
-
+			if !cmpTaken {
+				next, untaken = b.fall, true
+				break
 			}
+			src := m.B[b.cob.bsrc]
+			if src.addr == seq {
+				next, untaken = b.fall, true
+				break
+			}
+			st.CondTaken++
+			pend = addrToIndex(src.addr)
+			if pend != -1 {
+				dist := now - src.calcTime
+				if dist > DistHistMax {
+					st.DistHist[DistHistMax]++
+				} else if dist >= 0 {
+					st.DistHist[dist]++
+				}
+				if dist >= MinPrefetchDist {
+					st.PrefetchHit++
+				} else {
+					st.PrefetchMiss++
+				}
+			}
+			next = succ(fp.pc2block, pend)
 		default: // ftBrmCalcBr
-			insts++
-			now := insts
-			st.BrCalcs++
-			m.B[b.cob.rd] = breg{addr: b.cob.imm, calcTime: now, valid: true}
-			m.Fusion.Fused++
-			insts++
-			now = insts
-			{
-				u := &b.tob
-				tpc := int(b.termPC)
-				_ = tpc
-				switch u.kind {
-
-				case uNop:
-					st.Noops++
-				case uAddImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + u.imm
-					}
-				case uAddReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] + R[u.rs2]
-					}
-				case uSubImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - u.imm
-					}
-				case uSubReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] - R[u.rs2]
-					}
-				case uMulImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * u.imm
-					}
-				case uMulReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] * R[u.rs2]
-					}
-				case uDivImm, uDivReg:
-					d := u.imm
-					if u.kind == uDivReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						return 0, m.fastTrap(tpc, insts, TrapArithmetic, "division by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] / d
-					}
-				case uRemImm, uRemReg:
-					d := u.imm
-					if u.kind == uRemReg {
-						d = R[u.rs2]
-					}
-					if d == 0 {
-						return 0, m.fastTrap(tpc, insts, TrapArithmetic, "modulo by zero")
-					}
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] % d
-					}
-				case uAndImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & u.imm
-					}
-				case uAndReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] & R[u.rs2]
-					}
-				case uOrImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | u.imm
-					}
-				case uOrReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] | R[u.rs2]
-					}
-				case uXorImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ u.imm
-					}
-				case uXorReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] ^ R[u.rs2]
-					}
-				case uSllImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(u.imm) & 31)
-					}
-				case uSllReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] << (uint32(R[u.rs2]) & 31)
-					}
-				case uSrlImm:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(u.imm) & 31))
-					}
-				case uSrlReg:
-					if u.rd != 0 {
-						R[u.rd] = int32(uint32(R[u.rs1]) >> (uint32(R[u.rs2]) & 31))
-					}
-				case uSraImm:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(u.imm) & 31)
-					}
-				case uSraReg:
-					if u.rd != 0 {
-						R[u.rd] = R[u.rs1] >> (uint32(R[u.rs2]) & 31)
-					}
-				case uConst:
-					if u.rd != 0 {
-						R[u.rd] = u.imm
-					}
-				case uSetImm, uSetReg:
-					b := u.imm
-					if u.kind == uSetReg {
-						b = R[u.rs2]
-					}
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-				case uFSet:
-					v := int32(0)
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						v = 1
-					}
-					if u.rd != 0 {
-						R[u.rd] = v
-					}
-
-				case uLwImm, uLwReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(binary.LittleEndian.Uint32(mem[a:]))
-					}
-				case uLbImm, uLbReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "byte load out of range: %#x", uint32(a))
-					}
-					if u.rd != 0 {
-						R[u.rd] = int32(int8(mem[a]))
-					}
-				case uSwImm, uSwReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSwReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "store out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word store: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint32(mem[a:], uint32(R[u.rd]))
-				case uSbImm, uSbReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSbReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a) >= len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "byte store out of range: %#x", uint32(a))
-					}
-					mem[a] = byte(R[u.rd])
-				case uLfImm, uLfReg:
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if u.kind == uLfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "float load out of range: %#x", uint32(a))
-					}
-					F[u.rd] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
-				case uSfImm, uSfReg:
-					st.Stores++
-					a := R[u.rs1] + u.imm
-					if u.kind == uSfReg {
-						a = R[u.rs1] + R[u.rs2]
-					}
-					if a < 0 || int(a)+8 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBStore, "float store out of range: %#x", uint32(a))
-					}
-					binary.LittleEndian.PutUint64(mem[a:], isa.FloatBits(F[u.rd]))
-
-				case uFadd:
-					F[u.rd] = F[u.rs1] + F[u.rs2]
-				case uFsub:
-					F[u.rd] = F[u.rs1] - F[u.rs2]
-				case uFmul:
-					F[u.rd] = F[u.rs1] * F[u.rs2]
-				case uFdiv:
-					F[u.rd] = F[u.rs1] / F[u.rs2]
-				case uFneg:
-					F[u.rd] = -F[u.rs1]
-				case uFmov:
-					F[u.rd] = F[u.rs1]
-				case uCvtif:
-					F[u.rd] = float64(R[u.rs1])
-				case uCvtfi:
-					if u.rd != 0 {
-						R[u.rd] = int32(F[u.rs1])
-					}
-				case uTrapGetc:
-					if m.inPos >= len(m.input) {
-						R[1] = -1
-					} else {
-						R[1] = int32(m.input[m.inPos])
-						m.inPos++
-					}
-				case uTrapPutc:
-					m.out.WriteByte(byte(R[1]))
-				case uTrapPutf:
-					m.putFloat(F[1])
-				case uTrapBad:
-					return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "unknown trap %d", u.imm)
-
-				case uBrCalcAbs:
-					st.BrCalcs++
-					m.B[u.rd] = breg{addr: u.imm, calcTime: now, valid: true}
-				case uBrCalcReg:
-					st.BrCalcs++
-					m.B[u.rd] = breg{addr: R[u.rs1] + u.imm, calcTime: now, valid: true}
-				case uBrLd:
-					st.BrCalcs++
-					st.Loads++
-					a := R[u.rs1] + u.imm
-					if a < 0 || int(a)+4 > len(mem) {
-						return 0, m.fastTrap(tpc, insts, TrapOOBLoad, "load out of range: %#x", uint32(a))
-					}
-					if a%isa.WordSize != 0 {
-						return 0, m.fastTrap(tpc, insts, TrapMisaligned, "misaligned word load: %#x", uint32(a))
-					}
-					v := int32(binary.LittleEndian.Uint32(mem[a:]))
-					m.B[u.rd] = breg{addr: v, calcTime: now, valid: true}
-				case uCmpBrImm, uCmpBrReg:
-					b := u.imm
-					if u.kind == uCmpBrReg {
-						b = R[u.rs2]
-					}
-					if isa.Cond(u.cond).HoldsInt(R[u.rs1], b) {
-						src := m.B[u.bsrc]
-						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-					} else {
-						m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-					}
-				case uFCmpBr:
-					if isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2]) {
-						src := m.B[u.bsrc]
-						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-					} else {
-						m.B[isa.RABr] = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-					}
-				case uMovBr:
-					st.BrMoves++
-					m.B[u.rd] = m.B[u.bsrc]
-				case uMovRB:
-					st.BrMoves++
-					if u.rd != 0 {
-						R[u.rd] = m.B[u.bsrc].addr
-					}
-				case uMovBR:
-					st.BrMoves++
-					m.B[u.rd] = breg{addr: R[u.rs1], calcTime: now, isRA: true, valid: true}
-
-				default: // uIllegal and any baseline-only op
-					return 0, m.fastTrap(tpc, insts, TrapIllegalInstr, "BRM cannot execute %v", isa.Op(u.imm))
-
-				}
-			}
 			switch b.statK {
 			case 1:
 				st.Calls++
@@ -5299,23 +2915,34 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				st.DistHist[1]++
 				st.PrefetchMiss++
 			}
-			m.B[isa.RABr] = breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
-			switch {
-			case b.taken == succHalt:
+		}
+		m.B[isa.RABr] = breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
+		bi = next
+		if bi < 0 {
+			if untaken {
+				if bi == succTrap {
+					return 0, m.fastTrap(int(b.fallIdx), insts, TrapPCOutOfRange,
+						"pc index %d outside text [0,%d)", int(b.fallIdx), n)
+				}
+				m.pc = int(b.fallIdx)
+				st.Instructions = insts
+				m.Fusion.Bails++
+				return m.runFastBRM(ctx)
+			}
+			switch bi {
+			case succHalt:
 				m.halted = true
 				m.status = R[1]
 				m.pc = int(b.termPC)
 				st.Instructions = insts
 				return m.status, nil
-			case b.taken == succTrap:
-				return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", int(b.tgt))
-			case b.taken == succInner:
-				m.pc = int(b.tgt)
+			case succTrap:
+				return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", pend)
+			default: // succInner
+				m.pc = pend
 				st.Instructions = insts
 				m.Fusion.Bails++
 				return m.runFastBRM(ctx)
-			default:
-				bi = b.taken
 			}
 		}
 	}

@@ -4,7 +4,10 @@
 // must stay byte-identical to it — micro-op case bodies, trap messages
 // and ordering, Stats arithmetic — lives in the shared template defines
 // below, so a fix lands in every fused switch site at once instead of
-// being hand-copied across them.
+// being hand-copied across them. Each machine's loop expands the
+// micro-op switch at two sites: the block body, with the superinstruction
+// cases, and the one terminator-op site every terminator kind shares (the
+// baseline's delay slot, the BRM's transfer-annotated op).
 //
 // Usage:
 //
@@ -57,6 +60,14 @@ var funcs = template.FuncMap{
 			s += ", " + a
 		}
 		return s + ")"
+	},
+	// fastLoop names the per-instruction loop a fused run of the
+	// context's machine delegates to.
+	"fastLoop": func(c caseCtx) string {
+		if c.Brm {
+			return "m.runFastBRM(ctx)"
+		}
+		return "m.runFastBaseline(ctx)"
 	},
 	// fusedCases expands the superinstruction selection (pairSel,
 	// tripleSel) into switch cases for one machine's fused block body.
@@ -189,10 +200,10 @@ F[%s] = isa.FloatFromBits(binary.LittleEndian.Uint64(mem[a:]))
 		return fmt.Sprintf("F[%s] = F[%s] + F[%s]", s.rd, s.rs1, s.rs2)
 	}},
 	"cmpi": {label: "Cmpi", kind: "uCmpImm", base: true, code: func(s slotRefs) string {
-		return fmt.Sprintf("m.CC = signOf(R[%s], %s)\nm.ccF = false", s.rs1, s.imm)
+		return fmt.Sprintf("m.CC = signOf(R[%s], %s)", s.rs1, s.imm)
 	}},
 	"cmp": {label: "Cmp", kind: "uCmpReg", base: true, code: func(s slotRefs) string {
-		return fmt.Sprintf("m.CC = signOf(R[%s], R[%s])\nm.ccF = false", s.rs1, s.rs2)
+		return fmt.Sprintf("m.CC = signOf(R[%s], R[%s])", s.rs1, s.rs2)
 	}},
 	"cmpbri": {label: "Cmpbri", kind: "uCmpBrImm", brm: true, now: true, cond: true, code: func(s slotRefs) string {
 		return fmt.Sprintf(`if isa.Cond(u.cond).HoldsInt(R[%s], %s) {
@@ -468,6 +479,14 @@ package emu
 // per-instruction fast loop, which reproduces the instrumented engine's
 // accounting to the byte. See blockdecode.go for the block construction
 // rules and DESIGN §10 for the design.
+//
+// A block's terminator executes its op at one site per machine. On the
+// baseline a switch on the terminator kind arms the transfer (its
+// counts, the target the delay slot sees as m.pending, and the
+// successor); then the one delay-slot switch and the one successor step
+// run. On the BRM a fused companion (cmpbr or brcalc) retires first, then
+// the one transfer-op switch, then a switch on the terminator kind
+// applies the transfer before the same successor step.
 
 import (
 	"context"
@@ -726,7 +745,6 @@ case uCmpImm, uCmpReg:
 		b = R[u.rs2]
 	}
 	m.CC = signOf(R[u.rs1], b)
-	m.ccF = false
 case uFcmp:
 	a, b := F[u.rs1], F[u.rs2]
 	switch {
@@ -737,7 +755,6 @@ case uFcmp:
 	default:
 		m.CC = 0
 	}
-	m.ccF = true
 {{end}}
 {{if .Brm}}
 case uBrCalcAbs:
@@ -796,126 +813,88 @@ default: {{if .Brm}}// uIllegal and any baseline-only op
 {{end}}
 
 {{/* ---------------------------------------------------------------- */}}
-{{/* baselineDelay: execute the delay-slot micro-op of a baseline      */}}
-{{/* transfer. pend (the armed target index or -2) is live so a trap   */}}
-{{/* in the slot reports exactly the fast loop's machine state.        */}}
+{{/* fallThrough: advance to the fall-through successor block.         */}}
 {{/* ---------------------------------------------------------------- */}}
-{{define "baselineDelay"}}
+{{define "fallThrough" -}}
+	bi = b.fall
+	if bi < 0 {
+		{{template "fallOut" .}}
+	}
+{{- end}}
+
+{{/* ---------------------------------------------------------------- */}}
+{{/* fallOut: leave the fused form for a fall-through successor that    */}}
+{{/* is not a block (bi is b.fall's succTrap or succInner sentinel).    */}}
+{{/* ---------------------------------------------------------------- */}}
+{{define "fallOut" -}}
+	if bi == succTrap {
+		return 0, m.fastTrap(int(b.fallIdx), insts, TrapPCOutOfRange,
+			"pc index %d outside text [0,%d)", int(b.fallIdx), n)
+	}
+	m.pc = int(b.fallIdx)
+	st.Instructions = insts
+	m.Fusion.Bails++
+	return {{fastLoop .}}
+{{- end}}
+
+{{/* ---------------------------------------------------------------- */}}
+{{/* exit: the trap exit terminator (its op retires here, then halt).   */}}
+{{/* ---------------------------------------------------------------- */}}
+{{define "exit" -}}
 	insts++
-	{
-		u := &b.dob
-		dpc := int(b.dpc)
-		switch u.kind {
-		{{template "dataCases" cases "pend" "dpc" false false}}
+	m.halted = true
+	m.status = R[1]
+	m.pc = int(b.termPC)
+	st.Instructions = insts
+	return m.status, nil
+{{- end}}
+
+{{/* ---------------------------------------------------------------- */}}
+{{/* successor: the one successor step after a transfer. Expects next  */}}
+{{/* (a block index or a succ* sentinel), untaken (next is b.fall) and  */}}
+{{/* pend (the target Text index, for diagnostics and delegation).     */}}
+{{/* .PC is the transfer's Text index, where a halt or trap lands.     */}}
+{{/* ---------------------------------------------------------------- */}}
+{{define "successor" -}}
+	bi = next
+	if bi < 0 {
+		if untaken {
+			{{template "fallOut" .}}
 		}
-	}
-{{end}}
-
-{{/* ---------------------------------------------------------------- */}}
-{{/* applyStatic: apply a pre-resolved baseline transfer (jump, cond   */}}
-{{/* taken, call). pend holds the armed Text index for diagnostics.    */}}
-{{/* ---------------------------------------------------------------- */}}
-{{define "applyStatic"}}
-	switch {
-	case b.taken == succHalt:
-		m.halted = true
-		m.status = R[1]
-		m.pc = int(b.dpc)
-		st.Instructions = insts
-		return m.status, nil
-	case b.taken == succTrap:
-		return 0, m.fastTrap(int(b.dpc), insts, TrapPCOutOfRange, "jump out of text: index %d", pend)
-	case b.taken == succInner:
-		m.pc = pend
-		st.Instructions = insts
-		m.Fusion.Bails++
-		return m.runFastBaseline(ctx)
-	default:
-		bi = b.taken
-	}
-{{end}}
-
-{{/* ---------------------------------------------------------------- */}}
-{{/* applyDynamic: apply a computed baseline transfer (jalr, jr).      */}}
-{{/* ---------------------------------------------------------------- */}}
-{{define "applyDynamic"}}
-	switch {
-	case pend == -1:
-		m.halted = true
-		m.status = R[1]
-		m.pc = int(b.dpc)
-		st.Instructions = insts
-		return m.status, nil
-	case pend < 0 || pend >= n:
-		return 0, m.fastTrap(int(b.dpc), insts, TrapPCOutOfRange, "jump out of text: index %d", pend)
-	default:
-		bi = fp.pc2block[pend]
-		if bi < 0 {
+		switch bi {
+		case succHalt:
+			m.halted = true
+			m.status = R[1]
+			m.pc = {{.PC}}
+			st.Instructions = insts
+			return m.status, nil
+		case succTrap:
+			return 0, m.fastTrap({{.PC}}, insts, TrapPCOutOfRange, "jump out of text: index %d", pend)
+		default: // succInner
 			m.pc = pend
 			st.Instructions = insts
 			m.Fusion.Bails++
-			return m.runFastBaseline(ctx)
+			return {{fastLoop .}}
 		}
 	}
-{{end}}
+{{- end}}
 
 {{/* ---------------------------------------------------------------- */}}
-{{/* fallThrough: advance to the fall-through successor block.         */}}
+{{/* prefetch: record a taken BRM transfer's prefetch distance (the    */}}
+{{/* int64 local dist) in DistHist and the prefetch hit/miss counts.   */}}
 {{/* ---------------------------------------------------------------- */}}
-{{define "fallThrough"}}
-	bi = b.fall
-	if bi < 0 {
-		if bi == succTrap {
-			return 0, m.fastTrap(int(b.fallIdx), insts, TrapPCOutOfRange,
-				"pc index %d outside text [0,%d)", int(b.fallIdx), n)
-		}
-		m.pc = int(b.fallIdx)
-		st.Instructions = insts
-		m.Fusion.Bails++
-		return {{if .Brm}}m.runFastBRM(ctx){{else}}m.runFastBaseline(ctx){{end}}
+{{define "prefetch" -}}
+	if dist > DistHistMax {
+		st.DistHist[DistHistMax]++
+	} else if dist >= 0 {
+		st.DistHist[dist]++
 	}
-{{end}}
-
-{{/* ---------------------------------------------------------------- */}}
-{{/* brmApplyTaken: the taken tail of a BRM transfer through breg bv.  */}}
-{{/* Expects: bv (breg), now, b, idx (= addrToIndex(bv.addr)); Stats   */}}
-{{/* classification already done.                                      */}}
-{{/* ---------------------------------------------------------------- */}}
-{{define "brmApplyTaken"}}
-	st.CondTaken += b2i(bv.viaCmp)
-	if idx != -1 {
-		dist := now - bv.calcTime
-		if dist > DistHistMax {
-			st.DistHist[DistHistMax]++
-		} else if dist >= 0 {
-			st.DistHist[dist]++
-		}
-		if dist >= MinPrefetchDist {
-			st.PrefetchHit++
-		} else {
-			st.PrefetchMiss++
-		}
+	if dist >= MinPrefetchDist {
+		st.PrefetchHit++
+	} else {
+		st.PrefetchMiss++
 	}
-	m.B[isa.RABr] = ret
-	switch {
-	case idx == -1:
-		m.halted = true
-		m.status = R[1]
-		m.pc = int(b.termPC)
-		st.Instructions = insts
-		return m.status, nil
-	case idx < 0 || idx >= n:
-		return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", idx)
-	default:
-		bi = fp.pc2block[idx]
-		if bi < 0 {
-			m.pc = idx
-			st.Instructions = insts
-			m.Fusion.Bails++
-			return m.runFastBRM(ctx)
-		}
-	}
-{{end}}
+{{- end}}
 
 {{/* ================================================================ */}}
 {{/* fusedBaseline: the block-fused baseline engine.                   */}}
@@ -978,33 +957,53 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 			}
 		}
 
-		switch b.term {
-		case ftFall:
+		if b.term <= ftExit {
+			if b.term == ftExit {
+				{{template "exit" .}}
+			}
 			{{template "fallThrough" cases "" "" false false}}
-		case ftExit:
-			insts++
-			m.halted = true
-			m.status = R[1]
-			m.pc = int(b.termPC)
-			st.Instructions = insts
-			return m.status, nil
+			continue
+		}
+
+		// A delayed transfer. Arm it: its counts, the target index the
+		// delay slot sees as m.pending, and the successor (a block index
+		// or a succ* sentinel; jr and jalr resolve theirs here, before the
+		// slot, which is exact because pc2block and the text are static).
+		insts++
+		pend := int(b.tgt)
+		next := b.taken
+		untaken := false
+		switch b.term {
 		case ftJump:
-			insts++
 			st.UncondJumps++
-			pend := int(b.tgt)
-			{{template "baselineDelay" .}}
-			{{template "applyStatic" .}}
-		case ftBCond, ftCmpBCond:
+		case ftCall:
+			st.Calls++
+			R[isa.RABase] = b.tob.imm
+		case ftJalr:
+			st.Calls++
+			target := R[b.tob.rs1]
+			R[isa.RABase] = b.tob.imm
+			pend = addrToIndex(target)
+			next = succ(fp.pc2block, pend)
+		case ftJr:
+			pend = addrToIndex(R[b.tob.rs1])
+			if pend != -1 {
+				if b.tob.kind == uJrRet {
+					st.Returns++
+				} else {
+					st.UncondJumps++
+				}
+			}
+			next = succ(fp.pc2block, pend)
+		default: // ftBCond, ftCmpBCond
 			if b.term == ftCmpBCond {
 				insts++
 				u := &b.cob
 				switch u.kind {
 				case uCmpImm:
 					m.CC = signOf(R[u.rs1], u.imm)
-					m.ccF = false
 				case uCmpReg:
 					m.CC = signOf(R[u.rs1], R[u.rs2])
-					m.ccF = false
 				default: // uFcmp
 					a, c := F[u.rs1], F[u.rs2]
 					switch {
@@ -1015,51 +1014,29 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 					default:
 						m.CC = 0
 					}
-					m.ccF = true
 				}
 				m.Fusion.Fused++
 			}
-			insts++
 			st.CondBranches++
-			pend := -2
 			if isa.Cond(b.tob.cond).HoldsInt(m.CC, 0) {
 				st.CondTaken++
-				pend = int(b.tgt)
-			}
-			{{template "baselineDelay" .}}
-			if pend == -2 {
-				{{template "fallThrough" cases "" "" false false}}
 			} else {
-				{{template "applyStatic" .}}
+				pend, next, untaken = -2, b.fall, true
 			}
-		case ftCall:
-			insts++
-			st.Calls++
-			R[isa.RABase] = b.tob.imm
-			pend := int(b.tgt)
-			{{template "baselineDelay" .}}
-			{{template "applyStatic" .}}
-		case ftJalr:
-			insts++
-			st.Calls++
-			target := R[b.tob.rs1]
-			R[isa.RABase] = b.tob.imm
-			pend := addrToIndex(target)
-			{{template "baselineDelay" .}}
-			{{template "applyDynamic" .}}
-		default: // ftJr
-			insts++
-			pend := addrToIndex(R[b.tob.rs1])
-			if pend != -1 {
-				if b.tob.kind == uJrRet {
-					st.Returns++
-				} else {
-					st.UncondJumps++
-				}
-				}
-			{{template "baselineDelay" .}}
-			{{template "applyDynamic" .}}
 		}
+
+		// The delay slot, with the transfer armed. An unfilled slot (a
+		// nop) is the common case and skips the dispatch.
+		insts++
+		if u := &b.dob; u.kind == uNop {
+			st.Noops++
+		} else {
+			dpc := int(b.dpc)
+			switch u.kind {
+			{{template "dataCases" cases "pend" "dpc" false false}}
+			}
+		}
+		{{template "successor" cases "" "int(b.dpc)" false false}}
 	}
 }
 {{end}}
@@ -1122,222 +1099,153 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 			}
 		}
 
-		switch b.term {
-		case ftFall:
-			{{template "fallThrough" cases "" "" true false}}
-		case ftExit:
-			insts++
-			m.halted = true
-			m.status = R[1]
-			m.pc = int(b.termPC)
-			st.Instructions = insts
-			return m.status, nil
-		case ftBrm:
-			insts++
-			now := insts
-			{
-				u := &b.tob
-				tpc := int(b.termPC)
-				_ = tpc
-				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true false}}
-				}
+		if b.term <= ftExit {
+			if b.term == ftExit {
+				{{template "exit" .}}
 			}
+			{{template "fallThrough" cases "" "" true false}}
+			continue
+		}
+
+		// A fused companion retires first: a compare that assigns b[7]
+		// for the transfer through it (cmpbr/fcmpbr), or a static brcalc
+		// of the transfer's own breg.
+		cmpTaken := false
+		if b.term >= ftBrmCmpBr {
+			insts++
+			u := &b.cob
+			if b.term == ftBrmCmpBr {
+				switch u.kind {
+				case uCmpBrImm:
+					cmpTaken = isa.Cond(u.cond).HoldsInt(R[u.rs1], u.imm)
+				case uCmpBrReg:
+					cmpTaken = isa.Cond(u.cond).HoldsInt(R[u.rs1], R[u.rs2])
+				default: // uFCmpBr
+					cmpTaken = isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2])
+				}
+				if !b.lite {
+					// The transfer op could observe (or a trap in it could
+					// expose) the intermediate b[7]; for lite blocks the
+					// compare result is dead until the transfer and the
+					// store is elided.
+					if cmpTaken {
+						src := m.B[u.bsrc]
+						m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
+					} else {
+						m.B[isa.RABr] = breg{addr: seq, calcTime: insts, viaCmp: true, valid: true}
+					}
+				}
+			} else {
+				st.BrCalcs++
+				m.B[u.rd] = breg{addr: u.imm, calcTime: insts, valid: true}
+			}
+			m.Fusion.Fused++
+		}
+
+		// The transfer-annotated op. A nop (no instruction could be moved
+		// into the transfer) is the common case and skips the dispatch.
+		insts++
+		now := insts
+		if u := &b.tob; u.kind == uNop {
+			st.Noops++
+		} else {
+			tpc := int(b.termPC)
+			_ = tpc
+			switch u.kind {
+			{{template "dataCases" cases "" "tpc" true false}}
+			}
+		}
+
+		// Apply the transfer: its counts and the successor. The return
+		// side effect lands in b[7] after the breg is read.
+		pend := int(b.tgt)
+		next := b.taken
+		untaken := false
+		switch b.term {
+		case ftBrm:
 			bv := m.B[b.tob.br]
 			if !bv.valid {
 				return 0, m.fastTrap(int(b.termPC), insts, TrapUninitBranchReg,
 					"transfer through uninitialized b[%d]", b.tob.br)
 			}
-			ret := breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
 			if bv.addr == seq {
 				// Untaken conditional (or a movbr that copied the
 				// sentinel): fall through.
 				if bv.viaCmp {
 					st.CondBranches++
 				}
-				m.B[isa.RABr] = ret
-				{{template "fallThrough" cases "" "" true false}}
-			} else {
-				idx := addrToIndex(bv.addr)
-				switch {
-				case bv.viaCmp:
-					st.CondBranches++
-				case idx == -1:
-					// exit to the halt address: not a workload transfer
-				case m.isFuncEntry(idx):
-					st.Calls++
-				case bv.isRA:
-					st.Returns++
-				default:
-					st.UncondJumps++
-				}
-				{{template "brmApplyTaken" .}}
+				next, untaken = b.fall, true
+				break
 			}
-		case ftBrmSJmp:
-			// Transfer through a breg the block itself loaded with a
-			// static target: no breg read, classification or PC→index
-			// lookup at runtime — target block, stat class and prefetch
-			// distance were all resolved at decode time.
-			insts++
-			now := insts
-			{
-				u := &b.tob
-				tpc := int(b.termPC)
-				_ = tpc
-				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true false}}
-				}
-			}
-			m.B[isa.RABr] = breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
-			if b.taken == succHalt {
-				m.halted = true
-				m.status = R[1]
-				m.pc = int(b.termPC)
-				st.Instructions = insts
-				return m.status, nil
-			}
-			if b.statK == 1 {
+			pend = addrToIndex(bv.addr)
+			switch {
+			case bv.viaCmp:
+				st.CondBranches++
+			case pend == -1:
+				// exit to the halt address: not a workload transfer
+			case m.isFuncEntry(pend):
 				st.Calls++
-			} else {
+			case bv.isRA:
+				st.Returns++
+			default:
 				st.UncondJumps++
 			}
-			if b.distK > DistHistMax {
-				st.DistHist[DistHistMax]++
-			} else {
-				st.DistHist[b.distK]++
+			st.CondTaken += b2i(bv.viaCmp)
+			if pend != -1 {
+				dist := now - bv.calcTime
+				{{template "prefetch"}}
 			}
-			if b.distK >= MinPrefetchDist {
-				st.PrefetchHit++
-			} else {
-				st.PrefetchMiss++
-			}
-			bi = b.taken
-			if bi < 0 {
-				if bi == succTrap {
-					return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", int(b.tgt))
+			next = succ(fp.pc2block, pend)
+		case ftBrmSJmp:
+			// Transfer through a breg the block itself loaded with a
+			// static target: stat class and prefetch distance were
+			// resolved at decode time.
+			if next != succHalt {
+				if b.statK == 1 {
+					st.Calls++
+				} else {
+					st.UncondJumps++
 				}
-				m.pc = int(b.tgt)
-				st.Instructions = insts
-				m.Fusion.Bails++
-				return m.runFastBRM(ctx)
+				dist := int64(b.distK)
+				{{template "prefetch"}}
 			}
-			case ftBrmSCond:
+		case ftBrmSCond:
 			// Transfer through a compare whose source breg the block
 			// loaded statically: the breg read degenerates to a
-			// taken/untaken test and both arms are fully resolved.
-			insts++
-			now := insts
-			{
-				u := &b.tob
-				tpc := int(b.termPC)
-				_ = tpc
-				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true false}}
-				}
-			}
+			// taken/untaken test.
 			st.CondBranches++
-			ret := breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
 			if m.B[b.tob.br].addr == seq {
-				m.B[isa.RABr] = ret
-				{{template "fallThrough" cases "" "" true false}}
-			} else {
-				st.CondTaken++
-				m.B[isa.RABr] = ret
-				if b.taken == succHalt {
-					m.halted = true
-					m.status = R[1]
-					m.pc = int(b.termPC)
-					st.Instructions = insts
-					return m.status, nil
-				}
-				if b.distK > DistHistMax {
-					st.DistHist[DistHistMax]++
-				} else {
-					st.DistHist[b.distK]++
-				}
-				if b.distK >= MinPrefetchDist {
-					st.PrefetchHit++
-				} else {
-					st.PrefetchMiss++
-				}
-				bi = b.taken
-				if bi < 0 {
-					if bi == succTrap {
-						return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", int(b.tgt))
-					}
-					m.pc = int(b.tgt)
-					st.Instructions = insts
-					m.Fusion.Bails++
-					return m.runFastBRM(ctx)
-				}
-				}
+				next, untaken = b.fall, true
+				break
+			}
+			st.CondTaken++
+			if next != succHalt {
+				dist := int64(b.distK)
+				{{template "prefetch"}}
+			}
 		case ftBrmCmpBr:
-			insts++
-			now := insts
-			var bv breg
-			{
-				u := &b.cob
-				taken := false
-				switch u.kind {
-				case uCmpBrImm:
-					taken = isa.Cond(u.cond).HoldsInt(R[u.rs1], u.imm)
-				case uCmpBrReg:
-					taken = isa.Cond(u.cond).HoldsInt(R[u.rs1], R[u.rs2])
-				default: // uFCmpBr
-					taken = isa.Cond(u.cond).HoldsFloat(F[u.rs1], F[u.rs2])
-				}
-				if taken {
-					src := m.B[u.bsrc]
-					bv = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
-				} else {
-					bv = breg{addr: seq, calcTime: now, viaCmp: true, valid: true}
-				}
-				if !b.lite {
-					// The companion op could observe (or a trap in it could
-					// expose) the intermediate b[7] value; for lite blocks
-					// the compare result is dead until the transfer and the
-					// store is elided.
-					m.B[isa.RABr] = bv
-				}
-			}
-			m.Fusion.Fused++
-			insts++
-			now = insts
-			{
-				u := &b.tob
-				tpc := int(b.termPC)
-				_ = tpc
-				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true false}}
-				}
-			}
-			// The transfer reads b[7] as the compare left it: the fused
-			// companion never writes a branch register (blockdecode).
+			// The transfer reads b[7] as the fused compare left it. A
+			// taken compare copied b[bsrc], which reads the same after
+			// the op: blockdecode never fuses a companion with an op that
+			// writes a branch register (writesBReg).
 			st.CondBranches++
-			ret := breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
-			if bv.addr == seq {
-				m.B[isa.RABr] = ret
-				{{template "fallThrough" cases "" "" true false}}
-			} else {
-				idx := addrToIndex(bv.addr)
-				{{template "brmApplyTaken" .}}
+			if !cmpTaken {
+				next, untaken = b.fall, true
+				break
 			}
+			src := m.B[b.cob.bsrc]
+			if src.addr == seq {
+				next, untaken = b.fall, true
+				break
+			}
+			st.CondTaken++
+			pend = addrToIndex(src.addr)
+			if pend != -1 {
+				dist := now - src.calcTime
+				{{template "prefetch"}}
+			}
+			next = succ(fp.pc2block, pend)
 		default: // ftBrmCalcBr
-			insts++
-			now := insts
-			st.BrCalcs++
-			m.B[b.cob.rd] = breg{addr: b.cob.imm, calcTime: now, valid: true}
-			m.Fusion.Fused++
-			insts++
-			now = insts
-			{
-				u := &b.tob
-				tpc := int(b.termPC)
-				_ = tpc
-				switch u.kind {
-				{{template "dataCases" cases "" "tpc" true false}}
-				}
-			}
 			switch b.statK {
 			case 1:
 				st.Calls++
@@ -1349,26 +1257,10 @@ func runFusedBRM(m *Machine, ctx context.Context) (int32, error) {
 				// instruction: the prefetch distance is always 1.
 				st.DistHist[1]++
 				st.PrefetchMiss++
-				}
-			m.B[isa.RABr] = breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
-			switch {
-			case b.taken == succHalt:
-				m.halted = true
-				m.status = R[1]
-				m.pc = int(b.termPC)
-				st.Instructions = insts
-				return m.status, nil
-			case b.taken == succTrap:
-				return 0, m.fastTrap(int(b.termPC), insts, TrapPCOutOfRange, "jump out of text: index %d", int(b.tgt))
-			case b.taken == succInner:
-				m.pc = int(b.tgt)
-				st.Instructions = insts
-				m.Fusion.Bails++
-				return m.runFastBRM(ctx)
-			default:
-				bi = b.taken
 			}
 		}
+		m.B[isa.RABr] = breg{addr: b.retAddr, calcTime: now, isRA: true, valid: true}
+		{{template "successor" cases "" "int(b.termPC)" true false}}
 	}
 }
 {{end}}

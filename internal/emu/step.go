@@ -22,7 +22,6 @@ func (m *Machine) stepBaseline(in *isa.Instr, addr int32) error {
 	case isa.OpCmp:
 		a, b := m.R[in.Rs1], m.rhs(in)
 		m.CC = signOf(a, b)
-		m.ccF = false
 		return advance()
 	case isa.OpFcmp:
 		a, b := m.F[in.Rs1], m.F[in.Rs2]
@@ -34,7 +33,6 @@ func (m *Machine) stepBaseline(in *isa.Instr, addr int32) error {
 		default:
 			m.CC = 0
 		}
-		m.ccF = true
 		return advance()
 	case isa.OpB:
 		if in.Cond == isa.CondAlways {

@@ -298,25 +298,3 @@ func (l *Lexer) lexString(line, col int) (Token, error) {
 	}
 	return Token{Kind: TokString, Str: b.String(), Line: int32(line), Col: int32(col)}, nil
 }
-
-// Tokenize lexes the whole input.
-func Tokenize(src string) ([]Token, error) {
-	l := NewLexer(src)
-	// MC source runs 2.1 to 2.6 bytes per token in generated programs
-	// and 2.6 to 3.7 in the suite, so room for one token per two bytes
-	// holds the tokens of almost every program in one allocation; a
-	// denser source grows the slice as usual. The guess stops at 16K
-	// tokens (about 1 MiB), so a large source that is mostly comment
-	// cannot make it allocate 32 bytes per source byte up front.
-	out := make([]Token, 0, min(len(src)/2, 1<<14)+1)
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
-		}
-	}
-}

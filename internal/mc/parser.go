@@ -15,11 +15,14 @@ import "fmt"
 // at most 29 levels, and their longest chain has 5 operators.
 const maxNesting = 1000
 
-// Parser builds an AST from tokens.
+// Parser builds an AST from the tokens of one source. It pulls them from
+// a Lexer through a two-token window: the parser looks ahead at most one
+// token and never backs up, so no source is ever held as a token slice.
 type Parser struct {
-	toks  []Token
-	pos   int
-	depth int // nesting levels entered; see maxNesting
+	lex    *Lexer
+	tok    [2]Token // the current token and the one after it
+	lexErr error    // the first lex error; the window reads EOF from there on
+	depth  int      // nesting levels entered; see maxNesting
 }
 
 // enter counts one nesting level and fails past maxNesting. The level
@@ -34,18 +37,46 @@ func (p *Parser) enter() error {
 
 func (p *Parser) leave() { p.depth-- }
 
-// Parse parses a complete MC translation unit.
+// Parse parses a complete MC translation unit. A lex error anywhere in
+// the source is the error it returns, even after an earlier parse error.
 func Parse(src string) (*Unit, error) {
-	toks, err := Tokenize(src)
-	if err != nil {
-		return nil, err
+	p := &Parser{lex: NewLexer(src)}
+	p.tok[0] = p.lexNext()
+	p.tok[1] = p.lexNext()
+	u, err := p.parseUnit()
+	if err != nil && p.lexErr == nil {
+		// Lex the rest of the source, storing nothing, for a lex error
+		// that outranks the parse error.
+		for p.lexNext().Kind != TokEOF {
+		}
 	}
-	p := &Parser{toks: toks}
-	return p.parseUnit()
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	return u, err
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// lexNext returns the lexer's next token. At the first lex error it
+// records the error and returns EOF from then on, which ends the parse.
+func (p *Parser) lexNext() Token {
+	if p.lexErr == nil {
+		t, err := p.lex.Next()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
+	}
+	return Token{Kind: TokEOF}
+}
+
+func (p *Parser) cur() Token  { return p.tok[0] }
+func (p *Parser) peek() Token { return p.tok[1] }
+
+func (p *Parser) next() Token {
+	t := p.tok[0]
+	p.tok[0], p.tok[1] = p.tok[1], p.lexNext()
+	return t
+}
 
 func (p *Parser) at(kind TokKind, text string) bool {
 	t := p.cur()
@@ -57,7 +88,7 @@ func (p *Parser) atKeyword(text string) bool { return p.at(TokKeyword, text) }
 
 func (p *Parser) accept(kind TokKind, text string) bool {
 	if p.at(kind, text) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -90,7 +121,7 @@ func (p *Parser) parseBaseType() (*Type, error) {
 	if t.Kind != TokKeyword {
 		return nil, p.errHere("expected type name, found %s", t)
 	}
-	p.pos++
+	p.next()
 	switch t.Text {
 	case "int":
 		return IntType, nil
@@ -231,7 +262,7 @@ func (p *Parser) parseFuncRest(ret *Type, nameTok Token) (*FuncDecl, error) {
 		return nil, err
 	}
 	if !p.atPunct(")") {
-		if p.atKeyword("void") && p.toks[p.pos+1].Kind == TokPunct && p.toks[p.pos+1].Text == ")" {
+		if p.atKeyword("void") && p.peek().Kind == TokPunct && p.peek().Text == ")" {
 			p.next()
 		} else {
 			for {
@@ -654,15 +685,15 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 	}
 	defer func(depth int) { p.depth = depth }(p.depth)
 	for {
-		t := &p.toks[p.pos]
-		prec := binPrec(t)
+		t := p.cur()
+		prec := binPrec(&t)
 		if prec < minPrec {
 			return l, nil
 		}
 		if err := p.enter(); err != nil {
 			return nil, err
 		}
-		p.pos++
+		p.next()
 		r, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
@@ -691,7 +722,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 			return &Unary{exprBase: exprBase{pos: t.pos()}, Op: t.Text, X: x}, nil
 		case "(":
 			// Cast or parenthesized expression.
-			if p.toks[p.pos+1].Kind == TokKeyword && keywordIsType(p.toks[p.pos+1].Text) {
+			if p.peek().Kind == TokKeyword && keywordIsType(p.peek().Text) {
 				p.next() // (
 				base, err := p.parseBaseType()
 				if err != nil {

@@ -21,9 +21,10 @@ const (
 	TokPunct
 )
 
-// Token is one lexical token with its source position. Tokenize holds
-// every token of a source at once, so the record is kept small (its size
-// is pinned by TestTokenSize).
+// Token is one lexical token with its source position. The lexer
+// returns tokens by value and the parser copies them through its
+// two-token window, so the record is kept small (its size is pinned by
+// TestTokenSize).
 type Token struct {
 	Kind TokKind
 	Text string  // identifier, keyword, or punctuation spelling

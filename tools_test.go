@@ -504,3 +504,17 @@ func TestBrccHexEncodings(t *testing.T) {
 		t.Errorf("hex listing missing addresses:\n%.300s", out)
 	}
 }
+
+// TestGeneratedCodeUpToDate fails when internal/emu's generated files
+// (fusedloop.go, fusedtab.go) drift from the generator's template, or
+// when a file carrying the generated-code mark is no longer generated:
+// the `make generate-check` rule, run with the rest of the tests.
+func TestGeneratedCodeUpToDate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("tool test")
+	}
+	out, err := exec.Command("go", "run", "./internal/emu/gen", "-dir", "internal/emu", "-check").CombinedOutput()
+	if err != nil {
+		t.Errorf("generator check failed (run `make generate`): %v\n%s", err, out)
+	}
+}
