@@ -7,7 +7,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -59,7 +58,11 @@ func main() {
 	}
 
 	emit := func(kind isa.Kind) {
-		p, err := driver.Compile(context.Background(), string(src), kind, opts)
+		u, err := driver.Assemble(string(src), kind, opts)
+		if err != nil {
+			fatal(err)
+		}
+		p, err := isa.Link(u, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -67,7 +70,8 @@ func main() {
 		if *hex {
 			// Linked view with encodings: demonstrates that everything
 			// fits the 32-bit formats of the paper's Figures 10 and 11.
-			for i, in := range p.Text {
+			for i := range p.Text {
+				in := p.Text[i].Instr()
 				word, err := isa.Encode(in, kind)
 				if err != nil {
 					fatal(fmt.Errorf("instruction %d does not encode: %w", i, err))
@@ -77,7 +81,7 @@ func main() {
 			fmt.Println()
 			return
 		}
-		fmt.Println(p.Listing())
+		fmt.Println(u.Listing())
 	}
 	switch *machine {
 	case "baseline":

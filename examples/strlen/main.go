@@ -42,14 +42,14 @@ func main() {
 	fmt.Print(source)
 	fmt.Println()
 
-	base, err := driver.Compile(context.Background(), source, isa.Baseline, opts)
+	base, err := driver.Assemble(source, isa.Baseline, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("Figure 3: RTLs for the baseline machine (delayed branches)")
 	fmt.Println(listing(base, "strlen"))
 
-	brm, err := driver.Compile(context.Background(), source, isa.BranchReg, opts)
+	brm, err := driver.Assemble(source, isa.BranchReg, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func main() {
 	}
 }
 
-func listing(p *isa.Program, fn string) string {
-	for _, f := range p.Funcs {
+func listing(u *isa.Unit, fn string) string {
+	for _, f := range u.Funcs {
 		if f.Name == fn {
 			return f.Listing()
 		}

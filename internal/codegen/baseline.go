@@ -7,28 +7,35 @@ import (
 	"branchreg/internal/isa"
 )
 
-// GenBaseline compiles an IR unit for the baseline machine: a conventional
-// RISC with compare/branch instructions and one delayed-branch slot. Slot
-// filling happens at emission time: when the instruction preceding a branch
-// is independent of it, the instruction moves into the slot; otherwise a
-// noop fills it (paper §2, §7).
+// GenBaseline compiles an IR unit for the baseline machine and links it
+// compactly: GenBaselineUnit, then isa.Link(u, 0).
 func GenBaseline(u *ir.Unit) (*isa.Program, error) {
-	p := &isa.Program{Kind: isa.Baseline}
+	au, err := GenBaselineUnit(u)
+	if err != nil {
+		return nil, err
+	}
+	return isa.Link(au, 0)
+}
+
+// GenBaselineUnit compiles an IR unit for the baseline machine into its
+// pre-link form: a conventional RISC with compare/branch instructions and
+// one delayed-branch slot. Slot filling happens at emission time: when the
+// instruction preceding a branch is independent of it, the instruction
+// moves into the slot; otherwise a noop fills it (paper §2, §7).
+func GenBaselineUnit(u *ir.Unit) (*isa.Unit, error) {
+	au := &isa.Unit{Kind: isa.Baseline}
 	for _, d := range u.Data {
-		p.Data = append(p.Data, ConvertDatum(d))
+		au.Data = append(au.Data, ConvertDatum(d))
 	}
 	for _, f := range u.Funcs {
 		fn, data, err := GenBaselineFunc(f)
 		if err != nil {
 			return nil, err
 		}
-		p.Funcs = append(p.Funcs, fn)
-		p.Data = append(p.Data, data...)
+		au.Funcs = append(au.Funcs, fn)
+		au.Data = append(au.Data, data...)
 	}
-	if err := p.Link(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return au, nil
 }
 
 // ConvertDatum converts an IR datum to a linkable data item.

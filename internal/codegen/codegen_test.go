@@ -226,11 +226,12 @@ int main(void) { return fib(8); }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Linked || len(p.Text) == 0 {
-		t.Fatal("program not linked")
+	if len(p.Text) == 0 {
+		t.Fatal("linked program has no text")
 	}
 	// Every emitted instruction must encode in 32 bits.
-	for i, in := range p.Text {
+	for i := range p.Text {
+		in := p.Text[i].Instr()
 		if _, err := isa.Encode(in, isa.Baseline); err != nil {
 			t.Fatalf("instruction %d (%s) does not encode: %v", i, in.RTL(isa.Baseline), err)
 		}

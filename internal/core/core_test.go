@@ -258,7 +258,8 @@ int main(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, in := range p.Text {
+	for i := range p.Text {
+		in := p.Text[i].Instr()
 		if _, err := isa.Encode(in, isa.BranchReg); err != nil {
 			t.Fatalf("instruction %d (%s) does not encode: %v", i, in.RTL(isa.BranchReg), err)
 		}
@@ -396,7 +397,7 @@ int main(void) {
 			t.Fatalf("bregs=%d: %v", n, err)
 		}
 		for i, in := range p.Text {
-			if in.BR >= n && !(in.BR == raBr) {
+			if int(in.BR) >= n && in.BR != raBr {
 				t.Errorf("bregs=%d: instruction %d uses b%d", n, i, in.BR)
 			}
 		}

@@ -10,24 +10,32 @@ import (
 	"branchreg/internal/isa"
 )
 
-// GenBranchReg compiles an IR unit for the branch-register machine.
+// GenBranchReg compiles an IR unit for the branch-register machine and
+// links it compactly: GenBranchRegUnit, then isa.Link(u, 0).
 func GenBranchReg(u *ir.Unit, cfg Config) (*isa.Program, error) {
-	p := &isa.Program{Kind: isa.BranchReg}
+	au, err := GenBranchRegUnit(u, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return isa.Link(au, 0)
+}
+
+// GenBranchRegUnit compiles an IR unit for the branch-register machine
+// into its pre-link form.
+func GenBranchRegUnit(u *ir.Unit, cfg Config) (*isa.Unit, error) {
+	au := &isa.Unit{Kind: isa.BranchReg}
 	for _, d := range u.Data {
-		p.Data = append(p.Data, codegen.ConvertDatum(d))
+		au.Data = append(au.Data, codegen.ConvertDatum(d))
 	}
 	for _, f := range u.Funcs {
 		fn, data, err := GenBRMFunc(f, cfg)
 		if err != nil {
 			return nil, err
 		}
-		p.Funcs = append(p.Funcs, fn)
-		p.Data = append(p.Data, data...)
+		au.Funcs = append(au.Funcs, fn)
+		au.Data = append(au.Data, data...)
 	}
-	if err := p.Link(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return au, nil
 }
 
 // mins wraps a machine instruction with transfer metadata used by the

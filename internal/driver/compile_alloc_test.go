@@ -11,15 +11,15 @@ import (
 
 // The ceilings bound the heap allocations of one pass of driver.Compile
 // over the 19 suite workloads on both machines, counted and in bytes:
-// 119,083 allocations and 25,774,378 bytes, measured once the opt passes
-// kept their per-register state in versioned tables and the instruction
-// and token records were narrowed, plus 10%. A pass that goes back to
-// per-block or per-instruction scratch fails the count; a record that
-// grows fails the bytes. Run without -race (`make alloc-gate`); the
-// detector's instrumentation allocates on its own.
+// 118,895 allocations and 20,813,264 bytes, measured once Link wrote
+// flat 12-byte records and no per-instruction function names, plus 10%.
+// A pass that goes back to per-block or per-instruction scratch fails
+// the count; a record that grows fails the bytes. Run without -race
+// (`make alloc-gate`); the detector's instrumentation allocates on its
+// own.
 const (
-	compileAllocCeiling      = 131000
-	compileAllocBytesCeiling = 28352000
+	compileAllocCeiling      = 130800
+	compileAllocBytesCeiling = 22895000
 )
 
 func TestCompileAllocs(t *testing.T) {
@@ -60,5 +60,35 @@ func TestCompileAllocs(t *testing.T) {
 	}
 	if bytes > compileAllocBytesCeiling {
 		t.Errorf("compile bytes %d per pass, ceiling %d", bytes, compileAllocBytesCeiling)
+	}
+}
+
+// suiteRetainedCeiling bounds what the 38 linked suite programs retain
+// (isa.Program.RetainedBytes summed over the 19 workloads on both
+// machines): the flat text, the data images and the function tables
+// measured 565,278 bytes, plus 10%.
+const suiteRetainedCeiling = 621806
+
+// TestSuiteRetainedBytes bounds what a compile cache is charged for the
+// suite, so a linked program that takes symbolic state back fails here.
+func TestSuiteRetainedBytes(t *testing.T) {
+	ctx := context.Background()
+	o := DefaultOptions()
+	var sum, insts, data int64
+	for _, w := range workloads.All() {
+		for _, kind := range []isa.Kind{isa.Baseline, isa.BranchReg} {
+			p, err := Compile(ctx, w.FullSource(), kind, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += p.RetainedBytes()
+			insts += int64(len(p.Text))
+			data += int64(len(p.DataImage))
+		}
+	}
+	t.Logf("38 programs: %d instructions, %d data bytes, %d bytes retained (ceiling %d)",
+		insts, data, sum, suiteRetainedCeiling)
+	if sum > suiteRetainedCeiling {
+		t.Errorf("suite programs retain %d bytes, ceiling %d", sum, suiteRetainedCeiling)
 	}
 }

@@ -100,25 +100,36 @@ func Compile(ctx context.Context, src string, kind isa.Kind, o Options) (*isa.Pr
 	return CompileIR(iu, kind, o)
 }
 
-// CompileIR generates code for an already-lowered unit.
+// CompileIR generates code for an already-lowered unit and links it,
+// aligning function entries when o.AlignWords > 1.
 func CompileIR(u *ir.Unit, kind isa.Kind, o Options) (*isa.Program, error) {
-	var p *isa.Program
-	var err error
-	if kind == isa.Baseline {
-		p, err = codegen.GenBaseline(u)
-	} else {
-		p, err = core.GenBranchReg(u, o.BRM)
-	}
+	au, err := assembleIR(u, kind, o)
 	if err != nil {
 		return nil, err
 	}
-	if o.AlignWords > 1 {
-		p.AlignWords = o.AlignWords
-		if err := p.Link(); err != nil {
-			return nil, err
-		}
+	return isa.Link(au, o.AlignWords)
+}
+
+// Assemble compiles MC source for the given machine into its pre-link
+// form: functions with their labels and comments, and data items. It is
+// what listings and the figure tests read; Compile links the same unit.
+func Assemble(src string, kind isa.Kind, o Options) (*isa.Unit, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
-	return p, nil
+	iu, err := Lower(src, o)
+	if err != nil {
+		return nil, err
+	}
+	return assembleIR(iu, kind, o)
+}
+
+// assembleIR runs the code generator for kind on a lowered unit.
+func assembleIR(u *ir.Unit, kind isa.Kind, o Options) (*isa.Unit, error) {
+	if kind == isa.Baseline {
+		return codegen.GenBaselineUnit(u)
+	}
+	return core.GenBranchRegUnit(u, o.BRM)
 }
 
 // Result is the outcome of running a program under the emulator.

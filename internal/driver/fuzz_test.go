@@ -23,7 +23,8 @@ func TestSuiteEncodes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", w.Name, kind, err)
 			}
-			for i, in := range p.Text {
+			for i := range p.Text {
+				in := p.Text[i].Instr()
 				word, err := isa.Encode(in, kind)
 				if err != nil {
 					t.Fatalf("%s/%v: instruction %d (%s) does not encode: %v",

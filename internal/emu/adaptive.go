@@ -128,7 +128,7 @@ func (m *Machine) runAdaptive(ctx context.Context) (int32, error) {
 	// polling) until control lands on one.
 	next := m.Stats.Instructions + ctxCheckStride
 	for !m.halted {
-		if m.pending == -2 && m.pc >= 0 && m.pc < len(fp.pc2block) && fp.pc2block[m.pc] >= 0 {
+		if m.pending == noPending && m.pc >= 0 && m.pc < len(fp.pc2block) && fp.pc2block[m.pc] >= 0 {
 			break
 		}
 		if err := m.Step(); err != nil {

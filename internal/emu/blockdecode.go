@@ -171,8 +171,8 @@ func fusedLeaders(p *isa.Program, dec []uop) []bool {
 		leader[0] = true
 	}
 	mark(p.EntryPC)
-	for _, idx := range p.FuncStarts {
-		mark(idx)
+	for _, s := range p.Syms {
+		mark(int(s.Start))
 	}
 	for i := range dec {
 		u := &dec[i]
@@ -242,9 +242,9 @@ func buildFprog(p *isa.Program, dec []uop, fuse bool) *fprog {
 	}
 	leader := fusedLeaders(p, dec)
 	funcEntry := make([]bool, n)
-	for _, idx := range p.FuncStarts {
-		if idx >= 0 && idx < n {
-			funcEntry[idx] = true
+	for _, s := range p.Syms {
+		if int(s.Start) < n {
+			funcEntry[s.Start] = true
 		}
 	}
 	baseline := p.Kind == isa.Baseline

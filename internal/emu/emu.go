@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -136,7 +137,7 @@ type Machine struct {
 	status int32
 
 	pc      int // Text index
-	pending int // delayed-branch target index, -2 when none (baseline)
+	pending int // delayed-branch target index, noPending when none (baseline)
 
 	funcEntry []bool // Text indices that begin functions, len == len(P.Text)
 
@@ -182,6 +183,11 @@ func (m *Machine) isFuncEntry(idx int) bool {
 // halt target: transferring to byte address 0 ends the program.
 const haltAddr = 0
 
+// noPending marks m.pending when no delayed transfer is armed. addrToIndex
+// maps every int32 address into ±2^29, so no target, however computed,
+// collides with it.
+const noPending = math.MinInt32
+
 // New prepares an emulator for a linked program with the given input.
 func New(p *isa.Program, input string) (*Machine, error) {
 	return NewWithMem(p, input, nil)
@@ -190,9 +196,6 @@ func New(p *isa.Program, input string) (*Machine, error) {
 // NewWithMem is New with a caller-provided memory buffer (e.g. from a pool).
 // mem must be zeroed and exactly isa.MemBytes long; pass nil to allocate.
 func NewWithMem(p *isa.Program, input string, mem []byte) (*Machine, error) {
-	if !p.Linked {
-		return nil, fmt.Errorf("emu: program is not linked")
-	}
 	if mem == nil {
 		mem = make([]byte, isa.MemBytes)
 	} else if len(mem) != isa.MemBytes {
@@ -202,14 +205,14 @@ func NewWithMem(p *isa.Program, input string, mem []byte) (*Machine, error) {
 		P:               p,
 		Mem:             mem,
 		input:           []byte(input),
-		pending:         -2,
+		pending:         noPending,
 		funcEntry:       make([]bool, len(p.Text)),
 		MaxInstructions: 4_000_000_000,
 	}
 	copy(m.Mem[isa.DataBase:], p.DataImage)
-	for _, idx := range p.FuncStarts {
-		if idx >= 0 && idx < len(m.funcEntry) {
-			m.funcEntry[idx] = true
+	for _, s := range p.Syms {
+		if int(s.Start) < len(m.funcEntry) {
+			m.funcEntry[s.Start] = true
 		}
 	}
 	spReg := isa.BaseSPReg
@@ -368,8 +371,8 @@ func (m *Machine) runInstrumented(ctx context.Context) (int32, error) {
 }
 
 func (m *Machine) where() string {
-	if m.pc >= 0 && m.pc < len(m.P.FuncOfPC) {
-		return m.P.FuncOfPC[m.pc]
+	if m.pc >= 0 && m.pc < len(m.P.Text) {
+		return m.P.FuncAt(m.pc)
 	}
 	return "?"
 }
@@ -406,14 +409,14 @@ func (m *Machine) Step() error {
 
 // ---- shared operation execution ----
 
-func (m *Machine) rhs(in *isa.Instr) int32 {
+func (m *Machine) rhs(in *isa.Inst) int32 {
 	if in.UseImm {
 		return in.Imm
 	}
 	return m.R[in.Rs2]
 }
 
-func (m *Machine) setR(r int, v int32) {
+func (m *Machine) setR(r int8, v int32) {
 	if r != isa.ZeroReg {
 		m.R[r] = v
 	}
@@ -446,7 +449,7 @@ func (m *Machine) storeWord(addr, v int32) error {
 
 // exec handles every non-control-flow operation common to both machines.
 // It reports whether it handled the op.
-func (m *Machine) exec(in *isa.Instr) (bool, error) {
+func (m *Machine) exec(in *isa.Inst) (bool, error) {
 	switch in.Op {
 	case isa.OpNop:
 		m.Stats.Noops++
@@ -567,7 +570,7 @@ func (m *Machine) exec(in *isa.Instr) (bool, error) {
 	return true, nil
 }
 
-func (m *Machine) trap(in *isa.Instr) error {
+func (m *Machine) trap(in *isa.Inst) error {
 	switch in.Imm {
 	case isa.TrapExit:
 		m.halted = true

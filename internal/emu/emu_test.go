@@ -12,8 +12,8 @@ func buildBase(t *testing.T, emitTo func(f *isa.Function), data ...*isa.DataItem
 	t.Helper()
 	f := isa.NewFunction("main", isa.Baseline)
 	emitTo(f)
-	p := &isa.Program{Kind: isa.Baseline, Funcs: []*isa.Function{f}, Data: data}
-	if err := p.Link(); err != nil {
+	p, err := isa.Link(&isa.Unit{Kind: isa.Baseline, Funcs: []*isa.Function{f}, Data: data}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -23,8 +23,8 @@ func buildBRM(t *testing.T, emitTo func(f *isa.Function), data ...*isa.DataItem)
 	t.Helper()
 	f := isa.NewFunction("main", isa.BranchReg)
 	emitTo(f)
-	p := &isa.Program{Kind: isa.BranchReg, Funcs: []*isa.Function{f}, Data: data}
-	if err := p.Link(); err != nil {
+	p, err := isa.Link(&isa.Unit{Kind: isa.BranchReg, Funcs: []*isa.Function{f}, Data: data}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -108,8 +108,8 @@ func TestBaselineCallReturn(t *testing.T) {
 	g.Emit(isa.Instr{Op: isa.OpAdd, Rd: 1, Rs1: 0, UseImm: true, Imm: 5})
 	g.Emit(isa.Instr{Op: isa.OpJr, Rs1: isa.RABase})
 	g.Emit(isa.Instr{Op: isa.OpNop}) // slot
-	p := &isa.Program{Kind: isa.Baseline, Funcs: []*isa.Function{f, g}}
-	if err := p.Link(); err != nil {
+	p, err := isa.Link(&isa.Unit{Kind: isa.Baseline, Funcs: []*isa.Function{f, g}}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	m := runProg(t, p, "")
@@ -356,9 +356,13 @@ func TestRunErrors(t *testing.T) {
 	if _, err := m.Run(); err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Errorf("err = %v", err)
 	}
-	// Unlinked programs are rejected.
-	if _, err := New(&isa.Program{Kind: isa.Baseline}, ""); err == nil {
-		t.Error("unlinked program accepted")
+	// A program with no text traps at its first fetch.
+	m0, err := New(&isa.Program{Kind: isa.Baseline}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m0.Run(); err == nil || !strings.Contains(err.Error(), "outside text") {
+		t.Errorf("empty program: err = %v", err)
 	}
 	// Memory protection.
 	p2 := buildBase(t, func(f *isa.Function) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"branchreg/internal/isa"
@@ -190,12 +191,12 @@ func TestEnginesDifferentialBaseline(t *testing.T) {
 	g.Emit(isa.Instr{Op: isa.OpJr, Rs1: isa.RABase})
 	g.Emit(isa.Instr{Op: isa.OpNop})
 
-	p := &isa.Program{Kind: isa.Baseline, Funcs: []*isa.Function{f, g},
+	p, err := isa.Link(&isa.Unit{Kind: isa.Baseline, Funcs: []*isa.Function{f, g},
 		Data: []*isa.DataItem{
 			{Label: "cell", Kind: isa.DataZero, Size: 16},
 			{Label: "fnptr", Kind: isa.DataAddrs, Addrs: []string{"five"}},
-		}}
-	if err := p.Link(); err != nil {
+		}}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	diffEngines(t, p, "hi!", 0)
@@ -253,9 +254,9 @@ func TestEnginesDifferentialBRM(t *testing.T) {
 	g.Emit(isa.Instr{Op: isa.OpMovBR, Rd: 6, Rs1: 22}) // restore RA into b6
 	g.Emit(isa.Instr{Op: isa.OpNop, BR: 6})            // return
 
-	p := &isa.Program{Kind: isa.BranchReg, Funcs: []*isa.Function{f, g},
-		Data: []*isa.DataItem{{Label: "table", Kind: isa.DataAddrs, Addrs: []string{"main.dispatched"}}}}
-	if err := p.Link(); err != nil {
+	p, err := isa.Link(&isa.Unit{Kind: isa.BranchReg, Funcs: []*isa.Function{f, g},
+		Data: []*isa.DataItem{{Label: "table", Kind: isa.DataAddrs, Addrs: []string{"main.dispatched"}}}}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	diffEngines(t, p, "", 0)
@@ -267,8 +268,8 @@ func TestEnginesDifferentialTraps(t *testing.T) {
 	base := func(emit func(f *isa.Function)) *isa.Program {
 		f := isa.NewFunction("main", isa.Baseline)
 		emit(f)
-		p := &isa.Program{Kind: isa.Baseline, Funcs: []*isa.Function{f}}
-		if err := p.Link(); err != nil {
+		p, err := isa.Link(&isa.Unit{Kind: isa.Baseline, Funcs: []*isa.Function{f}}, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -276,8 +277,8 @@ func TestEnginesDifferentialTraps(t *testing.T) {
 	brm := func(emit func(f *isa.Function)) *isa.Program {
 		f := isa.NewFunction("main", isa.BranchReg)
 		emit(f)
-		p := &isa.Program{Kind: isa.BranchReg, Funcs: []*isa.Function{f}}
-		if err := p.Link(); err != nil {
+		p, err := isa.Link(&isa.Unit{Kind: isa.BranchReg, Funcs: []*isa.Function{f}}, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -299,8 +300,8 @@ func TestEnginesDifferentialTraps(t *testing.T) {
 		f.Emit(exit)
 		g := isa.NewFunction("g", kind)
 		g.Emit(exit)
-		p := &isa.Program{Kind: kind, Funcs: []*isa.Function{f, g}, Data: data}
-		if err := p.Link(); err != nil {
+		p, err := isa.Link(&isa.Unit{Kind: kind, Funcs: []*isa.Function{f, g}, Data: data}, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		fp := buildFprog(p, predecode(p), true)
@@ -318,6 +319,15 @@ func TestEnginesDifferentialTraps(t *testing.T) {
 		f.Emit(isa.Instr{Op: isa.OpSethi, Rd: 20, DataTarget: "fnptr"})
 		f.Emit(isa.Instr{Op: isa.OpAdd, Rd: 20, Rs1: 20, DataTarget: "fnptr", Lo: true})
 		f.Emit(isa.Instr{Op: isa.OpLw, Rd: 20, Rs1: 20, UseImm: true, Imm: 0})
+	}
+	// A jr or jalr to TextBase-8 arms the target index -2, which must
+	// trap after the delay slot like any other index outside the text.
+	belowText := func(op isa.Op) func(f *isa.Function) {
+		return func(f *isa.Function) {
+			f.Emit(isa.Instr{Op: isa.OpAdd, Rd: 20, Rs1: 0, UseImm: true, Imm: isa.TextBase - 8})
+			f.Emit(isa.Instr{Op: op, Rs1: 20})
+			f.Emit(isa.Instr{Op: isa.OpNop}) // slot
+		}
 	}
 	cases := []struct {
 		name string
@@ -424,6 +434,8 @@ func TestEnginesDifferentialTraps(t *testing.T) {
 			f.Emit(isa.Instr{Op: isa.OpJr, Rs1: 20})
 			f.Emit(oob)
 		}, fnptr)},
+		{"base/jr-below-text", term(isa.Baseline, ftJr, belowText(isa.OpJr))},
+		{"base/jalr-below-text", term(isa.Baseline, ftJalr, belowText(isa.OpJalr))},
 		{"brm/transfer-op", term(isa.BranchReg, ftBrm, func(f *isa.Function) {
 			f.Emit(isa.Instr{Op: isa.OpMovBR, Rd: 3, Rs1: 0})
 			f.Emit(oobVia(3))
@@ -455,6 +467,14 @@ func TestEnginesDifferentialTraps(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			diffEngines(t, tc.p, "", 0)
+			if !strings.HasSuffix(tc.name, "-below-text") {
+				return
+			}
+			_, err := runEngine(t, tc.p, "", LoopInstrumented, false, 0)
+			var tr *Trap
+			if !errors.As(err, &tr) || tr.Kind != TrapPCOutOfRange || tr.Detail != "jump out of text: index -2" {
+				t.Errorf("instrumented run ended with %v, want a pc-out-of-range trap at index -2", err)
+			}
 		})
 	}
 }
@@ -473,8 +493,8 @@ func TestEnginesStepBudget(t *testing.T) {
 			f.Bind("loop")
 			f.Emit(isa.Instr{Op: isa.OpNop, BR: 1})
 		}
-		p := &isa.Program{Kind: kind, Funcs: []*isa.Function{f}}
-		if err := p.Link(); err != nil {
+		p, err := isa.Link(&isa.Unit{Kind: kind, Funcs: []*isa.Function{f}}, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return p

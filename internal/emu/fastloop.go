@@ -392,9 +392,9 @@ func (m *Machine) runFastBaseline(ctx context.Context) (int32, error) {
 		}
 
 		if seqAdv && !m.halted {
-			if pending != -2 {
+			if pending != noPending {
 				t := pending
-				pending = -2
+				pending = noPending
 				switch {
 				case t == -1:
 					m.halted = true

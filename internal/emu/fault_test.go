@@ -161,13 +161,13 @@ func TestFaultFunctionFilter(t *testing.T) {
 	leaf.Emit(isa.Instr{Op: isa.OpNop})
 	leaf.Emit(isa.Instr{Op: isa.OpJr, Rs1: isa.RABase})
 	leaf.Emit(isa.Instr{Op: isa.OpNop}) // delay slot
-	p := &isa.Program{Kind: isa.Baseline, Funcs: []*isa.Function{main, leaf}}
-	if err := p.Link(); err != nil {
+	p, err := isa.Link(&isa.Unit{Kind: isa.Baseline, Funcs: []*isa.Function{main, leaf}}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	plan := &FaultPlan{Ops: []FaultOp{{Kind: FaultForceTrap, Fn: "leaf", N: 2}}}
-	_, err := runPlanned(t, p, plan)
+	_, err = runPlanned(t, p, plan)
 	trap := trapFrom(t, err, TrapInjected)
 	if trap.Fn != "leaf" {
 		t.Errorf("trap fn = %q, want leaf", trap.Fn)

@@ -37,7 +37,7 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 	if m.pc >= 0 && m.pc < len(fp.pc2block) {
 		bi = fp.pc2block[m.pc]
 	}
-	if bi < 0 || m.pending != -2 {
+	if bi < 0 || m.pending != noPending {
 		// Not at a block boundary (a resumed or hand-positioned machine):
 		// the whole run belongs to the per-instruction loop.
 		m.Fusion.Bails++
@@ -1061,7 +1061,7 @@ func runFusedBaseline(m *Machine, ctx context.Context) (int32, error) {
 			if isa.Cond(b.tob.cond).HoldsInt(m.CC, 0) {
 				st.CondTaken++
 			} else {
-				pend, next, untaken = -2, b.fall, true
+				pend, next, untaken = noPending, b.fall, true
 			}
 		}
 

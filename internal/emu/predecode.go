@@ -2,8 +2,9 @@ package emu
 
 import "branchreg/internal/isa"
 
-// This file lowers a linked isa.Program into the dense micro-op form the
-// fast execution loop dispatches on. The one-time decode pass pays every
+// This file lowers a linked isa.Program's text (its 12-byte isa.Inst
+// records) into the dense micro-op form the fast execution loop
+// dispatches on. The one-time decode pass pays every
 // per-instruction cost that does not depend on machine state exactly once:
 //
 //   - the immediate-vs-register operand split becomes two distinct micro-ops
@@ -17,9 +18,8 @@ import "branchreg/internal/isa"
 //     uIllegal op carrying the original opcode, so the run loop's default
 //     case never needs to re-classify.
 //
-// A uop is 16 bytes (vs ~100 for isa.Instr with its symbol strings), so
-// four dispatch units share a cache line and the hot loop's instruction
-// stream stays resident.
+// A uop is 16 bytes, so four dispatch units share a cache line and the
+// hot loop's instruction stream stays resident.
 
 // uopKind is the narrowed opcode set of the predecoded form.
 type uopKind uint8
@@ -156,7 +156,7 @@ func predecode(p *isa.Program) []uop {
 }
 
 // aluPair builds the imm/reg split for a three-address operation.
-func aluPair(immKind, regKind uopKind, in *isa.Instr) uop {
+func aluPair(immKind, regKind uopKind, in *isa.Inst) uop {
 	u := uop{rd: uint8(in.Rd), rs1: uint8(in.Rs1)}
 	if in.UseImm {
 		u.kind = immKind
@@ -170,7 +170,7 @@ func aluPair(immKind, regKind uopKind, in *isa.Instr) uop {
 
 // lowerInstr translates one instruction at byte address addr for machine
 // kind k.
-func lowerInstr(k isa.Kind, in *isa.Instr, addr int32) uop {
+func lowerInstr(k isa.Kind, in *isa.Inst, addr int32) uop {
 	var u uop
 	switch in.Op {
 	case isa.OpNop:
@@ -336,7 +336,7 @@ func lowerInstr(k isa.Kind, in *isa.Instr, addr int32) uop {
 	return u
 }
 
-func illegalUop(in *isa.Instr) uop {
+func illegalUop(in *isa.Inst) uop {
 	u := uop{kind: uIllegal, imm: int32(in.Op)}
 	if in.BR > 0 {
 		u.br = uint8(in.BR)

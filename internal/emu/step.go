@@ -7,11 +7,11 @@ import (
 // stepBaseline executes one baseline-machine instruction, implementing
 // delayed branches: the instruction after a taken branch (the delay slot)
 // always executes before control reaches the target.
-func (m *Machine) stepBaseline(in *isa.Instr, addr int32) error {
+func (m *Machine) stepBaseline(in *isa.Inst, addr int32) error {
 	advance := func() error {
-		if m.pending != -2 {
+		if m.pending != noPending {
 			t := m.pending
-			m.pending = -2
+			m.pending = noPending
 			return m.jumpTo(t)
 		}
 		m.pc++
@@ -150,7 +150,7 @@ func (m *Machine) jumpTo(idx int) error {
 // any other value transfers control to the address in that branch register,
 // with b[7] receiving the address of the next sequential instruction (the
 // return-address convention of paper §4).
-func (m *Machine) stepBRM(in *isa.Instr, addr int32) error {
+func (m *Machine) stepBRM(in *isa.Inst, addr int32) error {
 	now := m.Stats.Instructions
 	switch in.Op {
 	case isa.OpBrCalc:
@@ -205,7 +205,7 @@ func (m *Machine) stepBRM(in *isa.Instr, addr int32) error {
 	return m.brmAdvance(in, addr, now)
 }
 
-func (m *Machine) setCmpResult(taken bool, bsrc int, now int64) {
+func (m *Machine) setCmpResult(taken bool, bsrc int8, now int64) {
 	if taken {
 		src := m.B[bsrc]
 		m.B[isa.RABr] = breg{addr: src.addr, calcTime: src.calcTime, viaCmp: true, valid: true}
@@ -215,7 +215,7 @@ func (m *Machine) setCmpResult(taken bool, bsrc int, now int64) {
 }
 
 // brmAdvance applies the instruction's branch-register field.
-func (m *Machine) brmAdvance(in *isa.Instr, addr int32, now int64) error {
+func (m *Machine) brmAdvance(in *isa.Inst, addr int32, now int64) error {
 	if in.BR == isa.PCBr {
 		m.pc++
 		return nil

@@ -140,7 +140,8 @@ func (m *Machine) trapHere(kind TrapKind, format string, args ...interface{}) *T
 		Detail: fmt.Sprintf(format, args...),
 	}
 	if m.pc >= 0 && m.pc < len(m.P.Text) {
-		t.Instr = m.P.Text[m.pc].RTL(m.P.Kind)
+		in := m.P.Text[m.pc].Instr()
+		t.Instr = in.RTL(m.P.Kind)
 	}
 	return t
 }

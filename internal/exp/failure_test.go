@@ -18,8 +18,8 @@ func linkProg(t *testing.T, kind isa.Kind, emitTo func(f *isa.Function)) *isa.Pr
 	t.Helper()
 	f := isa.NewFunction("main", kind)
 	emitTo(f)
-	p := &isa.Program{Kind: kind, Funcs: []*isa.Function{f}}
-	if err := p.Link(); err != nil {
+	p, err := isa.Link(&isa.Unit{Kind: kind, Funcs: []*isa.Function{f}}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return p

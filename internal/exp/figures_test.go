@@ -26,11 +26,11 @@ int main(void) { return strlen(text); }
 
 func compileFn(t *testing.T, kind isa.Kind) *isa.Function {
 	t.Helper()
-	p, err := driver.Compile(context.Background(), strlenSrc, kind, driver.DefaultOptions())
+	u, err := driver.Assemble(strlenSrc, kind, driver.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range p.Funcs {
+	for _, f := range u.Funcs {
 		if f.Name == "strlen" {
 			return f
 		}

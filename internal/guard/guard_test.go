@@ -451,7 +451,11 @@ func TestShadowMismatchQuarantines(t *testing.T) {
 	if err != nil || out.Engine != emu.EngineAdaptive {
 		t.Fatalf("primary: out=%+v err=%v, want adaptive success", out, err)
 	}
-	waitFor(t, "shadow mismatch", func() bool { return counter(reg, "guard.shadow.mismatch") >= 1 })
+	// The shadow counts the mismatch before it quarantines, so wait for
+	// the quarantine's incident too.
+	waitFor(t, "shadow mismatch", func() bool {
+		return counter(reg, "guard.shadow.mismatch") >= 1 && incidentKinds(s)[IncidentBreakerOpen] >= 1
+	})
 
 	kinds := incidentKinds(s)
 	if kinds[IncidentShadowMismatch] < 1 || kinds[IncidentBreakerOpen] < 1 {

@@ -148,6 +148,43 @@ func (f *Func) ComputeDominators() {
 		}
 	}
 	entry.IDom = nil // conventional: entry has no idom
+	f.numberDomTree(blocks)
+}
+
+// numberDomTree numbers the dominator tree over the reachable blocks rpo
+// (entry first) in depth-first entry/exit order, from 1, so Dominates
+// answers with two compares; every other block keeps 0. The walk threads
+// through first-child/next-sibling links and climbs by IDom, so it needs
+// no stack however deep the tree (a chain of ifs makes it as deep as the
+// function is long).
+func (f *Func) numberDomTree(rpo []*Block) {
+	for _, b := range f.Blocks {
+		b.domIn, b.domOut, b.domChild, b.domNext = 0, 0, nil, nil
+	}
+	for _, b := range rpo[1:] {
+		b.domNext = b.IDom.domChild
+		b.IDom.domChild = b
+	}
+	n := int32(0)
+	for b := rpo[0]; ; {
+		n++
+		b.domIn = n
+		if b.domChild != nil {
+			b = b.domChild
+			continue
+		}
+		for {
+			n++
+			b.domOut = n
+			if b.domNext != nil {
+				b = b.domNext
+				break
+			}
+			if b = b.IDom; b == nil {
+				return
+			}
+		}
+	}
 }
 
 func intersect(a, b *Block) *Block {
@@ -168,17 +205,11 @@ func intersect(a, b *Block) *Block {
 	return a
 }
 
-// Dominates reports whether a dominates b (reflexive).
+// Dominates reports whether a dominates b (reflexive): b lies in a's
+// subtree, whose entry/exit numbers enclose b's. A block the entry does
+// not reach dominates only itself.
 func Dominates(a, b *Block) bool {
-	for x := b; x != nil; x = x.IDom {
-		if x == a {
-			return true
-		}
-		if x.IDom == x {
-			break
-		}
-	}
-	return false
+	return a == b || a.domIn > 0 && a.domIn <= b.domIn && b.domOut <= a.domOut
 }
 
 // FindLoops identifies natural loops from back edges (tail -> header where

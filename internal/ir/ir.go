@@ -209,6 +209,11 @@ type Block struct {
 	Depth  int    // loop nesting depth (0 = not in a loop)
 	Freq   int64  // static frequency estimate (10^Depth, capped)
 	InLoop *Loop  // innermost containing loop, if any
+
+	// Dominator-tree links and entry/exit numbers (0 when unreachable),
+	// set by ComputeDominators for Dominates.
+	domChild, domNext *Block
+	domIn, domOut     int32
 }
 
 // Term returns the block terminator.

@@ -3,7 +3,8 @@ package isa
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"slices"
+	"strings"
 	"unsafe"
 )
 
@@ -34,16 +35,14 @@ func (p *Program) EmuState(create func() any) any {
 // function table (entries and the names traps carry). Two programs with
 // equal digests are interchangeable to the emulator. It is computed on
 // the first call and remembered, so programs that are never
-// fingerprinted pay nothing; a program must not be re-linked after it.
+// fingerprinted pay nothing. The leading constant 1 and the register
+// fields sign-extended to 32 bits are part of the pinned format
+// (TestProgramDigestsPinned, TestGeneratedDigestsPinned).
 func (p *Program) Digest() [sha256.Size]byte {
 	p.digestOnce.Do(func() {
 		le := binary.LittleEndian
 		b := make([]byte, 0, 64+36*len(p.Text)+len(p.DataImage))
-		linked := uint64(0)
-		if p.Linked {
-			linked = 1
-		}
-		b = le.AppendUint64(b, linked)
+		b = le.AppendUint64(b, 1)
 		b = le.AppendUint64(b, uint64(p.Kind))
 		b = le.AppendUint64(b, uint64(p.EntryPC))
 		b = le.AppendUint64(b, uint64(len(p.Text)))
@@ -60,53 +59,30 @@ func (p *Program) Digest() [sha256.Size]byte {
 		}
 		b = le.AppendUint64(b, uint64(len(p.DataImage)))
 		b = append(b, p.DataImage...)
-		names := make([]string, 0, len(p.FuncStarts))
-		for name := range p.FuncStarts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			b = le.AppendUint64(b, uint64(p.FuncStarts[name]))
-			b = le.AppendUint64(b, uint64(len(name)))
-			b = append(b, name...)
+		byName := slices.Clone(p.Syms)
+		slices.SortFunc(byName, func(x, y Sym) int { return strings.Compare(x.Name, y.Name) })
+		for i := range byName {
+			s := &byName[i]
+			b = le.AppendUint64(b, uint64(s.Start))
+			b = le.AppendUint64(b, uint64(len(s.Name)))
+			b = append(b, s.Name...)
 		}
 		p.digest = sha256.Sum256(b)
 	})
 	return p.digest
 }
 
-// RetainedBytes estimates the heap the program keeps alive: its
-// functions' instruction lists and label tables, its data items, the
-// linked text with its per-instruction function names, the function
-// table and the data image. It is what a cache holding the program
-// charges for it.
-// Slices count by capacity; a map entry counts its key's bytes plus
-// twice its slot (key header and value), which covers the table's
-// control bytes and spare capacity at a typical load.
+// RetainedBytes is the heap the program keeps alive: the record, its
+// text, its data image, and its function table with the one string
+// holding every name. It is what a cache holding the program charges
+// for it.
 func (p *Program) RetainedBytes() int64 {
-	const (
-		instrSize = int64(unsafe.Sizeof(Instr{}))
-		strSize   = int64(unsafe.Sizeof(""))
-		entrySize = 2 * (strSize + 8)
-	)
-	n := int64(unsafe.Sizeof(*p))
-	for _, f := range p.Funcs {
-		n += int64(unsafe.Sizeof(*f)) + int64(cap(f.Code))*instrSize
-		for i := range f.Code {
-			in := &f.Code[i]
-			n += int64(len(in.Target) + len(in.DataTarget) + len(in.Comment))
-		}
-		for l := range f.Labels {
-			n += int64(len(l)) + entrySize
-		}
+	n := int64(unsafe.Sizeof(*p)) +
+		int64(unsafe.Sizeof(Inst{}))*int64(cap(p.Text)) +
+		int64(cap(p.DataImage)) +
+		int64(unsafe.Sizeof(Sym{}))*int64(cap(p.Syms))
+	for i := range p.Syms {
+		n += int64(len(p.Syms[i].Name))
 	}
-	for _, d := range p.Data {
-		n += int64(unsafe.Sizeof(*d)) + int64(len(d.Label)) +
-			4*int64(cap(d.Words)) + int64(cap(d.Bytes)) + 8*int64(cap(d.Floats)) +
-			strSize*int64(cap(d.Addrs)) + int64(unsafe.Sizeof(DataReloc{}))*int64(cap(d.Relocs))
-	}
-	n += instrSize*int64(cap(p.Text)) + strSize*int64(cap(p.FuncOfPC))
-	n += entrySize * int64(len(p.FuncStarts))
-	n += int64(cap(p.DataImage))
 	return n
 }

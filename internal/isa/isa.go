@@ -7,7 +7,8 @@
 // The package provides register conventions, opcodes, the Instr
 // representation, 32-bit encodings for both machines (after the paper's
 // Figures 10 and 11), an RTL pretty-printer matching the paper's notation,
-// and the linked Program container executed by package emu.
+// the pre-link Unit the code generators build, and Link, which turns a
+// Unit into the flat Program executed by package emu.
 package isa
 
 import "fmt"

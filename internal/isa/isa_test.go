@@ -412,14 +412,14 @@ func TestLinkResolvesLabelsAndData(t *testing.T) {
 	g.Emit(Instr{Op: OpAdd, Rd: 1, Rs1: 0, UseImm: true, DataTarget: "tbl"})
 	g.Emit(Instr{Op: OpAdd, Rd: 1, Rs1: 0, UseImm: true, DataTarget: "pi"})
 
-	p := &Program{Kind: Baseline, Funcs: []*Function{f, g},
+	p, err := Link(&Unit{Kind: Baseline, Funcs: []*Function{f, g},
 		Data: []*DataItem{
 			{Label: "msg", Kind: DataBytes, Bytes: []byte("hi\x00")},
 			{Label: "tbl", Kind: DataAddrs, Addrs: []string{"main.L1", "helper"}},
 			{Label: "buf", Kind: DataZero, Size: 64},
 			{Label: "pi", Kind: DataFloat, Floats: []float64{3.25}},
-		}}
-	if err := p.Link(); err != nil {
+		}}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if p.EntryPC != 0 {
@@ -430,8 +430,8 @@ func TestLinkResolvesLabelsAndData(t *testing.T) {
 	if p.Text[1].Imm != 0 {
 		t.Errorf("self-branch displacement = %d, want 0", p.Text[1].Imm)
 	}
-	if p.FuncStarts["helper"] != 4 {
-		t.Errorf("helper at index %d, want 4", p.FuncStarts["helper"])
+	if start(p, "helper") != 4 {
+		t.Errorf("helper at index %d, want 4", start(p, "helper"))
 	}
 	word := func(addr int32) int32 {
 		off := addr - DataBase
@@ -474,26 +474,28 @@ func TestLinkResolvesLabelsAndData(t *testing.T) {
 func TestLinkErrors(t *testing.T) {
 	f := NewFunction("main", Baseline)
 	f.Emit(Instr{Op: OpB, Cond: CondAlways, Target: "missing"})
-	p := &Program{Kind: Baseline, Funcs: []*Function{f}}
-	if err := p.Link(); err == nil {
+	if _, err := Link(&Unit{Kind: Baseline, Funcs: []*Function{f}}, 0); err == nil {
 		t.Error("unresolved label must fail")
 	}
-	p2 := &Program{Kind: Baseline, Funcs: []*Function{NewFunction("notmain", Baseline)}}
-	if err := p2.Link(); err == nil {
+	if _, err := Link(&Unit{Kind: Baseline, Funcs: []*Function{NewFunction("notmain", Baseline)}}, 0); err == nil {
 		t.Error("missing main must fail")
 	}
 	f3 := NewFunction("main", BranchReg)
-	p3 := &Program{Kind: Baseline, Funcs: []*Function{f3}}
-	if err := p3.Link(); err == nil {
+	if _, err := Link(&Unit{Kind: Baseline, Funcs: []*Function{f3}}, 0); err == nil {
 		t.Error("kind mismatch must fail")
 	}
 	f4 := NewFunction("main", Baseline)
 	f4.Emit(Instr{Op: OpNop})
-	p4 := &Program{Kind: Baseline, Funcs: []*Function{f4},
+	u4 := &Unit{Kind: Baseline, Funcs: []*Function{f4},
 		Data: []*DataItem{{Label: "x", Kind: DataWords, Words: []int32{1}},
 			{Label: "x", Kind: DataWords, Words: []int32{2}}}}
-	if err := p4.Link(); err == nil {
+	if _, err := Link(u4, 0); err == nil {
 		t.Error("duplicate data symbol must fail")
+	}
+	f5 := NewFunction("main", Baseline)
+	f5.Emit(Instr{Op: OpAdd, Rd: 200, Rs1: 0, UseImm: true})
+	if _, err := Link(&Unit{Kind: Baseline, Funcs: []*Function{f5}}, 0); err == nil {
+		t.Error("a register the linked record cannot hold must fail")
 	}
 }
 
@@ -502,8 +504,8 @@ func TestAddrToIndex(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.Emit(Instr{Op: OpNop})
 	}
-	p := &Program{Kind: Baseline, Funcs: []*Function{f}}
-	if err := p.Link(); err != nil {
+	p, err := Link(&Unit{Kind: Baseline, Funcs: []*Function{f}}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -562,29 +564,46 @@ func TestLinkAlignment(t *testing.T) {
 	g := NewFunction("helper", Baseline)
 	g.Emit(Instr{Op: OpJr, Rs1: RABase})
 	g.Emit(Instr{Op: OpNop})
-	p := &Program{Kind: Baseline, Funcs: []*Function{mk(3), g}, AlignWords: 8}
-	if err := p.Link(); err != nil {
+	u := &Unit{Kind: Baseline, Funcs: []*Function{mk(3), g}}
+	p, err := Link(u, 8)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.FuncStarts["main"] != 0 {
-		t.Errorf("main at %d", p.FuncStarts["main"])
+	if start(p, "main") != 0 {
+		t.Errorf("main at %d", start(p, "main"))
 	}
-	if p.FuncStarts["helper"]%8 != 0 {
-		t.Errorf("helper not aligned: index %d", p.FuncStarts["helper"])
+	if start(p, "helper")%8 != 0 {
+		t.Errorf("helper not aligned: index %d", start(p, "helper"))
 	}
-	// Padding must be noops and FuncOfPC must mark them as outside any
+	// Padding must be noops that the function table places outside any
 	// function.
-	for i := 5; i < p.FuncStarts["helper"]; i++ {
-		if p.Text[i].Op != OpNop || p.FuncOfPC[i] != "" {
-			t.Errorf("pad slot %d wrong: %v %q", i, p.Text[i].Op, p.FuncOfPC[i])
+	for i := 5; i < start(p, "helper"); i++ {
+		if p.Text[i].Op != OpNop || p.FuncAt(i) != "" {
+			t.Errorf("pad slot %d wrong: %v %q", i, p.Text[i].Op, p.FuncAt(i))
 		}
 	}
-	// Relinking without alignment restores a compact layout.
-	p.AlignWords = 0
-	if err := p.Link(); err != nil {
+	for i, want := range map[int]string{0: "main", 4: "main", 8: "helper", 9: "helper", 10: "", -1: ""} {
+		if got := p.FuncAt(i); got != want {
+			t.Errorf("FuncAt(%d) = %q, want %q", i, got, want)
+		}
+	}
+	// Linking the same unit without alignment gives a compact layout.
+	p, err = Link(u, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.FuncStarts["helper"] != 5 {
-		t.Errorf("compact relink: helper at %d", p.FuncStarts["helper"])
+	if start(p, "helper") != 5 {
+		t.Errorf("compact link: helper at %d", start(p, "helper"))
 	}
+}
+
+// start returns the Text index where function name begins, -1 if the
+// program has no such function.
+func start(p *Program, name string) int {
+	for _, s := range p.Syms {
+		if s.Name == name {
+			return int(s.Start)
+		}
+	}
+	return -1
 }

@@ -171,9 +171,9 @@ func (op Op) IsBRMOnly() bool { return op >= OpBrCalc && op <= OpMovBR }
 // field: BR == 0 (the PC) means "next sequential instruction", while BR != 0
 // makes this instruction a transfer of control through b[BR] (paper §3).
 //
-// Functions and linked programs hold their instructions by value, so the
-// one-byte fields sit together ahead of Imm (the size is pinned by
-// TestInstrSize).
+// Functions hold their instructions by value, so the one-byte fields sit
+// together ahead of Imm (the size is pinned by TestInstrSize). Link
+// narrows each into an Inst.
 type Instr struct {
 	Op     Op
 	Cond   Cond // OpCmp/OpFcmp/OpB/OpCmpBr/OpFCmpBr

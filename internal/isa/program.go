@@ -93,33 +93,74 @@ type DataItem struct {
 	Relocs []DataReloc // DataWords: data-symbol address fixups
 }
 
-// Program is a complete linked or linkable unit: functions, data, and after
-// Link, the flat text and data image the emulator executes.
-type Program struct {
+// Unit is the pre-link form of a program for one machine: its functions
+// with their labels and comments, and its data items. Link turns it into
+// the flat Program the emulator executes; listings and the figure tests
+// read the unit.
+type Unit struct {
 	Kind  Kind
 	Funcs []*Function
 	Data  []*DataItem
+}
 
-	// AlignWords, when positive, pads the text segment so every function
-	// starts on a multiple of AlignWords instructions — the paper's §9
-	// suggestion of aligning function entries on cache line boundaries to
-	// reduce conflict between sequential fetches and prefetched targets.
-	// Padding noops are never executed (functions end in transfers).
-	AlignWords int
+// Inst is one linked instruction: an Instr with its symbolic fields
+// resolved into Imm and its register fields narrowed to int8 (registers
+// are at most 31, and -1 marks an unused source). It holds no pointers,
+// so a linked program's text is memory the collector never scans (the
+// size is pinned by TestInstSize).
+type Inst struct {
+	Op     Op
+	Cond   Cond
+	UseImm bool // the encodings' i bit, the one flag left after Link
+	Rd     int8
+	Rs1    int8
+	Rs2    int8
+	BR     int8
+	BSrc   int8
+	Imm    int32
+}
 
-	// Populated by Link:
-	Linked     bool
-	Text       []Instr        // flat instruction memory
-	EntryPC    int            // index into Text of main's first instruction
-	DataImage  []byte         // initial contents of the data segment
-	FuncStarts map[string]int // function name -> Text index
-	FuncOfPC   []string       // Text index -> enclosing function name
+// Instr widens a linked instruction back to the assembler's record, so
+// RTL and Encode serve both forms: Link clears Target, DataTarget and Lo,
+// and neither reads Comment.
+func (in *Inst) Instr() Instr {
+	return Instr{Op: in.Op, Cond: in.Cond, UseImm: in.UseImm, Imm: in.Imm,
+		Rd: int(in.Rd), Rs1: int(in.Rs1), Rs2: int(in.Rs2), BR: int(in.BR), BSrc: int(in.BSrc)}
+}
+
+// Sym is one function's entry in a linked program's function table: the
+// Text range [Start, End) its code occupies (alignment pads lie outside
+// every range) and its name.
+type Sym struct {
+	Name       string
+	Start, End int32
+}
+
+// Program is a linked program: flat text, the initial data image, the
+// entry point and a function table sorted by Start. It keeps nothing of
+// the symbolic form Link started from.
+type Program struct {
+	Kind      Kind
+	Text      []Inst // flat instruction memory, alignment pads included
+	DataImage []byte // initial contents of the data segment
+	EntryPC   int    // index into Text of main's first instruction
+	Syms      []Sym  // function table, sorted by Start
 
 	// Set at most once after Link (see identity.go): the emulator's
 	// per-program state and the lazily computed content digest.
 	emuState   atomic.Pointer[any]
 	digestOnce sync.Once
 	digest     [sha256.Size]byte
+}
+
+// FuncAt returns the name of the function whose code holds Text index i,
+// or "" for an alignment pad or an index outside the text.
+func (p *Program) FuncAt(i int) string {
+	j := sort.Search(len(p.Syms), func(j int) bool { return int(p.Syms[j].Start) > i }) - 1
+	if j >= 0 && i < int(p.Syms[j].End) {
+		return p.Syms[j].Name
+	}
+	return ""
 }
 
 // AddrToIndex converts an instruction byte address to a Text index.
@@ -134,42 +175,58 @@ func (p *Program) AddrToIndex(addr int32) (int, error) {
 // IndexToAddr converts a Text index to an instruction byte address.
 func IndexToAddr(i int) int32 { return TextBase + int32(i)*WordSize }
 
-// Link lays out functions contiguously in the text space starting at
+// Link lays out u's functions contiguously in the text space starting at
 // TextBase, lays out data at DataBase, resolves all symbolic targets to
 // immediates, and builds the data image (including jump tables of code
 // addresses). Function-local labels are qualified as "func.label" in the
 // global symbol table; bare function names resolve to their entry. The
 // symbol tables live only for the duration of Link.
-func (p *Program) Link() error {
-	nsyms := len(p.Funcs)
-	for _, f := range p.Funcs {
+//
+// alignWords > 1 pads the text so every function starts on a multiple of
+// alignWords instructions — the paper's §9 suggestion of aligning
+// function entries on cache line boundaries to reduce conflict between
+// sequential fetches and prefetched targets. Padding noops are never
+// executed (functions end in transfers).
+func Link(u *Unit, alignWords int) (*Program, error) {
+	// The function table's names are copied into one string that every
+	// entry slices, so the table keeps neither the compiler's strings nor
+	// the source they point into alive.
+	nsyms, nameBytes := len(u.Funcs), 0
+	for _, f := range u.Funcs {
 		nsyms += len(f.Labels)
+		nameBytes += len(f.Name)
+	}
+	var names strings.Builder
+	names.Grow(nameBytes)
+	for _, f := range u.Funcs {
+		names.WriteString(f.Name)
 	}
 	codeSyms := make(map[string]int32, nsyms) // global label -> byte address in text space
-	dataSyms := make(map[string]int32, len(p.Data))
-	p.FuncStarts = make(map[string]int, len(p.Funcs))
+	dataSyms := make(map[string]int32, len(u.Data))
+	p := &Program{Kind: u.Kind, Syms: make([]Sym, len(u.Funcs))}
 
-	// Pass 1: assign addresses.
+	// Pass 1: assign addresses, filling the function table in layout (so
+	// Start) order.
 	idx := 0
-	pad := make(map[string]int) // padding noops inserted before each function
-	for _, f := range p.Funcs {
-		if f.Kind != p.Kind {
-			return fmt.Errorf("isa: function %s targets %v, program is %v", f.Name, f.Kind, p.Kind)
+	all, off := names.String(), 0
+	for fi, f := range u.Funcs {
+		if f.Kind != u.Kind {
+			return nil, fmt.Errorf("isa: function %s targets %v, program is %v", f.Name, f.Kind, u.Kind)
 		}
 		if _, dup := codeSyms[f.Name]; dup {
-			return fmt.Errorf("isa: duplicate function %s", f.Name)
+			return nil, fmt.Errorf("isa: duplicate function %s", f.Name)
 		}
-		if p.AlignWords > 1 {
-			if r := idx % p.AlignWords; r != 0 {
-				pad[f.Name] = p.AlignWords - r
-				idx += p.AlignWords - r
+		if alignWords > 1 {
+			if r := idx % alignWords; r != 0 {
+				idx += alignWords - r
 			}
 		}
-		p.FuncStarts[f.Name] = idx
+		p.Syms[fi] = Sym{Name: all[off : off+len(f.Name)], Start: int32(idx), End: int32(idx + len(f.Code))}
+		off += len(f.Name)
 		codeSyms[f.Name] = IndexToAddr(idx)
 		for l, li := range f.Labels {
 			if li > len(f.Code) {
-				return fmt.Errorf("isa: label %s.%s out of range", f.Name, l)
+				return nil, fmt.Errorf("isa: label %s.%s out of range", f.Name, l)
 			}
 			codeSyms[f.Name+"."+l] = IndexToAddr(idx + li)
 		}
@@ -184,7 +241,7 @@ func (p *Program) Link() error {
 		}
 		return a
 	}
-	for _, d := range p.Data {
+	for _, d := range u.Data {
 		al := int32(d.Align)
 		if al == 0 {
 			switch d.Kind {
@@ -198,7 +255,7 @@ func (p *Program) Link() error {
 		}
 		addr = align(addr, al)
 		if _, dup := dataSyms[d.Label]; dup {
-			return fmt.Errorf("isa: duplicate data symbol %s", d.Label)
+			return nil, fmt.Errorf("isa: duplicate data symbol %s", d.Label)
 		}
 		dataSyms[d.Label] = addr
 		addr += int32(d.byteSize())
@@ -213,7 +270,7 @@ func (p *Program) Link() error {
 		img[off+2] = byte(v >> 16)
 		img[off+3] = byte(v >> 24)
 	}
-	for _, d := range p.Data {
+	for _, d := range u.Data {
 		off := dataSyms[d.Label] - DataBase
 		switch d.Kind {
 		case DataWords:
@@ -223,7 +280,7 @@ func (p *Program) Link() error {
 			for _, rl := range d.Relocs {
 				sa, ok := dataSyms[rl.Sym]
 				if !ok {
-					return fmt.Errorf("isa: data item %s: unknown reloc symbol %s", d.Label, rl.Sym)
+					return nil, fmt.Errorf("isa: data item %s: unknown reloc symbol %s", d.Label, rl.Sym)
 				}
 				put32(off+int32(rl.WordIndex*4), d.Words[rl.WordIndex]+sa)
 			}
@@ -241,7 +298,7 @@ func (p *Program) Link() error {
 			for i, lbl := range d.Addrs {
 				a, ok := codeSyms[lbl]
 				if !ok {
-					return fmt.Errorf("isa: jump table %s: unknown code label %s", d.Label, lbl)
+					return nil, fmt.Errorf("isa: jump table %s: unknown code label %s", d.Label, lbl)
 				}
 				put32(off+int32(i*4), a)
 			}
@@ -249,76 +306,68 @@ func (p *Program) Link() error {
 	}
 	p.DataImage = img
 
-	// Pass 2: resolve instruction targets and flatten into slices pass 1
-	// sized (idx counts every instruction and padding noop).
-	p.Text = make([]Instr, 0, idx)
-	p.FuncOfPC = make([]string, 0, idx)
-	for _, f := range p.Funcs {
-		for i := 0; i < pad[f.Name]; i++ {
-			p.Text = append(p.Text, Instr{Op: OpNop, Comment: "alignment pad"})
-			p.FuncOfPC = append(p.FuncOfPC, "")
-		}
-		start := p.FuncStarts[f.Name]
+	// Pass 2: resolve instruction targets and narrow each instruction
+	// into the text pass 1 sized (idx counts every instruction and
+	// padding noop; a pad is the zero Inst, a nop).
+	p.Text = make([]Inst, idx)
+	for fi, f := range u.Funcs {
+		start := int(p.Syms[fi].Start)
 		for i := range f.Code {
-			in := f.Code[i] // copy
+			in := &f.Code[i]
 			here := IndexToAddr(start + i)
+			imm, useImm := in.Imm, in.UseImm
 			if in.Target != "" {
 				taddr, ok := resolveCode(codeSyms, f, in.Target)
 				if !ok {
-					return fmt.Errorf("isa: %s: unresolved code label %q", f.Name, in.Target)
+					return nil, fmt.Errorf("isa: %s: unresolved code label %q", f.Name, in.Target)
 				}
 				switch in.Op {
 				case OpB, OpCall, OpBrCalc:
 					if in.Op == OpBrCalc && in.Rs1 >= 0 {
 						_, lo := SplitAddr(taddr)
-						in.Imm = lo
+						imm = lo
 					} else {
-						in.Imm = taddr - here // PC-relative displacement
+						imm = taddr - here // PC-relative displacement
 					}
 				case OpSethi:
 					hi, _ := SplitAddr(taddr)
-					in.Imm = hi
+					imm = hi
 				default:
-					return fmt.Errorf("isa: %s: op %v cannot take code target", f.Name, in.Op)
+					return nil, fmt.Errorf("isa: %s: op %v cannot take code target", f.Name, in.Op)
 				}
-				in.UseImm = true
-				if in.Comment == "" {
-					in.Comment = in.Target
-				}
-				in.Target = ""
+				useImm = true
 			}
 			if in.DataTarget != "" {
 				daddr, ok := dataSyms[in.DataTarget]
 				if !ok {
-					return fmt.Errorf("isa: %s: unresolved data label %q", f.Name, in.DataTarget)
+					return nil, fmt.Errorf("isa: %s: unresolved data label %q", f.Name, in.DataTarget)
 				}
 				hi, lo := SplitAddr(daddr)
 				if in.Op == OpSethi {
-					in.Imm = hi
+					imm = hi
 				} else if in.Lo {
-					in.Imm = lo
+					imm = lo
 				} else {
-					in.Imm = daddr
+					imm = daddr
 				}
-				in.UseImm = true
-				if in.Comment == "" {
-					in.Comment = in.DataTarget
-				}
-				in.DataTarget = ""
-				in.Lo = false
+				useImm = true
 			}
-			p.Text = append(p.Text, in)
-			p.FuncOfPC = append(p.FuncOfPC, f.Name)
+			out := Inst{Op: in.Op, Cond: in.Cond, UseImm: useImm, Imm: imm,
+				Rd: int8(in.Rd), Rs1: int8(in.Rs1), Rs2: int8(in.Rs2), BR: int8(in.BR), BSrc: int8(in.BSrc)}
+			if int(out.Rd) != in.Rd || int(out.Rs1) != in.Rs1 || int(out.Rs2) != in.Rs2 ||
+				int(out.BR) != in.BR || int(out.BSrc) != in.BSrc {
+				return nil, fmt.Errorf("isa: %s: register field out of range in %s", f.Name, in.RTL(u.Kind))
+			}
+			p.Text[start+i] = out
 		}
 	}
 
-	entry, ok := p.FuncStarts["main"]
+	entry, ok := codeSyms["main"]
 	if !ok {
-		return fmt.Errorf("isa: program has no main")
+		return nil, fmt.Errorf("isa: program has no main")
 	}
-	p.EntryPC = entry
-	p.Linked = true
-	return nil
+	p.EntryPC = int((entry - TextBase) / WordSize)
+	return p, nil
 }
 
 // resolveCode resolves a code label, preferring f-local labels, then global
@@ -349,10 +398,10 @@ func (d *DataItem) byteSize() int {
 	return 0
 }
 
-// Listing renders every function in the program.
-func (p *Program) Listing() string {
+// Listing renders every function in the unit.
+func (u *Unit) Listing() string {
 	var b strings.Builder
-	for _, f := range p.Funcs {
+	for _, f := range u.Funcs {
 		b.WriteString(f.Listing())
 		b.WriteByte('\n')
 	}

@@ -64,7 +64,7 @@ func HotBlocks(p *isa.Program, prof *emu.BlockProfile, top int) []HotBlock {
 	var blocks []HotBlock
 	var cur *HotBlock
 	for i := range counts {
-		fn := p.FuncOfPC[i]
+		fn := p.FuncAt(i)
 		if cur == nil || prof.Arrive[i] > 0 || counts[i] != cur.Count || fn != cur.Fn {
 			blocks = append(blocks, HotBlock{Fn: fn, Addr: isa.IndexToAddr(i), Count: counts[i]})
 			cur = &blocks[len(blocks)-1]

@@ -155,3 +155,43 @@ func checkNoAliasing(t *testing.T, name string, sets []ir.RegSet) {
 		copy(s, snap[i])
 	}
 }
+
+// TestDominatesMatchesIDomWalk checks the numbered dominator tree against
+// the definition it replaced: a dominates b when a lies on b's chain of
+// immediate dominators. Every block pair of every suite function, as
+// irgen leaves it and after opt, must agree.
+func TestDominatesMatchesIDomWalk(t *testing.T) {
+	walk := func(a, b *ir.Block) bool {
+		for x := b; x != nil; x = x.IDom {
+			if x == a {
+				return true
+			}
+		}
+		return false
+	}
+	check := func(name string, f *ir.Func) {
+		if err := f.BuildCFG(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		f.ComputeDominators()
+		for _, a := range f.Blocks {
+			for _, b := range f.Blocks {
+				if got, want := ir.Dominates(a, b), walk(a, b); got != want {
+					t.Fatalf("%s: Dominates(%s, %s) = %v, the idom walk says %v", name, a.Label, b.Label, got, want)
+				}
+			}
+		}
+	}
+	for _, w := range workloads.All() {
+		u := lower(t, w.FullSource())
+		for _, f := range u.Funcs {
+			check(w.Name+"/"+f.Name+"/irgen", f)
+		}
+		if err := RunUnit(u, Default); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		for _, f := range u.Funcs {
+			check(w.Name+"/"+f.Name+"/opt", f)
+		}
+	}
+}

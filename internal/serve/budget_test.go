@@ -63,7 +63,8 @@ func TestServeCacheBudget(t *testing.T) {
 	if got := cache.MemStats().MaxBytes; got != half {
 		t.Fatalf("supplied cache budget = %d, want %d", got, half)
 	}
-	for i := 0; i < 300; i++ {
+	const programs = 1000 // about 1.7 KiB each: twice the compile cache's half
+	for i := 0; i < programs; i++ {
 		src, want := distinctSource(i)
 		machine := "baseline"
 		if i%2 == 1 {
@@ -82,7 +83,7 @@ func TestServeCacheBudget(t *testing.T) {
 	}
 	mr := fetchMetrics(t, ts.URL)
 	if mr.Metrics.Counters["driver.compile_cache.evictions"] == 0 {
-		t.Error("300 distinct programs evicted nothing from a 1 MiB compile cache")
+		t.Errorf("%d distinct programs evicted nothing from a 1 MiB compile cache", programs)
 	}
 	if mr.ResultCache == nil || mr.ResultCache.MaxBytes != half {
 		t.Errorf("result cache = %+v, want a %d-byte budget", mr.ResultCache, half)
